@@ -236,25 +236,22 @@ def _load_node_traces(cfg: RunConfig) -> tuple[list[Trace], int]:
 
 
 def _split_windows(traces: list[Trace], window_seconds: int) -> list[tuple[int, list[Trace]]]:
+    """Cut each trace into tumbling windows in one pass, keeping pair order."""
     has_ts = any(t.ts is not None and t.ts.any() for t in traces)
     if not has_ts:
         return [(0, traces)]
-    ids = sorted(
-        set(
-            np.unique(
-                np.concatenate(
-                    [t.ts // window_seconds for t in traces if t.ts is not None]
-                )
-            ).tolist()
-        )
-    )
-    windows = []
-    for wid in ids:
-        per_node = [
-            t.take(np.flatnonzero(t.ts // window_seconds == wid)) for t in traces
-        ]
-        windows.append((int(wid), per_node))
-    return windows
+    keys = [t.ts // window_seconds for t in traces]
+    ids = np.unique(np.concatenate(keys))
+    per_node = []
+    for trace, key in zip(traces, keys):
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        lo = np.searchsorted(sorted_key, ids, side="left")
+        hi = np.searchsorted(sorted_key, ids, side="right")
+        per_node.append([trace.take(order[i:j]) for i, j in zip(lo, hi)])
+    return [
+        (int(wid), [parts[w] for parts in per_node]) for w, wid in enumerate(ids)
+    ]
 
 
 def _print_summary(report, metrics) -> None:

@@ -115,24 +115,3 @@ class HashSuite:
     def __repr__(self) -> str:
         return f"HashSuite(master_seed={self.master_seed:#x})"
 
-
-def scatter_or(buf: np.ndarray, idx: np.ndarray, val: np.ndarray) -> None:
-    """OR `val[t]` into `buf[idx[t]]`, combining duplicate indexes.
-
-    Equivalent to np.bitwise_or.at(buf, idx, val) but much faster: the
-    updates are sorted by target index, duplicate targets are collapsed
-    with a segmented OR, and the survivors are applied with plain fancy
-    indexing (safe once indexes are unique).
-    """
-    if idx.size == 0:
-        return
-    order = np.argsort(idx, kind="stable")
-    sidx = idx[order]
-    sval = val[order]
-    starts = np.empty(sidx.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(sidx[1:], sidx[:-1], out=starts[1:])
-    start_pos = np.flatnonzero(starts)
-    merged = np.bitwise_or.reduceat(sval, start_pos)
-    targets = sidx[start_pos]
-    buf[targets] |= merged

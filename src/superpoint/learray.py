@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .estimators import LinearEstimator
-from .hashing import HashSuite, scatter_or
+from .hashing import HashSuite
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class LEArray:
         for i in range(self.u_hat):
             col = hs.col_arr(a, i, self.v_hat)
             flat = col * (self.le_len // 8) + byte_idx
-            scatter_or(flat_cells[i], flat, vals)
+            np.bitwise_or.at(flat_cells[i], flat, vals)
 
     def cell(self, i: int, j: int) -> LinearEstimator:
         return LinearEstimator.from_bytes(self.cells[i, j].tobytes(), self.le_len)

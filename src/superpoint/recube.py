@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import CANDIDATE_BITS, RoughEstimator
-from .hashing import HashSuite, scatter_or
+from .hashing import HashSuite
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -176,13 +176,25 @@ def reconstruct_left_part(js: Sequence[int], cfg: RECubeConfig) -> int | None:
 
 
 class RECube:
-    """Dense cube of 8-bit rough estimators, one numpy plane set per row."""
+    """Dense cube of 8-bit rough estimators.
 
-    def __init__(self, config: RECubeConfig):
+    The cells live in one C-contiguous ``(2^r, sum 2^l[i])`` array in the
+    wire order: plane k, then row i, then index j. ``rows[i]`` is the
+    ``(2^r, 2^l[i])`` view of row i's cells in every plane.
+    """
+
+    def __init__(self, config: RECubeConfig, cells: np.ndarray | None = None):
+        widths = [1 << li for li in config.l]
+        shape = (1 << config.r, sum(widths))
+        if cells is None:
+            cells = np.zeros(shape, dtype=np.uint8)
+        elif cells.shape != shape or not cells.flags.c_contiguous:
+            raise ValueError(f"cells must be a C-contiguous {shape} array")
         self.config = config
+        self.cells = cells
+        self._offsets = np.cumsum([0] + widths[:-1]).tolist()
         self.rows = [
-            np.zeros(((1 << config.r), (1 << li)), dtype=np.uint8)
-            for li in config.l
+            cells[:, off : off + width] for off, width in zip(self._offsets, widths)
         ]
 
     def update_pairs(
@@ -204,15 +216,11 @@ class RECube:
         aq = a[qualifying]
         vals = (np.uint8(1) << hs.re_bit_arr(b[qualifying])).astype(np.uint8)
         k, js = derive_indices_arr(aq, self.config)
-        for row, j in zip(self.rows, js):
-            flat = k * row.shape[1] + j
-            scatter_or(row.reshape(-1), flat, vals)
-
-    def update_pair(self, a: int, b: int, tau: float, hs: HashSuite) -> None:
-        """Scalar single-pair update (convenience for small tests)."""
-        arr_a = np.array([a], dtype=np.uint32)
-        arr_b = np.array([b], dtype=np.uint32)
-        self.update_pairs(arr_a, arr_b, tau, hs)
+        # cells is C-contiguous, so this reshape is a view, not a copy
+        flat = self.cells.reshape(-1)
+        base = k * self.cells.shape[1]
+        for off, j in zip(self._offsets, js):
+            np.bitwise_or.at(flat, base + (off + j), vals)
 
     def cell(self, k: int, i: int, j: int) -> RoughEstimator:
         return RoughEstimator(int(self.rows[i][k, j]))
@@ -221,42 +229,33 @@ class RECube:
         self.rows[i][k, j] = bits
 
     def copy(self) -> "RECube":
-        dup = RECube(self.config)
-        dup.rows = [row.copy() for row in self.rows]
-        return dup
+        return RECube(self.config, self.cells.copy())
 
     def is_zero(self) -> bool:
-        return all(not row.any() for row in self.rows)
+        return not self.cells.any()
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RECube)
             and other.config == self.config
-            and all(np.array_equal(x, y) for x, y in zip(self.rows, other.rows))
+            and np.array_equal(self.cells, other.cells)
         )
 
     def cell_bytes(self) -> bytes:
         """Cells serialized plane-major (k, then row i, then index j)."""
-        parts = []
-        for k in range(1 << self.config.r):
-            for row in self.rows:
-                parts.append(row[k].tobytes())
-        return b"".join(parts)
+        return self.cells.tobytes()
 
     @classmethod
-    def from_cell_bytes(cls, config: RECubeConfig, data: bytes) -> "RECube":
+    def from_cell_bytes(cls, config: RECubeConfig, data) -> "RECube":
+        """Read-only cube viewing `data` (any bytes-like object), no copy."""
         if len(data) != config.nbytes:
             raise ValueError(
                 f"expected {config.nbytes} cell bytes, got {len(data)}"
             )
-        cube = cls(config)
-        offset = 0
-        for k in range(1 << config.r):
-            for row in cube.rows:
-                width = row.shape[1]
-                row[k] = np.frombuffer(data, np.uint8, width, offset)
-                offset += width
-        return cube
+        cells = np.frombuffer(data, np.uint8).reshape(1 << config.r, -1)
+        # a writable buffer (bytearray) must not be changed through the cube
+        cells.flags.writeable = False
+        return cls(config, cells)
 
 
 def rec_merge_outer(cubes: Sequence[RECube]) -> RECube:
@@ -271,8 +270,7 @@ def rec_merge_outer(cubes: Sequence[RECube]) -> RECube:
             )
     merged = first.copy()
     for cube in cubes[1:]:
-        for dst, src in zip(merged.rows, cube.rows):
-            np.bitwise_or(dst, src, out=dst)
+        np.bitwise_or(merged.cells, cube.cells, out=merged.cells)
     return merged
 
 

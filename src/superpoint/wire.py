@@ -53,6 +53,19 @@ def _unpack_header(data: bytes, expected_stage: int) -> PayloadHeader:
     return PayloadHeader(stage, node_id, window_id)
 
 
+def _unpack(fmt: str, data: bytes, offset: int) -> tuple:
+    """struct.unpack_from that reports a short payload as ValueError."""
+    try:
+        return struct.unpack_from(fmt, data, offset)
+    except struct.error as exc:
+        raise ValueError(f"payload truncated: {exc}") from None
+
+
+def _check_size(data: bytes, expected: int) -> None:
+    if len(data) != expected:
+        raise ValueError(f"expected a {expected}-byte payload, got {len(data)}")
+
+
 # -- stage 1: rough-estimator cube ---------------------------------------
 
 
@@ -69,24 +82,19 @@ def encode_stage1(node_id: int, window_id: int, cube: RECube) -> bytes:
     geom = struct.pack(
         f"<BB{cfg.u}B{cfg.u}B", cfg.r, cfg.u, *cfg.l, *cfg.s
     )
-    return (
-        _pack_header(STAGE_CUBE, node_id, window_id)
-        + geom
-        + cube.cell_bytes()
+    return b"".join(
+        (_pack_header(STAGE_CUBE, node_id, window_id), geom, cube.cells)
     )
 
 
 def decode_stage1(data: bytes) -> tuple[PayloadHeader, RECube]:
+    """Decode a stage-1 payload; the cube is a read-only view of `data`."""
     header = _unpack_header(data, STAGE_CUBE)
-    offset = HEADER_LEN
-    r, u = struct.unpack_from("<BB", data, offset)
-    offset += 2
-    l = struct.unpack_from(f"<{u}B", data, offset)
-    offset += u
-    s = struct.unpack_from(f"<{u}B", data, offset)
-    offset += u
-    cfg = RECubeConfig(r=r, l=l, s=s)
-    cube = RECube.from_cell_bytes(cfg, data[offset:])
+    r, u = _unpack("<BB", data, HEADER_LEN)
+    widths_offsets = _unpack(f"<{2 * u}B", data, HEADER_LEN + 2)
+    cfg = RECubeConfig(r=r, l=widths_offsets[:u], s=widths_offsets[u:])
+    _check_size(data, stage1_size(cfg))
+    cube = RECube.from_cell_bytes(cfg, memoryview(data)[stage1_header_len(cfg) :])
     return header, cube
 
 
@@ -104,7 +112,8 @@ def encode_stage2(window_id: int, candidates: list[int]) -> bytes:
 
 def decode_stage2(data: bytes) -> tuple[PayloadHeader, list[int]]:
     header = _unpack_header(data, STAGE_CANDIDATES)
-    (w,) = struct.unpack_from("<I", data, HEADER_LEN)
+    (w,) = _unpack("<I", data, HEADER_LEN)
+    _check_size(data, stage2_size(w))
     candidates = list(struct.unpack_from(f"<{w}I", data, HEADER_LEN + 4))
     return header, candidates
 
@@ -139,8 +148,11 @@ def encode_stage3(
 
 def decode_stage3(data: bytes) -> tuple[PayloadHeader, list[CandidateLE], int]:
     header = _unpack_header(data, STAGE_CANDIDATE_LES)
-    w, le_len = struct.unpack_from("<II", data, HEADER_LEN)
-    offset = HEADER_LEN + 8
+    w, le_len = _unpack("<II", data, HEADER_LEN)
+    if le_len < 8 or le_len & (le_len - 1):
+        raise ValueError(f"le_len must be a power of two >= 8, got {le_len}")
+    _check_size(data, stage3_size(w, le_len))
+    offset = stage3_header_len()
     le_bytes = le_len // 8
     records = []
     for _ in range(w):

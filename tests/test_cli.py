@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from superpoint.cli import RunConfig, load_config, main, parse_trace_spec
-from superpoint.node import read_trace_binary
+from superpoint.cli import RunConfig, _split_windows, load_config, main, parse_trace_spec
+from superpoint.node import Trace, read_trace_binary
 
 
 def _write(path, text):
@@ -181,3 +182,30 @@ def test_verify_subcommand(capsys):
     assert "PASS golden-recovery-example" in out
     assert "PASS theorem1-sandwich" in out
     assert "PASS merge-algebra" in out
+
+
+def test_split_windows_matches_per_window_mask():
+    rng = np.random.default_rng(12)
+    window_seconds = 60
+    traces = [
+        Trace(
+            rng.integers(0, 2**32, n, dtype=np.uint32),
+            rng.integers(0, 2**32, n, dtype=np.uint32),
+            rng.integers(0, 5 * window_seconds, n).astype(np.uint32),
+        )
+        for n in (400, 250)
+    ]
+    # a node that sees only two of the five windows, out of time order
+    traces.append(Trace([7, 8], [1, 2], [250, 10]))
+
+    windows = _split_windows(traces, window_seconds)
+
+    # reference: one mask over every trace per window id
+    ids = sorted(set(np.concatenate([t.ts // window_seconds for t in traces]).tolist()))
+    assert [wid for wid, _ in windows] == ids == [0, 1, 2, 3, 4]
+    for wid, per_node in windows:
+        assert len(per_node) == len(traces)
+        for got, trace in zip(per_node, traces):
+            want = trace.take(np.flatnonzero(trace.ts // window_seconds == wid))
+            for column in ("a", "b", "ts"):
+                assert np.array_equal(getattr(got, column), getattr(want, column))

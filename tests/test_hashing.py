@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from superpoint.hashing import HashSuite, mix64, mix64_arr, scatter_or
+from superpoint.hashing import HashSuite, mix64, mix64_arr
 
 
 def test_scalar_vector_agreement():
@@ -46,14 +45,3 @@ def test_rand32_roughly_uniform():
     counts = np.bincount(vals >> 29, minlength=8)
     assert counts.min() > 100_000 / 8 * 0.9
 
-
-@pytest.mark.parametrize("size", [0, 1, 17, 1000])
-def test_scatter_or_matches_ufunc_at(size):
-    rng = np.random.default_rng(size)
-    buf_fast = np.zeros(64, np.uint8)
-    buf_ref = np.zeros(64, np.uint8)
-    idx = rng.integers(0, 64, size)
-    val = (1 << rng.integers(0, 8, size)).astype(np.uint8)
-    scatter_or(buf_fast, idx, val)
-    np.bitwise_or.at(buf_ref, idx, val)
-    assert np.array_equal(buf_fast, buf_ref)

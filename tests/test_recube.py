@@ -125,9 +125,13 @@ def test_reconstruct_detects_conflicts():
 # -- cube updates -------------------------------------------------------------
 
 
+def _one(value: int) -> np.ndarray:
+    return np.array([value], dtype=np.uint32)
+
+
 def test_update_touches_exactly_u_cells():
     cube = RECube(SMALL)
-    cube.update_pair(0xCAFE1234, 7, 0.0, HS)
+    cube.update_pairs(_one(0xCAFE1234), _one(7), 0.0, HS)
     assert sum(int(np.count_nonzero(row)) for row in cube.rows) == SMALL.u
     k, js = derive_indices(0xCAFE1234, SMALL)
     expected = 1 << HS.re_bit(7)
@@ -137,9 +141,9 @@ def test_update_touches_exactly_u_cells():
 
 def test_update_idempotent():
     cube = RECube(SMALL)
-    cube.update_pair(42, 43, 0.0, HS)
+    cube.update_pairs(_one(42), _one(43), 0.0, HS)
     snapshot = cube.copy()
-    cube.update_pair(42, 43, 0.0, HS)
+    cube.update_pairs(_one(42), _one(43), 0.0, HS)
     assert cube == snapshot
 
 

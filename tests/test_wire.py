@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from superpoint import wire
 from superpoint.estimators import LinearEstimator
 from superpoint.hashing import HashSuite
 from superpoint.learray import CandidateLE
-from superpoint.recube import RECube, RECubeConfig
+from superpoint.recube import RECube, RECubeConfig, rec_merge_outer
 
 CFG = RECubeConfig(r=2, l=(6,) * 8, s=(0, 4, 8, 12, 16, 20, 24, 28))
 HS = HashSuite(31337)
@@ -99,3 +102,90 @@ def test_decode_rejects_corruption():
 def test_payloads_are_deterministic():
     cube = _populated_cube()
     assert wire.encode_stage1(1, 2, cube) == wire.encode_stage1(1, 2, cube)
+
+
+def _default_geometry_cube():
+    rng = np.random.default_rng(21)
+    cube = RECube(RECubeConfig(r=6, l=(14, 14, 14), s=(0, 10, 20)))
+    cube.update_pairs(
+        rng.integers(0, 2**32, 200_000, dtype=np.uint32),
+        rng.integers(0, 2**32, 200_000, dtype=np.uint32),
+        2.0,
+        HS,
+    )
+    return cube
+
+
+def test_stage1_golden_digests():
+    # digests of the plane-major layout; any change to the cell order,
+    # the geometry header or the scan shows up here
+    small = wire.encode_stage1(node_id=3, window_id=9, cube=_populated_cube())
+    assert hashlib.sha256(small).hexdigest() == (
+        "b1e89fc9a50db99b332e240134f81f6921605d073dd4bb3a17033c18d3679306"
+    )
+    default = wire.encode_stage1(node_id=1, window_id=4, cube=_default_geometry_cube())
+    assert hashlib.sha256(default).hexdigest() == (
+        "7bba4c9b6a0fcd01a3ddc89674cd31a8ca7ace2fdd9c3c4cc6f3c66be5e1fee3"
+    )
+
+
+def test_merge_does_not_write_through_decoded_payloads():
+    first = _populated_cube()
+    second = RECube(CFG)
+    second.update_pairs(
+        np.arange(500, dtype=np.uint32), np.arange(500, dtype=np.uint32), 0.0, HS
+    )
+    # bytes and a writable bytearray: neither may change under the merge
+    payloads = [
+        wire.encode_stage1(0, 1, first),
+        bytearray(wire.encode_stage1(1, 1, second)),
+    ]
+    digests = [hashlib.sha256(p).digest() for p in payloads]
+    decoded = [wire.decode_stage1(p)[1] for p in payloads]
+    snapshots = [cube.copy() for cube in decoded]
+
+    merged = rec_merge_outer(decoded)
+    merged.update_pairs(
+        np.arange(10_000, 12_000, dtype=np.uint32),
+        np.arange(2000, dtype=np.uint32),
+        0.0,
+        HS,
+    )
+    merged.cells |= 0x80
+
+    assert [hashlib.sha256(p).digest() for p in payloads] == digests
+    assert decoded == snapshots
+    with pytest.raises(ValueError):
+        decoded[1].set_cell(0, 0, 0, 0xFF)  # decoded cubes are read-only
+
+
+def _stage3_payload(w, le_len):
+    return wire._pack_header(wire.STAGE_CANDIDATE_LES, 0, 0) + struct.pack(
+        "<II", w, le_len
+    ) + bytes(w * (4 + le_len // 8))
+
+
+def _stage1_payload():
+    return wire.encode_stage1(0, 0, _populated_cube())
+
+
+@pytest.mark.parametrize(
+    "decode, payload",
+    [
+        pytest.param(wire.decode_stage1, lambda: _stage1_payload()[:13], id="stage1-geometry-cut"),
+        pytest.param(wire.decode_stage1, lambda: _stage1_payload()[:20], id="stage1-rows-cut"),
+        pytest.param(wire.decode_stage1, lambda: _stage1_payload() + b"\0", id="stage1-trailing"),
+        pytest.param(wire.decode_stage2, lambda: wire.encode_stage2(0, [1, 2])[:14], id="stage2-count-cut"),
+        pytest.param(wire.decode_stage2, lambda: wire.encode_stage2(0, [1, 2])[:-1], id="stage2-truncated"),
+        pytest.param(wire.decode_stage2, lambda: wire.encode_stage2(0, [1, 2]) + b"\0", id="stage2-trailing"),
+        pytest.param(wire.decode_stage3, lambda: _stage3_payload(2, 64)[:16], id="stage3-header-cut"),
+        pytest.param(wire.decode_stage3, lambda: _stage3_payload(2, 64)[:-1], id="stage3-truncated"),
+        pytest.param(wire.decode_stage3, lambda: _stage3_payload(2, 64) + b"\0", id="stage3-trailing"),
+        pytest.param(wire.decode_stage3, lambda: _stage3_payload(0, 12), id="stage3-le-len-12"),
+        pytest.param(wire.decode_stage3, lambda: _stage3_payload(0, 4), id="stage3-le-len-4"),
+        pytest.param(wire.decode_stage3, lambda: _stage3_payload(0, 0), id="stage3-le-len-0"),
+    ],
+)
+def test_decoders_raise_only_value_error(decode, payload):
+    with pytest.raises(ValueError):
+        decode(payload())
