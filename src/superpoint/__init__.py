@@ -19,14 +19,7 @@ from .estimators import (
     lsb,
 )
 from .hashing import HashSuite
-from .learray import (
-    CandidateEstimate,
-    CandidateLE,
-    LEArray,
-    estimate_candidates,
-    lea_merge_outer,
-    outer_merge_les,
-)
+from .learray import CandidateEstimate, LEArray, estimate_candidates, lea_merge_outer
 from .recube import (
     RECube,
     RECubeConfig,
@@ -51,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CANDIDATE_BITS",
     "CandidateEstimate",
-    "CandidateLE",
     "DetectorParams",
     "HashSuite",
     "LEArray",
@@ -77,7 +69,6 @@ __all__ = [
     "le_std_dev_hosts",
     "lsb",
     "oracle_evaluate",
-    "outer_merge_les",
     "partition_stream",
     "rec_merge_outer",
     "recover_candidates",

@@ -2,8 +2,8 @@
 
 Stage 1 collects every node's cube and ORs them; candidates are recovered
 from the merged cube. Stage 2 broadcasts the candidate list. Stage 3
-collects one inner-merged estimator per candidate per node, ORs them per
-candidate, and filters by the threshold.
+collects one inner-merged estimator per candidate per node as a
+(w, le_len / 8) matrix, ORs the matrices, and filters by the threshold.
 
 The transport is in-process, but every stage moves through the byte-exact
 wire encodings, so the counted sizes are what a socket would carry.
@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .learray import (
-    CandidateEstimate,
-    estimate_candidates,
-    lea_merge_outer,
-    outer_merge_les,
-)
+from .learray import CandidateEstimate, estimate_candidates, lea_merge_outer
 from .node import ObservationNode
 from .recube import rec_merge_outer, recover_candidates
 from . import wire
@@ -84,12 +79,29 @@ def _check_nodes(nodes: list[ObservationNode]) -> None:
             )
 
 
+def _check(node: ObservationNode, stage: int, name: str, got, want) -> None:
+    if got != want:
+        raise ValueError(f"node {node.node_id}: stage-{stage} {name} {got} != {want}")
+
+
+def _received(node: ObservationNode, window_id: int, decode, payload) -> list:
+    """Decode a node's payload and check that it is that node's, for this window."""
+    header, *body = decode(payload)
+    _check(node, header.stage, "window_id", header.window_id, window_id)
+    _check(node, header.stage, "node_id", header.node_id, node.node_id)
+    return body
+
+
 def run_window(
     nodes: list[ObservationNode],
     theta: float | None = None,
     mode: str = MODE_READ,
 ) -> WindowReport:
-    """Drive the three-stage protocol across already-scanned nodes."""
+    """Drive the three-stage protocol across already-scanned nodes.
+
+    A payload for another window or node, or a stage-3 payload whose
+    le_len or candidates differ from what was asked, raises ValueError.
+    """
     _check_nodes(nodes)
     if mode not in (MODE_READ, MODE_NAIVE):
         raise ValueError(f"unknown mode {mode!r}")
@@ -100,26 +112,29 @@ def run_window(
 
     # Stage 1: collect cubes, merge, recover candidates.
     stage1_payloads = [node.stage1_payload() for node in nodes]
-    cubes = [wire.decode_stage1(p)[1] for p in stage1_payloads]
+    cubes = [
+        _received(node, window_id, wire.decode_stage1, payload)[0]
+        for node, payload in zip(nodes, stage1_payloads)
+    ]
     merged_cube = rec_merge_outer(cubes)
-    candidates = sorted(recover_candidates(merged_cube))
+    candidates = recover_candidates(merged_cube)
 
     if mode == MODE_READ:
         # Stage 2: identical broadcast, counted once per node.
         stage2_payload = wire.encode_stage2(window_id, candidates)
         stage2_bytes = [len(stage2_payload)] * len(nodes)
 
-        # Stage 3: per-candidate estimators, OR-merged per candidate.
+        # Stage 3: per-candidate estimators, OR-merged across nodes into
+        # a copy of the first node's matrix (the payloads stay untouched).
         stage3_payloads = [node.stage3_payload(candidates) for node in nodes]
         stage3_bytes = [len(p) for p in stage3_payloads]
-        per_candidate: dict[int, list] = {c: [] for c in candidates}
-        for payload in stage3_payloads:
-            _, records, _ = wire.decode_stage3(payload)
-            for record in records:
-                per_candidate[record.candidate].append(record)
-        merged_les = {
-            c: outer_merge_les(records) for c, records in per_candidate.items()
-        }
+        sketches = None
+        for node, payload in zip(nodes, stage3_payloads):
+            got, les = _received(node, window_id, wire.decode_stage3, payload)
+            _check(node, 3, "le_len", les.shape[1] * 8, le_len)
+            if not np.array_equal(got, candidates):
+                raise ValueError(f"node {node.node_id}: stage-3 candidates differ from the broadcast")
+            sketches = les.copy() if sketches is None else np.bitwise_or(sketches, les, out=sketches)
     else:
         # Naive reference: ship whole LE grids, OR them, then inner-merge
         # per candidate on the coordinator. Exists to measure what the
@@ -129,19 +144,16 @@ def run_window(
             _NAIVE_LEA_HEADER + node.lea.nbytes for node in nodes
         ]
         global_lea = lea_merge_outer([node.lea for node in nodes])
-        merged_les = {
-            c: global_lea.extract_candidate(c, nodes[0].hs).le
-            for c in candidates
-        }
+        sketches = global_lea.extract_candidates(candidates, nodes[0].hs)
 
-    estimates = estimate_candidates(merged_les, theta)
+    estimates = estimate_candidates(candidates, sketches, theta)
     super_points = [e for e in estimates if e.is_super]
 
     return WindowReport(
         window_id=window_id,
         mode=mode,
         super_points=super_points,
-        candidates=candidates,
+        candidates=candidates.tolist(),
         candidates_count=len(candidates),
         stage1_bytes=[len(p) for p in stage1_payloads],
         stage2_bytes=stage2_bytes,

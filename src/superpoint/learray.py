@@ -4,26 +4,22 @@ Each source address owns one cell per row (chosen by per-row column
 hashes); every opposite host sets the same bit position in each of those
 cells. At the end of a window a candidate's per-node sketch is the AND
 of its row cells (collision bits rarely survive all rows), and the
-global sketch is the OR of the per-node ANDs.
+global sketch is the OR of the per-node ANDs. Per-candidate sketches
+travel as rows of one (w, le_len / 8) uint8 matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .estimators import LinearEstimator
 from .hashing import HashSuite
 
-
-@dataclass(frozen=True)
-class CandidateLE:
-    """A candidate address with its inner-merged (row-ANDed) estimator."""
-
-    candidate: int
-    le: LinearEstimator
+#: bytes of candidate rows extract_candidates gathers and ANDs per step
+_GATHER_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -70,17 +66,21 @@ class LEArray:
     def cell(self, i: int, j: int) -> LinearEstimator:
         return LinearEstimator.from_bytes(self.cells[i, j].tobytes(), self.le_len)
 
-    def extract_candidate(self, c: int, hs: HashSuite) -> CandidateLE:
-        """Inner merge (AND) of the candidate's u_hat row cells."""
-        acc = None
-        for i in range(self.u_hat):
-            col = hs.col(c, i, self.v_hat)
-            row_cell = self.cells[i, col]
-            acc = row_cell.copy() if acc is None else (acc & row_cell)
-        return CandidateLE(
-            candidate=c,
-            le=LinearEstimator.from_bytes(acc.tobytes(), self.le_len),
-        )
+    def extract_candidates(self, cands, hs: HashSuite) -> np.ndarray:
+        """Inner merge (AND) of each candidate's u_hat row cells, as a
+        (len(cands), le_len // 8) uint8 matrix in the given order."""
+        cands = np.asarray(cands, dtype=np.uint32)
+        cols = [hs.col_arr(cands, i, self.v_hat) for i in range(self.u_hat)]
+        merged = np.empty((cands.size, self.le_len // 8), dtype=np.uint8)
+        # a cache-sized block of rows at a time: the ANDs stay in cache and
+        # no temporary as large as the whole matrix is allocated
+        step = max(1, _GATHER_BYTES // (self.le_len // 8))
+        for lo in range(0, cands.size, step):
+            out = merged[lo : lo + step]
+            np.take(self.cells[0], cols[0][lo : lo + step], axis=0, out=out)
+            for i in range(1, self.u_hat):
+                out &= self.cells[i][cols[i][lo : lo + step]]
+        return merged
 
     def copy(self) -> "LEArray":
         dup = LEArray(self.u_hat, self.v_hat, self.le_len)
@@ -114,33 +114,28 @@ def lea_merge_outer(leas: Sequence[LEArray]) -> LEArray:
     return merged
 
 
-def outer_merge_les(les: Sequence[CandidateLE]) -> LinearEstimator:
-    """OR the per-node sketches of one candidate."""
-    if not les:
-        raise ValueError("cannot merge an empty sequence of candidate LEs")
-    candidate = les[0].candidate
-    merged = les[0].le
-    for entry in les[1:]:
-        if entry.candidate != candidate:
-            raise ValueError(
-                f"candidate mismatch: {entry.candidate:#x} vs {candidate:#x}"
-            )
-        merged = merged.outer(entry.le)
-    return merged
-
-
 def estimate_candidates(
-    merged: Mapping[int, LinearEstimator], theta: float
+    addresses: np.ndarray, sketches: np.ndarray, theta: float
 ) -> list[CandidateEstimate]:
-    """Estimate every candidate and flag super points (estimate > theta).
+    """Estimate every candidate from its row of the (w, le_len // 8)
+    sketch matrix and flag super points (estimate > theta).
 
     Saturated estimators are reported super with the saturation flag set.
     Results are sorted by descending estimate, then ascending address.
     """
-    results = []
-    for address, le in merged.items():
-        estimate, saturated = le.estimate()
-        is_super = saturated or estimate > theta
-        results.append(CandidateEstimate(address, estimate, saturated, is_super))
-    results.sort(key=lambda e: (-e.estimate, e.address))
-    return results
+    addresses = np.asarray(addresses, dtype=np.uint32)
+    sketches = np.ascontiguousarray(sketches)
+    nbits = sketches.shape[1] * 8
+    words = sketches.view(np.uint64) if nbits % 64 == 0 else sketches
+    zeros = nbits - np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    # the scalar estimator, once per distinct zero count, so every
+    # estimate is exactly the float LinearEstimator.estimate gives
+    table = np.zeros(nbits + 1)
+    for n0 in np.flatnonzero(np.bincount(zeros, minlength=nbits + 1)).tolist():
+        table[n0] = LinearEstimator(nbits, (1 << (nbits - n0)) - 1).estimate()[0]
+    estimates = table[zeros]
+    saturated = zeros == 0
+    is_super = saturated | (estimates > theta)
+    order = np.lexsort((addresses, -estimates))
+    columns = (addresses, estimates, saturated, is_super)
+    return [CandidateEstimate(*row) for row in zip(*(c[order].tolist() for c in columns))]

@@ -188,13 +188,13 @@ class ObservationNode:
             raise RuntimeError("scan a window before requesting stage 1")
         return wire.encode_stage1(self.node_id, self.window_id, self.rec)
 
-    def stage3_payload(self, candidates: list[int]) -> bytes:
+    def stage3_payload(self, candidates) -> bytes:
         """Inner-merged estimator per candidate, in the given order."""
         if self.lea is None:
             raise RuntimeError("scan a window before requesting stage 3")
-        records = [self.lea.extract_candidate(c, self.hs) for c in candidates]
+        sketches = self.lea.extract_candidates(candidates, self.hs)
         return wire.encode_stage3(
-            self.node_id, self.window_id, records, self.params.le_len
+            self.node_id, self.window_id, candidates, sketches, self.params.le_len
         )
 
     def master_structure_bytes(self) -> int:

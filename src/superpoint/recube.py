@@ -5,9 +5,9 @@ A source address picks one 8-bit cell per row of one of the 2^r planes
 32-r "left part" bits select the per-row cells). Because consecutive
 rows read overlapping windows, a set of per-row candidate cells can be
 stitched back into complete source addresses: indexes whose overlapping
-bits agree are chained depth-first, the chained cells are ANDed to drop
-coincidental matches, and the surviving bit windows are deposited back
-into a 32-bit address.
+bits agree are chained by a merge-join over all planes at once, the
+chained cells are ANDed to drop coincidental matches, and the surviving
+bit windows are deposited back into a 32-bit address.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 from .estimators import CANDIDATE_BITS, RoughEstimator
 from .hashing import HashSuite
 
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+#: most chain extensions one join step materializes at a time
+_JOIN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,13 +107,9 @@ class RECubeConfig:
         return tuple(widths)
 
     @property
-    def cell_count(self) -> int:
-        return (1 << self.r) * sum(1 << li for li in self.l)
-
-    @property
     def nbytes(self) -> int:
         """Cube payload size: one byte per rough estimator."""
-        return self.cell_count
+        return (1 << self.r) * sum(1 << li for li in self.l)
 
 
 def derive_indices(a: int, cfg: RECubeConfig) -> tuple[int, tuple[int, ...]]:
@@ -150,29 +147,6 @@ def derive_indices_arr(
             j = low | (high << np.uint64(low_width))
         js.append(j.astype(np.int64))
     return k, js
-
-
-def reconstruct_left_part(js: Sequence[int], cfg: RECubeConfig) -> int | None:
-    """Deposit per-row index bits back into the left part of an address.
-
-    Returns None when two windows disagree on a shared bit, which cannot
-    happen for indexes derived from one address but guards phantom tuples
-    in geometries with non-adjacent window overlaps.
-    """
-    n = cfg.left_bits
-    bits: list[int] = [-1] * n
-    for (si, li), j in zip(zip(cfg.s, cfg.l), js):
-        for t in range(li):
-            pos = (si + t) % n
-            bit = (j >> t) & 1
-            if bits[pos] == -1:
-                bits[pos] = bit
-            elif bits[pos] != bit:
-                return None
-    lp = 0
-    for pos, bit in enumerate(bits):
-        lp |= bit << pos
-    return lp
 
 
 class RECube:
@@ -274,65 +248,87 @@ def rec_merge_outer(cubes: Sequence[RECube]) -> RECube:
     return merged
 
 
-def recover_candidates(rec: RECube) -> set[int]:
-    """Recover candidate source addresses from a (merged) cube.
+def _candidate_cells(rec: RECube) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per row: plane k, index j and bits of each cell with >= 3 set bits,
+    sorted by (k, j). Only the non-zero 64-bit words of the cube are
+    expanded to cells, which is much cheaper than a per-cell scan."""
+    flat = rec.cells.reshape(-1)
+    # a valid geometry has a multiple of 8 cells: r >= 1 and every l >= 2
+    nonzero = np.flatnonzero(flat.view(np.uint64))
+    pos = (nonzero[:, None] * 8 + np.arange(8)).reshape(-1)
+    pos = pos[np.bitwise_count(flat[pos]) >= CANDIDATE_BITS]
+    k, col = np.divmod(pos, rec.cells.shape[1])
+    row = np.searchsorted(rec._offsets, col, side="right") - 1
+    cells = []
+    for i, off in enumerate(rec._offsets):
+        in_row = row == i
+        cells.append((k[in_row], col[in_row] - off, flat[pos[in_row]]))
+    return cells
 
-    Per plane: collect the per-row cell indexes whose estimator has >= 3
-    set bits, chain them depth-first on the overlap-equality rule
-    (including the cyclic wraparound back to row 0), AND the chained
-    cells to reject tuples assembled from unrelated hosts, and deposit
-    the surviving index bits back into full addresses.
+
+def _join_step(left_key, right_key, left_bits, right_bits) -> tuple[np.ndarray, ...]:
+    """Index pairs (left, right) of equal keys and their ANDed bits, where
+    those keep >= 3 set bits. Matches are built in chunks of left rows with
+    at most _JOIN_CHUNK matches each (one left row may exceed it), so the
+    memory of a step does not grow with the number of unfiltered chains."""
+    order = np.argsort(right_key, kind="stable")
+    sorted_key = right_key[order]
+    lo = np.searchsorted(sorted_key, left_key, side="left")
+    counts = np.searchsorted(sorted_key, left_key, side="right") - lo
+    ends = np.cumsum(counts)
+    kept = []
+    a = 0
+    while a < left_key.size:
+        done = ends[a - 1] if a else 0
+        b = max(int(np.searchsorted(ends, done + _JOIN_CHUNK, side="right")), a + 1)
+        c = counts[a:b]
+        left = np.repeat(np.arange(a, b), c)
+        starts = np.repeat(lo[a:b] - (np.cumsum(c) - c), c)
+        right = order[starts + np.arange(left.size)]
+        bits = left_bits[left] & right_bits[right]
+        keep = np.bitwise_count(bits) >= CANDIDATE_BITS
+        kept.append((left[keep], right[keep], bits[keep]))
+        a = b
+    return tuple(np.concatenate(parts) for parts in zip(*kept))
+
+
+def recover_candidates(rec: RECube) -> np.ndarray:
+    """Recover the sorted uint32 candidate addresses of a (merged) cube.
+
+    Cells with >= 3 set bits are merge-joined row by row on (plane,
+    overlap bits), keeping chains whose ANDed cells still have >= 3 set
+    bits; this rejects tuples assembled from unrelated hosts. Chains that
+    close the wraparound back to row 0 are deposited into addresses, and
+    an address that does not re-derive to its chain's indexes is dropped.
     """
     cfg = rec.config
-    u = cfg.u
-    overlaps = cfg.overlaps
-    found: set[int] = set()
+    rows = _candidate_cells(rec)
+    k, j0, bits = rows[0]
+    js = [j0]
+    for i in range(1, cfg.u):
+        if k.size == 0:
+            return np.zeros(0, np.uint32)
+        o = cfg.overlaps[i - 1]
+        k_next, j_next, bits_next = rows[i]
+        left_key = (k << o) | (js[-1] >> (cfg.l[i - 1] - o))
+        right_key = (k_next << o) | (j_next & ((1 << o) - 1))
+        if i == cfg.u - 1:
+            # the last row also closes the wraparound back to row 0, in
+            # the same join, so open chains are never materialized
+            wrap = cfg.overlaps[-1]
+            left_key = (left_key << wrap) | (js[0] & ((1 << wrap) - 1))
+            right_key = (right_key << wrap) | (j_next >> (cfg.l[-1] - wrap))
+        left, right, bits = _join_step(left_key, right_key, bits, bits_next)
+        k = k[left]
+        js = [j[left] for j in js] + [j_next[right]]
 
-    for k in range(1 << cfg.r):
-        cand = [np.flatnonzero(_POPCOUNT[row[k]] >= CANDIDATE_BITS) for row in rec.rows]
-        if any(c.size == 0 for c in cand):
-            continue
-        # Bucket row i+1 candidates by their low overlap bits so the DFS
-        # only visits chain-compatible extensions.
-        buckets: list[dict[int, list[int]]] = []
-        for i in range(1, u):
-            o = overlaps[i - 1]
-            by_low: dict[int, list[int]] = {}
-            mask = (1 << o) - 1
-            for j in cand[i].tolist():
-                by_low.setdefault(j & mask, []).append(j)
-            buckets.append(by_low)
-        wrap = overlaps[-1]
-        wrap_mask = (1 << wrap) - 1
-
-        stack: list[int] = []
-
-        def dfs(i: int) -> None:
-            if i == u:
-                j_last, j0 = stack[-1], stack[0]
-                if (j_last >> (cfg.l[u - 1] - wrap)) != (j0 & wrap_mask):
-                    return
-                merged = 0xFF
-                for row_i, j in enumerate(stack):
-                    merged &= int(rec.rows[row_i][k, j])
-                if bin(merged).count("1") < CANDIDATE_BITS:
-                    return
-                lp = reconstruct_left_part(stack, cfg)
-                if lp is not None:
-                    found.add((lp << cfg.r) | k)
-                return
-            if i == 0:
-                for j in cand[0].tolist():
-                    stack.append(j)
-                    dfs(1)
-                    stack.pop()
-                return
-            o = overlaps[i - 1]
-            top = stack[-1] >> (cfg.l[i - 1] - o)
-            for j in buckets[i - 1].get(top, ()):
-                stack.append(j)
-                dfs(i + 1)
-                stack.pop()
-
-        dfs(0)
-    return found
+    n = cfg.left_bits
+    lp = np.zeros(k.size, np.int64)
+    for si, j in zip(cfg.s, js):
+        # rotate the window into place; bits past n wrap to the bottom
+        lp |= (j << si) | (j << si >> n)
+    addresses = (((lp & ((1 << n) - 1)) << cfg.r) | k).astype(np.uint32)
+    _, derived = derive_indices_arr(addresses, cfg)
+    consistent = np.logical_and.reduce([d == j for d, j in zip(derived, js)])
+    # distinct chains that re-derive are distinct addresses
+    return np.sort(addresses[consistent])

@@ -11,8 +11,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .estimators import LinearEstimator
-from .learray import CandidateLE
+import numpy as np
+
 from .recube import RECube, RECubeConfig
 
 MAGIC = b"READ"
@@ -105,9 +105,10 @@ def stage2_size(w: int) -> int:
     return HEADER_LEN + 4 + 4 * w
 
 
-def encode_stage2(window_id: int, candidates: list[int]) -> bytes:
-    body = struct.pack(f"<I{len(candidates)}I", len(candidates), *candidates)
-    return _pack_header(STAGE_CANDIDATES, COORDINATOR_ID, window_id) + body
+def encode_stage2(window_id: int, candidates) -> bytes:
+    body = np.asarray(candidates, dtype="<u4")
+    header = _pack_header(STAGE_CANDIDATES, COORDINATOR_ID, window_id)
+    return b"".join((header, struct.pack("<I", body.size), body))
 
 
 def decode_stage2(data: bytes) -> tuple[PayloadHeader, list[int]]:
@@ -129,36 +130,37 @@ def stage3_size(w: int, le_len: int) -> int:
     return stage3_header_len() + w * (4 + le_len // 8)
 
 
+def _stage3_records(le_len: int) -> np.dtype:
+    """One stage-3 record: candidate address, then its packed sketch."""
+    return np.dtype([("c", "<u4"), ("le", "u1", (le_len // 8,))])
+
+
 def encode_stage3(
-    node_id: int, window_id: int, records: list[CandidateLE], le_len: int
+    node_id: int, window_id: int, candidates, sketches: np.ndarray, le_len: int
 ) -> bytes:
-    parts = [
-        _pack_header(STAGE_CANDIDATE_LES, node_id, window_id),
-        struct.pack("<II", len(records), le_len),
-    ]
-    for record in records:
-        if record.le.nbits != le_len:
-            raise ValueError(
-                f"record length {record.le.nbits} != payload le_len {le_len}"
-            )
-        parts.append(struct.pack("<I", record.candidate))
-        parts.append(record.le.to_bytes())
-    return b"".join(parts)
+    """Candidate i with row i of the (w, le_len // 8) sketch matrix."""
+    candidates = np.asarray(candidates, dtype=np.uint32)
+    w = candidates.size
+    if sketches.shape != (w, le_len // 8):
+        raise ValueError(f"sketches {sketches.shape} are not {w} x {le_len} bits")
+    records = np.empty(w, _stage3_records(le_len))
+    records["c"] = candidates
+    records["le"] = sketches
+    header = _pack_header(STAGE_CANDIDATE_LES, node_id, window_id)
+    return b"".join((header, struct.pack("<II", w, le_len), records))
 
 
-def decode_stage3(data: bytes) -> tuple[PayloadHeader, list[CandidateLE], int]:
+def decode_stage3(data) -> tuple[PayloadHeader, np.ndarray, np.ndarray]:
+    """Decode a stage-3 payload into (header, candidates, sketches), both
+    read-only views of `data`: (w,) uint32 and (w, le_len // 8) uint8."""
     header = _unpack_header(data, STAGE_CANDIDATE_LES)
     w, le_len = _unpack("<II", data, HEADER_LEN)
     if le_len < 8 or le_len & (le_len - 1):
         raise ValueError(f"le_len must be a power of two >= 8, got {le_len}")
     _check_size(data, stage3_size(w, le_len))
-    offset = stage3_header_len()
-    le_bytes = le_len // 8
-    records = []
-    for _ in range(w):
-        (candidate,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        le = LinearEstimator.from_bytes(data[offset : offset + le_bytes], le_len)
-        offset += le_bytes
-        records.append(CandidateLE(candidate, le))
-    return header, records, le_len
+    records = np.frombuffer(
+        data, _stage3_records(le_len), count=w, offset=stage3_header_len()
+    )
+    # a writable buffer (bytearray) must not be changed through the views
+    records.flags.writeable = False
+    return header, records["c"], records["le"]

@@ -86,7 +86,7 @@ def test_criterion_2_distributed_equivalence():
         merged = rec_merge_outer(per_node)
 
         assert merged == single, "merged cube must be bit-identical"
-        assert recover_candidates(merged) == recover_candidates(single)
+        assert np.array_equal(recover_candidates(merged), recover_candidates(single))
         checked += 1
     elapsed = time.perf_counter() - start
     ok = checked == 100 and elapsed < 120

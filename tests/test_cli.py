@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -209,3 +210,50 @@ def test_split_windows_matches_per_window_mask():
             want = trace.take(np.flatnonzero(trace.ts // window_seconds == wid))
             for column in ("a", "b", "ts"):
                 assert np.array_equal(getattr(got, column), getattr(want, column))
+
+
+DENSE_SPEC = (
+    "planted_count = 300\n"
+    "planted_min_card = 96\n"
+    "planted_max_card = 2048\n"
+    "background_hosts = 20000\n"
+    "theta = 128\n"
+    "nodes = 3\n"
+    "seed = 11\n"
+)
+
+DENSE_RUN_CONF = (
+    "r = 4\n"
+    "l = 10,10,10,10\n"
+    "s = 0,7,14,21\n"
+    "u_hat = 3\n"
+    "v_hat = 256\n"
+    "le_len = 256\n"
+    "theta = 128\n"
+    "nodes = 3\n"
+    "seed = 9\n"
+)
+
+
+@pytest.mark.parametrize(
+    "mode, digest",
+    [
+        ("read", "d7125699ffdbc6046a2135ae50f0c584df9dd75afc4a6219597d0a6fd91995e4"),
+        ("naive_reference", "fc4b65e8740420417edfccd16185176d7d319b1795815f7eb7b042c03d9a2360"),
+    ],
+)
+def test_run_report_golden_digest(tmp_path, capsys, mode, digest):
+    # 3 nodes, ~2000 candidates, ~850 super points, ~170 of them
+    # saturated: the JSONL, estimates included, must stay byte-identical
+    # to the digest recorded from the per-candidate implementation
+    spec = _write(tmp_path / "trace.conf", DENSE_SPEC)
+    assert main(["gen", "--spec", spec, "--out", str(tmp_path / "traces")]) == 0
+    conf = _write(tmp_path / "run.conf", DENSE_RUN_CONF)
+    out = tmp_path / "report.jsonl"
+    rc = main(
+        ["run", "--config", conf, "--trace-dir", str(tmp_path / "traces"),
+         "--mode", mode, "--out", str(out)]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -148,3 +148,75 @@ def test_window_id_and_scan_totals_propagate():
     report = run_window(nodes)
     assert report.window_id == 0
     assert report.pairs_scanned == len(trace)
+
+
+# -- what the coordinator accepts from nodes -------------------------------------
+
+
+def _stage1_from(node, window_id=None, node_id=None):
+    return lambda: wire.encode_stage1(
+        node.node_id if node_id is None else node_id,
+        node.window_id if window_id is None else window_id,
+        node.rec,
+    )
+
+
+def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None):
+    def payload(candidates):
+        candidates = np.asarray(candidates, np.uint32)
+        if reorder is not None:
+            candidates = reorder(candidates)
+        sketches = node.lea.extract_candidates(candidates, node.hs)
+        if le_len is not None:
+            sketches = sketches[:, : le_len // 8]
+        return wire.encode_stage3(
+            node.node_id if node_id is None else node_id,
+            node.window_id if window_id is None else window_id,
+            candidates,
+            sketches,
+            le_len or node.params.le_len,
+        )
+
+    return payload
+
+
+@pytest.mark.parametrize(
+    "stage, fake, fragment",
+    [
+        pytest.param("stage1_payload", lambda n: _stage1_from(n, window_id=8), "stage-1 window_id 8 != 0", id="stage1-window"),
+        pytest.param("stage1_payload", lambda n: _stage1_from(n, node_id=5), "stage-1 node_id 5 != 1", id="stage1-node"),
+        pytest.param("stage3_payload", lambda n: _stage3_from(n, window_id=8), "stage-3 window_id 8 != 0", id="stage3-window"),
+        pytest.param("stage3_payload", lambda n: _stage3_from(n, node_id=5), "stage-3 node_id 5 != 1", id="stage3-node"),
+        pytest.param("stage3_payload", lambda n: _stage3_from(n, le_len=512), "stage-3 le_len 512 != 1024", id="stage3-le-len"),
+        pytest.param("stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c[::-1]), "stage-3 candidates differ", id="stage3-order"),
+        pytest.param("stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c[:-1]), "stage-3 candidates differ", id="stage3-missing"),
+        pytest.param("stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c ^ np.uint32(1)), "stage-3 candidates differ", id="stage3-unknown"),
+    ],
+)
+def test_coordinator_rejects_mismatched_payloads(stage, fake, fragment):
+    trace, _ = _demo_trace(7)
+    nodes = _scanned_nodes(trace, 3)
+    assert run_window(nodes).candidates_count >= 2
+    setattr(nodes[1], stage, fake(nodes[1]))
+    with pytest.raises(ValueError, match=f"node 1: {fragment}"):
+        run_window(nodes)
+
+
+def test_stage3_merge_does_not_write_through_payloads():
+    trace, _ = _demo_trace(8)
+    nodes = _scanned_nodes(trace, 3)
+    expected = run_window(nodes)
+    sent = []
+    for node in nodes:
+
+        def stage3_payload(candidates, encode=node.stage3_payload):
+            # a writable buffer, as a socket receive would hand over
+            payload = bytearray(encode(candidates))
+            sent.append((payload, bytes(payload)))
+            return payload
+
+        node.stage3_payload = stage3_payload
+    report = run_window(nodes)
+    assert report.super_points == expected.super_points
+    assert len(sent) == 3
+    assert all(payload == snapshot for payload, snapshot in sent)

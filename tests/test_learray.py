@@ -3,13 +3,7 @@ import pytest
 
 from superpoint.estimators import LinearEstimator
 from superpoint.hashing import HashSuite
-from superpoint.learray import (
-    CandidateLE,
-    LEArray,
-    estimate_candidates,
-    lea_merge_outer,
-    outer_merge_les,
-)
+from superpoint.learray import LEArray, estimate_candidates, lea_merge_outer
 from superpoint.verify import check_theorem1_instance
 
 HS = HashSuite(0xBEEF)
@@ -67,10 +61,19 @@ def test_update_matches_scalar_replay():
             assert lea.cell(i, j) == expected
 
 
+def _extract_one(lea: LEArray, c: int) -> LinearEstimator:
+    rows = lea.extract_candidates(np.array([c], np.uint32), HS)
+    assert rows.shape == (1, lea.le_len // 8) and rows.dtype == np.uint8
+    return LinearEstimator.from_bytes(rows[0].tobytes(), lea.le_len)
+
+
+def _sketches(*les: LinearEstimator) -> np.ndarray:
+    return np.array([np.frombuffer(le.to_bytes(), np.uint8) for le in les])
+
+
 def test_extract_candidate_zero_grid():
-    got = LEArray(3, 8, 64).extract_candidate(42, HS)
-    assert got.candidate == 42
-    assert got.le == LinearEstimator(64)
+    assert _extract_one(LEArray(3, 8, 64), 42) == LinearEstimator(64)
+    assert LEArray(3, 8, 64).extract_candidates([], HS).shape == (0, 8)
 
 
 def test_extract_candidate_single_row_is_cell():
@@ -80,7 +83,7 @@ def test_extract_candidate_single_row_is_cell():
     b = rng.integers(0, 2**16, 500, dtype=np.uint32)
     lea.update_pairs(a, b, HS)
     c = int(a[0])
-    assert lea.extract_candidate(c, HS).le == lea.cell(0, HS.col(c, 0, 8))
+    assert _extract_one(lea, c) == lea.cell(0, HS.col(c, 0, 8))
 
 
 def test_extract_candidate_alone_equals_exclusive():
@@ -93,7 +96,7 @@ def test_extract_candidate_alone_equals_exclusive():
     excl = LinearEstimator(256)
     for bv in b.tolist():
         excl.update(int(bv), HS)
-    assert lea.extract_candidate(c, HS).le == excl
+    assert _extract_one(lea, c) == excl
 
 
 def test_extract_candidate_inner_merge_drops_collision_bits():
@@ -116,7 +119,7 @@ def test_extract_candidate_inner_merge_drops_collision_bits():
         np.arange(100, 140, dtype=np.uint32),
         HS,
     )
-    got = lea.extract_candidate(c, HS).le
+    got = _extract_one(lea, c)
     excl = LinearEstimator(64)
     for bv in range(5):
         excl.update(bv, HS)
@@ -146,15 +149,19 @@ def test_grid_merge_rejects_mismatch():
         lea_merge_outer([])
 
 
-def test_outer_merge_les():
-    a = CandidateLE(5, LinearEstimator(64, 0b0011))
-    b = CandidateLE(5, LinearEstimator(64, 0b0110))
-    assert outer_merge_les([a, b]).bits == 0b0111
-    assert outer_merge_les([a]) == a.le
-    with pytest.raises(ValueError):
-        outer_merge_les([a, CandidateLE(6, LinearEstimator(64))])
-    with pytest.raises(ValueError):
-        outer_merge_les([])
+def test_extract_candidates_matches_one_at_a_time():
+    rng = np.random.default_rng(15)
+    lea = LEArray(3, 32, 128)
+    a = rng.integers(0, 2**10, 5000, dtype=np.uint32)
+    lea.update_pairs(a, rng.integers(0, 2**32, 5000, dtype=np.uint32), HS)
+    cands = np.concatenate([a[:50], rng.integers(0, 2**32, 20, dtype=np.uint32)])
+    rows = lea.extract_candidates(cands, HS)
+    for c, row in zip(cands.tolist(), rows):
+        # scalar oracle: AND of the candidate's row cells
+        want = lea.cell(0, HS.col(c, 0, 32))
+        for i in range(1, 3):
+            want = want.inner(lea.cell(i, HS.col(c, i, 32)))
+        assert LinearEstimator.from_bytes(row.tobytes(), 128) == want
 
 
 def test_estimate_candidates_flags_and_order():
@@ -164,7 +171,7 @@ def test_estimate_candidates_flags_and_order():
     full = LinearEstimator(1024, (1 << 1024) - 1)
     light = LinearEstimator(1024, 0b1011)  # 3 bits, estimate ~3
     results = estimate_candidates(
-        {1: zero, 2: heavy, 3: full, 4: light}, theta
+        np.array([1, 2, 3, 4], np.uint32), _sketches(zero, heavy, full, light), theta
     )
     by_addr = {r.address: r for r in results}
     assert not by_addr[1].is_super and by_addr[1].estimate == 0.0
@@ -173,6 +180,34 @@ def test_estimate_candidates_flags_and_order():
     assert not by_addr[4].is_super
     # sorted by descending estimate
     assert [r.address for r in results] == [3, 2, 4, 1]
+    # plain Python values, as the JSON report needs
+    assert all(type(r.address) is int and type(r.saturated) is bool for r in results)
+    assert estimate_candidates(np.zeros(0, np.uint32), np.zeros((0, 128), np.uint8), theta) == []
+
+
+def test_estimate_ties_sorted_by_address():
+    le = LinearEstimator(64, 0b111)
+    results = estimate_candidates(np.array([9, 3, 5], np.uint32), _sketches(le, le, le), 1)
+    assert [r.address for r in results] == [3, 5, 9]
+
+
+@pytest.mark.parametrize("nbits", [8, 64, 1024])
+def test_estimates_match_scalar_formula(nbits):
+    # every popcount 0..nbits, saturation included, must give exactly the
+    # float LinearEstimator.estimate gives
+    rng = np.random.default_rng(nbits)
+    les = []
+    for popcount in range(nbits + 1):
+        bits = rng.permutation(nbits)[:popcount].tolist()
+        les.append(LinearEstimator(nbits, sum(1 << b for b in bits)))
+    addresses = np.arange(nbits + 1, dtype=np.uint32)
+    results = estimate_candidates(addresses, _sketches(*les), theta=nbits / 2)
+    assert len(results) == nbits + 1
+    for r in results:
+        est, saturated = les[r.address].estimate()
+        assert type(r.estimate) is float
+        assert (r.estimate.hex(), r.saturated) == (est.hex(), saturated)
+        assert r.is_super == (saturated or est > nbits / 2)
 
 
 def test_estimate_strictly_above_theta():
@@ -183,8 +218,9 @@ def test_estimate_strictly_above_theta():
     # find a popcount whose estimate straddles a chosen theta
     le = LinearEstimator(nbits, (1 << 32) - 1)
     est, _ = le.estimate()
-    assert not estimate_candidates({1: le}, est)[0].is_super
-    assert estimate_candidates({1: le}, math.nextafter(est, 0))[0].is_super
+    addr = np.array([1], np.uint32)
+    assert not estimate_candidates(addr, _sketches(le), est)[0].is_super
+    assert estimate_candidates(addr, _sketches(le), math.nextafter(est, 0))[0].is_super
 
 
 def test_candidate_below_theta_rarely_flagged():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -179,9 +181,38 @@ def test_stage3_payload_sizes():
 def test_stage3_unseen_candidate_is_zero_estimator():
     node = _node()
     node.scan_window(_random_trace(0, 0))
-    _, records, _ = wire.decode_stage3(node.stage3_payload([12345]))
-    assert records[0].candidate == 12345
-    assert records[0].le.popcount == 0
+    _, candidates, sketches = wire.decode_stage3(node.stage3_payload([12345]))
+    assert candidates.tolist() == [12345]
+    assert not sketches.any()
+
+
+@pytest.mark.parametrize(
+    "params, pairs, digest",
+    [
+        (
+            PARAMS,
+            2000,
+            "78b682a41d3879d462b3e64aabe0ccdc9066cd0ee9fee90a51172b684093bfcd",
+        ),
+        (
+            DetectorParams(theta=256, le_len=1024, u_hat=3, v_hat=256),
+            20_000,
+            "08c2ceca03caef36c303dd1f559ec083654fafd3c113392249b455a184ffd780",
+        ),
+    ],
+)
+def test_stage3_golden_digests(params, pairs, digest):
+    # digests recorded from the per-candidate encoder the matrix path
+    # replaced; candidates out of order, seen and unseen
+    rng = np.random.default_rng(30)
+    pool = rng.integers(0, 2**32, 50, dtype=np.uint32)
+    a = rng.choice(pool, pairs).astype(np.uint32)
+    b = rng.integers(0, 2**32, pairs, dtype=np.uint32)
+    node = ObservationNode(5, params, CFG, master_seed=77)
+    node.reset_window(3)
+    node.scan_window(Trace(a, b))
+    candidates = pool[:40].tolist()[::-1] + [1, 2, 0xFFFFFFFF]
+    assert hashlib.sha256(node.stage3_payload(candidates)).hexdigest() == digest
 
 
 def test_stage_payloads_require_scan():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from oracles import dfs_recover_candidates, reconstruct_left_part
 
+from superpoint import recube
 from superpoint.estimators import CANDIDATE_BITS, RoughEstimator, compute_tau
 from superpoint.hashing import HashSuite
 from superpoint.recube import (
@@ -9,7 +11,6 @@ from superpoint.recube import (
     derive_indices,
     derive_indices_arr,
     rec_merge_outer,
-    reconstruct_left_part,
     recover_candidates,
 )
 from superpoint.verify import (
@@ -211,7 +212,8 @@ def test_merge_rejects_geometry_mismatch():
 
 
 def test_recover_zero_cube_empty():
-    assert recover_candidates(RECube(SMALL)) == set()
+    got = recover_candidates(RECube(SMALL))
+    assert got.dtype == np.uint32 and got.size == 0
 
 
 def test_recover_requires_three_bits():
@@ -219,10 +221,10 @@ def test_recover_requires_three_bits():
     k, js = derive_indices(12345, SMALL)
     for i, j in enumerate(js):
         cube.set_cell(k, i, j, 0b11)  # only two bits: not a candidate
-    assert recover_candidates(cube) == set()
+    assert recover_candidates(cube).tolist() == []
     for i, j in enumerate(js):
         cube.set_cell(k, i, j, 0b111)
-    assert recover_candidates(cube) == {12345}
+    assert recover_candidates(cube).tolist() == [12345]
 
 
 def test_recover_inner_merge_rejects_disjoint_bits():
@@ -232,7 +234,7 @@ def test_recover_inner_merge_rejects_disjoint_bits():
     patterns = [0b00000111, 0b00111000, 0b11100000]
     for i, j in enumerate(js):
         cube.set_cell(k, i, j, patterns[i % 3])
-    assert recover_candidates(cube) == set()
+    assert recover_candidates(cube).tolist() == []
 
 
 def test_recover_never_misses_qualifying_address():
@@ -244,7 +246,7 @@ def test_recover_never_misses_qualifying_address():
     b = rng.integers(0, 2**32, 20_000, dtype=np.uint32)
     cube = RECube(SMALL)
     cube.update_pairs(a, b, 0.0, HS)
-    recovered = recover_candidates(cube)
+    recovered = set(recover_candidates(cube).tolist())
     for addr in np.unique(pool).tolist():
         k, js = derive_indices(addr, SMALL)
         merged = 0xFF
@@ -271,9 +273,53 @@ def test_recover_planted_host_monte_carlo():
         noise_a = rng.integers(0, 2**32, 2000, dtype=np.uint32)
         noise_b = rng.integers(0, 2**32, 2000, dtype=np.uint32)
         cube.update_pairs(noise_a, noise_b, tau, hs)
-        if planted in recover_candidates(cube):
+        if planted in recover_candidates(cube).tolist():
             hits += 1
     assert hits >= 99
+
+
+DEFAULT = RECubeConfig(r=6, l=(14, 14, 14), s=(0, 10, 20))
+# rows 0 and 2 overlap (bits 10..13) without being adjacent
+NON_ADJACENT = RECubeConfig(r=6, l=(14, 14, 14, 14), s=(0, 5, 10, 15))
+
+
+def _seeded_cube(cfg, sources, hosts_each, seed):
+    """Cube of `sources` hosts with `hosts_each` qualifying opposite hosts."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 2**32, sources, dtype=np.uint32)
+    a = np.repeat(pool, hosts_each)
+    cube = RECube(cfg)
+    cube.update_pairs(a, rng.integers(0, 2**32, a.size, dtype=np.uint32), 0.0, HS)
+    return cube
+
+
+@pytest.mark.parametrize(
+    "cfg, sources, hosts_each, min_w",
+    [
+        pytest.param(SMALL, 40, 500, 20_000, id="small-wraparound"),
+        pytest.param(SMALL, 10, 50, 100, id="small-sparse"),
+        pytest.param(DEFAULT, 40, 500, 40, id="default-sparse"),
+        pytest.param(DEFAULT, 3000, 24, 3000, id="default-dense"),
+        pytest.param(NON_ADJACENT, 3000, 24, 3000, id="non-adjacent-overlap"),
+    ],
+)
+def test_recover_matches_dfs_oracle(cfg, sources, hosts_each, min_w, monkeypatch):
+    cube = _seeded_cube(cfg, sources, hosts_each, seed=sources)
+    got = recover_candidates(cube)
+    assert got.dtype == np.uint32
+    assert np.all(got[1:] > got[:-1])  # sorted and distinct
+    assert got.tolist() == sorted(dfs_recover_candidates(cube))
+    assert got.size >= min_w
+    # a join materialized 7 matches at a time finds the same set
+    monkeypatch.setattr(recube, "_JOIN_CHUNK", 7)
+    assert np.array_equal(recover_candidates(cube), got)
+
+
+def test_recover_reads_a_decoded_payload_view():
+    # the cube of a stage-1 payload is an unaligned read-only view
+    cube = _seeded_cube(SMALL, 10, 50, seed=3)
+    view = RECube.from_cell_bytes(SMALL, memoryview(b"\0" * 3 + cube.cell_bytes())[3:])
+    assert np.array_equal(recover_candidates(view), recover_candidates(cube))
 
 
 # -- serialization --------------------------------------------------------------

@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from superpoint import wire
-from superpoint.estimators import LinearEstimator
 from superpoint.hashing import HashSuite
-from superpoint.learray import CandidateLE
 from superpoint.recube import RECube, RECubeConfig, rec_merge_outer
 
 CFG = RECubeConfig(r=2, l=(6,) * 8, s=(0, 4, 8, 12, 16, 20, 24, 28))
@@ -58,16 +56,34 @@ def test_stage2_round_trip_and_size():
 
 def test_stage3_round_trip_and_size():
     le_len = 64
-    records = [
-        CandidateLE(10, LinearEstimator(le_len, 0b1010)),
-        CandidateLE(11, LinearEstimator(le_len, (1 << 64) - 1)),
-    ]
-    payload = wire.encode_stage3(5, 1, records, le_len)
+    candidates = np.array([10, 11], np.uint32)
+    sketches = np.array(
+        [[0b1010, 0, 0, 0, 0, 0, 0, 0], [0xFF] * 8], np.uint8
+    )
+    payload = wire.encode_stage3(5, 1, candidates, sketches, le_len)
     assert len(payload) == wire.stage3_size(2, le_len) == 12 + 8 + 2 * (4 + 8)
-    header, decoded, got_len = wire.decode_stage3(payload)
-    assert header.node_id == 5
-    assert got_len == le_len
-    assert decoded == records
+    # each record is the little-endian address, then the sketch bytes
+    assert payload[20:32] == struct.pack("<I", 10) + sketches[0].tobytes()
+    header, got_candidates, got_sketches = wire.decode_stage3(payload)
+    assert (header.node_id, header.window_id) == (5, 1)
+    assert got_candidates.tolist() == [10, 11]
+    assert got_sketches.shape == (2, 8)
+    assert np.array_equal(got_sketches, sketches)
+    empty = wire.encode_stage3(5, 1, [], np.zeros((0, 8), np.uint8), le_len)
+    _, got_candidates, got_sketches = wire.decode_stage3(empty)
+    assert got_candidates.size == 0 and got_sketches.shape == (0, 8)
+
+
+def test_stage3_decode_is_read_only_view():
+    sketches = np.arange(16, dtype=np.uint8).reshape(2, 8)
+    payload = bytearray(wire.encode_stage3(0, 0, [1, 2], sketches, 64))
+    before = bytes(payload)
+    _, candidates, decoded = wire.decode_stage3(payload)
+    for view in (candidates, decoded):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view |= 1
+    assert bytes(payload) == before
 
 
 def test_stage3_size_formula_at_default_length():
@@ -78,7 +94,9 @@ def test_stage3_size_formula_at_default_length():
 
 def test_stage3_rejects_wrong_record_length():
     with pytest.raises(ValueError):
-        wire.encode_stage3(0, 0, [CandidateLE(1, LinearEstimator(32))], 64)
+        wire.encode_stage3(0, 0, [1], np.zeros((1, 4), np.uint8), 64)
+    with pytest.raises(ValueError):
+        wire.encode_stage3(0, 0, [1, 2], np.zeros((1, 8), np.uint8), 64)
 
 
 def test_decode_rejects_corruption():
