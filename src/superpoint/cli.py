@@ -6,8 +6,10 @@ Subcommands:
   verify  run the self-check suites (worked example, property sweeps)
 
 Config files are plain `key = value` lines with `#` comments. Keys for
-`run`: r, l, s, u_hat, v_hat, le_len, theta, g, seed, nodes, mode,
-window_seconds, trace_dir, out, oracle, ftr_gate. Keys for `gen`:
+`run` (the fields of RunConfig): r, l, s, u_hat, v_hat, le_len, theta, g,
+seed, nodes (1 scans the concatenation of every trace file), mode
+(read | naive_reference), window_seconds, trace_dir, out, oracle,
+ftr_gate. Keys for `gen`:
 planted ("addr:card;addr:card", dotted-quad or integer addresses),
 planted_count/planted_min_card/planted_max_card (random planting),
 background_hosts, zipf_s, max_background_card, duplication, theta,
@@ -46,26 +48,6 @@ from .node import (
 )
 from .recube import RECubeConfig
 
-MODE_SINGLE = "single_node"
-
-DEFAULTS = {
-    "r": 6,
-    "l": (14, 14, 14),
-    "s": (0, 10, 20),
-    "u_hat": 5,
-    "v_hat": 2**15,
-    "le_len": 2**14,
-    "theta": 1024,
-    "g": 8,
-    "seed": 1,
-    "nodes": 1,
-    "mode": MODE_READ,
-    "window_seconds": 300,
-    "oracle": False,
-    "ftr_gate": 100.0,
-}
-
-
 def load_config(path: str) -> dict:
     """Parse a `key = value` config file."""
     values: dict = {}
@@ -98,22 +80,22 @@ def _parse_address(text: str) -> int:
 
 @dataclasses.dataclass
 class RunConfig:
-    r: int = DEFAULTS["r"]
-    l: tuple[int, ...] = DEFAULTS["l"]
-    s: tuple[int, ...] = DEFAULTS["s"]
-    u_hat: int = DEFAULTS["u_hat"]
-    v_hat: int = DEFAULTS["v_hat"]
-    le_len: int = DEFAULTS["le_len"]
-    theta: int = DEFAULTS["theta"]
-    g: int = DEFAULTS["g"]
-    seed: int = DEFAULTS["seed"]
-    nodes: int = DEFAULTS["nodes"]
-    mode: str = DEFAULTS["mode"]
-    window_seconds: int = DEFAULTS["window_seconds"]
+    r: int = 6
+    l: tuple[int, ...] = (14, 14, 14)
+    s: tuple[int, ...] = (0, 10, 20)
+    u_hat: int = 5
+    v_hat: int = 2**15
+    le_len: int = 2**14
+    theta: int = 1024
+    g: int = 8
+    seed: int = 1
+    nodes: int = 1
+    mode: str = MODE_READ
+    window_seconds: int = 300
     trace_dir: str = "."
     out: str | None = None
-    oracle: bool = DEFAULTS["oracle"]
-    ftr_gate: float = DEFAULTS["ftr_gate"]
+    oracle: bool = False
+    ftr_gate: float = 100.0
 
     @classmethod
     def from_file(cls, path: str | None, overrides: dict) -> "RunConfig":
@@ -160,7 +142,7 @@ def parse_trace_spec(values: dict) -> TraceSpec:
                 continue
             addr_text, _, card_text = entry.partition(":")
             planted.append((_parse_address(addr_text), int(card_text)))
-    theta = int(values.get("theta", DEFAULTS["theta"]))
+    theta = int(values.get("theta", RunConfig.theta))
     if "planted_count" in values:
         count = int(values["planted_count"])
         low = int(values.get("planted_min_card", 2 * theta))
@@ -227,18 +209,19 @@ def _load_node_traces(cfg: RunConfig) -> tuple[list[Trace], int]:
         malformed += bad
     if len(traces) == cfg.nodes:
         return traces, malformed
-    if len(traces) == 1 and cfg.nodes > 1:
+    if cfg.nodes == 1:
+        return [Trace.concatenate(traces)], malformed
+    if len(traces) == 1:
         return partition_stream(traces[0], cfg.nodes, seed=cfg.seed), malformed
     raise ValueError(
         f"found {len(traces)} trace files but nodes={cfg.nodes}; provide one "
-        "file per node or a single file to auto-partition"
+        "file per node, a single file to auto-partition, or nodes = 1"
     )
 
 
 def _split_windows(traces: list[Trace], window_seconds: int) -> list[tuple[int, list[Trace]]]:
     """Cut each trace into tumbling windows in one pass, keeping pair order."""
-    has_ts = any(t.ts is not None and t.ts.any() for t in traces)
-    if not has_ts:
+    if not any(t.ts.any() for t in traces):
         return [(0, traces)]
     keys = [t.ts // window_seconds for t in traces]
     ids = np.unique(np.concatenate(keys))
@@ -297,26 +280,20 @@ def cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config, overrides)
     cube_cfg = cfg.cube_config()  # raises with the violated inequality
     params = cfg.detector_params()
-    mode = MODE_SINGLE if cfg.mode == MODE_SINGLE else cfg.mode
-    if mode not in (MODE_READ, MODE_NAIVE, MODE_SINGLE):
+    if cfg.mode not in (MODE_READ, MODE_NAIVE):
         raise ValueError(f"unknown mode {cfg.mode!r}")
 
     traces, malformed = _load_node_traces(cfg)
-    if mode == MODE_SINGLE:
-        traces = [Trace.concatenate(traces)]
-    protocol_mode = MODE_NAIVE if mode == MODE_NAIVE else MODE_READ
+    nodes = [ObservationNode(i, params, cube_cfg, cfg.seed) for i in range(len(traces))]
 
     records = []
     worst_ftr = 0.0
     oracle_enabled = cfg.oracle
     for window_id, per_node in _split_windows(traces, cfg.window_seconds):
-        nodes = []
-        for i, trace in enumerate(per_node):
-            node = ObservationNode(i, params, cube_cfg, cfg.seed, window_id)
+        for node, trace in zip(nodes, per_node):
             node.reset_window(window_id)
-            node.scan_window(trace, malformed if i == 0 else 0)
-            nodes.append(node)
-        report = run_window(nodes, cfg.theta, protocol_mode)
+            node.scan_window(trace, malformed if node.node_id == 0 else 0)
+        report = run_window(nodes, cfg.mode)
         metrics = None
         if oracle_enabled:
             detected = {sp.address for sp in report.super_points}
@@ -408,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--nodes", type=int)
     p_run.add_argument("--theta", type=int)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--mode", choices=[MODE_READ, MODE_NAIVE, MODE_SINGLE])
+    p_run.add_argument("--mode", choices=[MODE_READ, MODE_NAIVE])
     p_run.add_argument("--out", help="write line-delimited JSON report records here")
     p_run.add_argument("--oracle", action="store_true", help="score against exact truth")
     p_run.set_defaults(func=cmd_run)

@@ -11,7 +11,7 @@ wire encodings, so the counted sizes are what a socket would carry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,20 +38,19 @@ class WindowReport:
     stage2_bytes: list[int]
     stage3_bytes: list[int]
     master_structure_bytes: int
-    per_node_fractions: list[float] = field(default_factory=list)
-    transmitted_fraction: float = 0.0
     pairs_scanned: int = 0
     malformed_skipped: int = 0
 
-    def __post_init__(self):
-        if not self.per_node_fractions:
-            self.per_node_fractions = [
-                (s1 + s2 + s3) / self.master_structure_bytes
-                for s1, s2, s3 in zip(
-                    self.stage1_bytes, self.stage2_bytes, self.stage3_bytes
-                )
-            ]
-            self.transmitted_fraction = float(np.mean(self.per_node_fractions))
+    @property
+    def per_node_fractions(self) -> list[float]:
+        return [
+            (s1 + s2 + s3) / self.master_structure_bytes
+            for s1, s2, s3 in zip(self.stage1_bytes, self.stage2_bytes, self.stage3_bytes)
+        ]
+
+    @property
+    def transmitted_fraction(self) -> float:
+        return float(np.mean(self.per_node_fractions))
 
     @property
     def stage1_total(self) -> int:
@@ -92,11 +91,7 @@ def _received(node: ObservationNode, window_id: int, decode, payload) -> list:
     return body
 
 
-def run_window(
-    nodes: list[ObservationNode],
-    theta: float | None = None,
-    mode: str = MODE_READ,
-) -> WindowReport:
+def run_window(nodes: list[ObservationNode], mode: str = MODE_READ) -> WindowReport:
     """Drive the three-stage protocol across already-scanned nodes.
 
     A payload for another window or node, or a stage-3 payload whose
@@ -105,8 +100,6 @@ def run_window(
     _check_nodes(nodes)
     if mode not in (MODE_READ, MODE_NAIVE):
         raise ValueError(f"unknown mode {mode!r}")
-    if theta is None:
-        theta = nodes[0].params.theta
     window_id = nodes[0].window_id
     le_len = nodes[0].params.le_len
 
@@ -120,13 +113,15 @@ def run_window(
     candidates = recover_candidates(merged_cube)
 
     if mode == MODE_READ:
-        # Stage 2: identical broadcast, counted once per node.
+        # Stage 2: identical broadcast, counted once per node; every node
+        # answers the candidates it decodes from it.
         stage2_payload = wire.encode_stage2(window_id, candidates)
         stage2_bytes = [len(stage2_payload)] * len(nodes)
+        _, broadcast = wire.decode_stage2(stage2_payload)
 
         # Stage 3: per-candidate estimators, OR-merged across nodes into
         # a copy of the first node's matrix (the payloads stay untouched).
-        stage3_payloads = [node.stage3_payload(candidates) for node in nodes]
+        stage3_payloads = [node.stage3_payload(broadcast) for node in nodes]
         stage3_bytes = [len(p) for p in stage3_payloads]
         sketches = None
         for node, payload in zip(nodes, stage3_payloads):
@@ -146,7 +141,7 @@ def run_window(
         global_lea = lea_merge_outer([node.lea for node in nodes])
         sketches = global_lea.extract_candidates(candidates, nodes[0].hs)
 
-    estimates = estimate_candidates(candidates, sketches, theta)
+    estimates = estimate_candidates(candidates, sketches, nodes[0].params.theta)
     super_points = [e for e in estimates if e.is_super]
 
     return WindowReport(

@@ -171,7 +171,7 @@ def generate_trace(spec: TraceSpec, seed: int) -> Trace:
     b = np.tile(distinct.b, spec.duplication)
     rng = np.random.default_rng(seed)
     order = rng.permutation(a.size)
-    return Trace(a[order], b[order], np.zeros(a.size, np.uint32))
+    return Trace(a[order], b[order])
 
 
 def partition_stream(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from . import wire
 
 @dataclass
 class Trace:
-    """Columnar IP-pair stream: source a, opposite b, optional timestamps."""
+    """Columnar IP-pair stream: source a, opposite b, timestamps ts
+    (zeros when not given)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -35,10 +36,11 @@ class Trace:
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=np.uint32)
         self.b = np.asarray(self.b, dtype=np.uint32)
-        if self.ts is not None:
-            self.ts = np.asarray(self.ts, dtype=np.uint32)
-            if self.ts.shape != self.a.shape:
-                raise ValueError("ts column length mismatch")
+        self.ts = np.asarray(
+            np.zeros(self.a.shape, np.uint32) if self.ts is None else self.ts, dtype=np.uint32
+        )
+        if self.ts.shape != self.a.shape:
+            raise ValueError("ts column length mismatch")
         if self.a.shape != self.b.shape:
             raise ValueError("a and b column length mismatch")
 
@@ -46,19 +48,14 @@ class Trace:
         return self.a.size
 
     def take(self, index: np.ndarray) -> "Trace":
-        return Trace(
-            self.a[index],
-            self.b[index],
-            None if self.ts is None else self.ts[index],
-        )
+        return Trace(self.a[index], self.b[index], self.ts[index])
 
     @staticmethod
     def concatenate(traces: list["Trace"]) -> "Trace":
-        has_ts = all(t.ts is not None for t in traces)
         return Trace(
             np.concatenate([t.a for t in traces]),
             np.concatenate([t.b for t in traces]),
-            np.concatenate([t.ts for t in traces]) if has_ts else None,
+            np.concatenate([t.ts for t in traces]),
         )
 
 
@@ -66,7 +63,7 @@ def write_trace_binary(path, trace: Trace) -> None:
     stacked = np.empty((len(trace), 3), dtype=">u4")
     stacked[:, 0] = trace.a
     stacked[:, 1] = trace.b
-    stacked[:, 2] = 0 if trace.ts is None else trace.ts
+    stacked[:, 2] = trace.ts
     with open(path, "wb") as fh:
         fh.write(stacked.tobytes())
 
@@ -97,9 +94,8 @@ def parse_dotted(text: str) -> int:
 
 
 def write_trace_csv(path, trace: Trace) -> None:
-    ts = trace.ts if trace.ts is not None else np.zeros(len(trace), np.uint32)
     with open(path, "w") as fh:
-        for a, b, t in zip(trace.a.tolist(), trace.b.tolist(), ts.tolist()):
+        for a, b, t in zip(trace.a.tolist(), trace.b.tolist(), trace.ts.tolist()):
             fh.write(f"{dotted(a)},{dotted(b)},{t}\n")
 
 
@@ -142,7 +138,11 @@ class ScanStats:
 
 
 class ObservationNode:
-    """One edge scanner: cube + LE grid + the shared hash suite."""
+    """One edge scanner: cube + LE grid + the shared hash suite.
+
+    A new node holds empty sketches for window 0; `reset_window` starts
+    the next window.
+    """
 
     def __init__(
         self,
@@ -150,16 +150,12 @@ class ObservationNode:
         params: DetectorParams,
         cube_config: RECubeConfig,
         master_seed: int,
-        window_id: int = 0,
     ):
         self.node_id = node_id
         self.params = params
         self.cube_config = cube_config
         self.hs = HashSuite(master_seed)
-        self.window_id = window_id
-        self.rec: RECube | None = None
-        self.lea: LEArray | None = None
-        self.stats = ScanStats()
+        self.reset_window(0)
 
     def fingerprint(self) -> tuple:
         """Everything that must match across nodes for merging to be valid."""
@@ -175,8 +171,6 @@ class ObservationNode:
         self, trace: Trace, malformed_skipped: int = 0
     ) -> tuple[RECube, LEArray]:
         """Fold one window's pair stream into the sketches."""
-        if self.rec is None or self.lea is None:
-            self.reset_window(self.window_id)
         self.rec.update_pairs(trace.a, trace.b, self.params.tau, self.hs)
         self.lea.update_pairs(trace.a, trace.b, self.hs)
         self.stats.pairs_scanned += len(trace)
@@ -184,14 +178,10 @@ class ObservationNode:
         return self.rec, self.lea
 
     def stage1_payload(self) -> bytes:
-        if self.rec is None:
-            raise RuntimeError("scan a window before requesting stage 1")
         return wire.encode_stage1(self.node_id, self.window_id, self.rec)
 
     def stage3_payload(self, candidates) -> bytes:
         """Inner-merged estimator per candidate, in the given order."""
-        if self.lea is None:
-            raise RuntimeError("scan a window before requesting stage 3")
         sketches = self.lea.extract_candidates(candidates, self.hs)
         return wire.encode_stage3(
             self.node_id, self.window_id, candidates, sketches, self.params.le_len

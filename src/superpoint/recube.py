@@ -30,8 +30,9 @@ class RECubeConfig:
     and start offsets s[i] into the 32-r left-part bits.
 
     The constraints guarantee that adjacent rows overlap in at least two
-    bits and that the row windows jointly cover every left-part bit, which
-    is what makes address recovery possible.
+    bits, that no row's window lies inside the previous one's, and that
+    the row windows jointly cover every left-part bit, which is what makes
+    address recovery possible.
     """
 
     r: int
@@ -65,6 +66,12 @@ class RECubeConfig:
                 raise ValueError(
                     f"s[{i + 1}] < s[{i}] + l[{i}] - 1 violated: "
                     f"s[{i + 1}]={s[i + 1]}, s[{i}]+l[{i}]-1={s[i] + l[i] - 1}"
+                )
+            if not s[i] + l[i] - s[i + 1] <= l[i + 1]:
+                raise ValueError(
+                    f"s[{i}] + l[{i}] - s[{i + 1}] <= l[{i + 1}] violated (row "
+                    f"{i + 1} nested in row {i}): overlap "
+                    f"{s[i] + l[i] - s[i + 1]}, l[{i + 1}]={l[i + 1]}"
                 )
         if not s[u - 1] + l[u - 1] > 31 - r:
             raise ValueError(

@@ -111,11 +111,14 @@ def encode_stage2(window_id: int, candidates) -> bytes:
     return b"".join((header, struct.pack("<I", body.size), body))
 
 
-def decode_stage2(data: bytes) -> tuple[PayloadHeader, list[int]]:
+def decode_stage2(data) -> tuple[PayloadHeader, np.ndarray]:
+    """Decode a stage-2 payload; the candidates are a read-only (w,)
+    `<u4` view of `data`."""
     header = _unpack_header(data, STAGE_CANDIDATES)
     (w,) = _unpack("<I", data, HEADER_LEN)
     _check_size(data, stage2_size(w))
-    candidates = list(struct.unpack_from(f"<{w}I", data, HEADER_LEN + 4))
+    candidates = np.frombuffer(data, "<u4", count=w, offset=HEADER_LEN + 4)
+    candidates.flags.writeable = False
     return header, candidates
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from superpoint.cli import RunConfig, _split_windows, load_config, main, parse_trace_spec
-from superpoint.node import Trace, read_trace_binary
+from superpoint.harness import TraceSpec, generate_trace, partition_stream
+from superpoint.node import Trace, read_trace_binary, write_trace_binary
 
 
 def _write(path, text):
@@ -85,6 +86,9 @@ RUN_CONF = (
 )
 
 
+ONE_NODE_DIGEST = "dce797f5ba9f1126cf2ccbd99658cd29d583301c099759a7b986272226dce827"
+
+
 def test_gen_then_run_end_to_end(tmp_path, capsys):
     spec = _write(tmp_path / "trace.conf", GEN_SPEC)
     out_dir = tmp_path / "traces"
@@ -130,24 +134,21 @@ def test_gen_deterministic(tmp_path):
     assert a == b
 
 
-def test_run_single_node_mode_matches_distributed(tmp_path, capsys):
+def test_run_one_node_concatenates_trace_files(tmp_path, capsys):
+    # nodes = 1 over three files scans their concatenation in sorted path
+    # order; the digest was recorded from the former single_node mode
     spec = _write(tmp_path / "trace.conf", GEN_SPEC)
     out_dir = tmp_path / "traces"
     main(["gen", "--spec", spec, "--out", str(out_dir)])
     conf = _write(tmp_path / "run.conf", RUN_CONF)
-
-    def supers(mode):
-        path = tmp_path / f"{mode}.jsonl"
-        rc = main(
-            ["run", "--config", conf, "--trace-dir", str(out_dir),
-             "--mode", mode, "--out", str(path)]
-        )
-        assert rc == 0
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        return {r["address"] for r in records if r["type"] == "super_point"}
-
-    assert supers("read") == supers("single_node")
+    out = tmp_path / "report.jsonl"
+    rc = main(
+        ["run", "--config", conf, "--trace-dir", str(out_dir), "--nodes", "1",
+         "--out", str(out)]
+    )
+    assert rc == 0
     capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ONE_NODE_DIGEST
 
 
 def test_run_reports_config_violation(tmp_path, capsys):
@@ -256,4 +257,46 @@ def test_run_report_golden_digest(tmp_path, capsys, mode, digest):
     )
     assert rc == 0
     capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+MULTI_WINDOW_RUN_CONF = RUN_CONF.replace("theta = 256", "theta = 64") + "window_seconds = 60\n"
+
+
+def _write_timestamped_traces(out_dir):
+    """Three node files over four 60 s windows; node 2 sees no pair in
+    the last window, and the planted hosts cross theta in some windows
+    only."""
+    planted = ((0x0A010001, 150), (0x0A010002, 400), (0x0A010003, 1200))
+    spec = TraceSpec(planted=planted, background_hosts=300, theta=64, duplication=2)
+    trace = generate_trace(spec, 21)
+    rng = np.random.default_rng(21)
+    trace.ts = rng.integers(0, 240, len(trace)).astype(np.uint32)
+    out_dir.mkdir()
+    for i, part in enumerate(partition_stream(trace, 3, mode="hash_by_pair", seed=21)):
+        if i == 2:
+            part = part.take(np.flatnonzero(part.ts < 180))
+        write_trace_binary(out_dir / f"node_{i:03d}.bin", part)
+
+
+@pytest.mark.parametrize(
+    "mode, digest",
+    [
+        ("read", "2601f7d3e3ac1e74c8e2a8cd099ddb9859d62920bba98088dc9af0d564cf54f9"),
+        ("naive_reference", "ca0fb43e9c6e6a9e4fab269c7368d72c41660e58ded87842648fc3690a39295e"),
+    ],
+)
+def test_run_multi_window_golden_digest(tmp_path, capsys, mode, digest):
+    # digests recorded when each window still built fresh nodes
+    _write_timestamped_traces(tmp_path / "traces")
+    conf = _write(tmp_path / "run.conf", MULTI_WINDOW_RUN_CONF)
+    out = tmp_path / "report.jsonl"
+    rc = main(
+        ["run", "--config", conf, "--trace-dir", str(tmp_path / "traces"),
+         "--mode", mode, "--out", str(out)]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["window_id"] for r in records if r["type"] == "summary"] == [0, 1, 2, 3]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

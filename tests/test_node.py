@@ -45,6 +45,13 @@ def test_trace_validation():
         Trace(np.zeros(3, np.uint32), np.zeros(3, np.uint32), np.zeros(2, np.uint32))
 
 
+def test_trace_ts_defaults_to_zeros():
+    t = Trace([1, 2, 3], [4, 5, 6])
+    assert t.ts.dtype == np.uint32
+    assert t.ts.tolist() == [0, 0, 0]
+    assert Trace.concatenate([t, t.take([2])]).ts.tolist() == [0, 0, 0, 0]
+
+
 def test_trace_take_and_concatenate():
     t = _random_trace(10, 0)
     front, back = t.take(np.arange(4)), t.take(np.arange(4, 10))
@@ -215,12 +222,15 @@ def test_stage3_golden_digests(params, pairs, digest):
     assert hashlib.sha256(node.stage3_payload(candidates)).hexdigest() == digest
 
 
-def test_stage_payloads_require_scan():
+def test_new_node_answers_for_an_empty_window_0():
     node = ObservationNode(0, PARAMS, CFG, master_seed=1)
-    with pytest.raises(RuntimeError):
-        node.stage1_payload()
-    with pytest.raises(RuntimeError):
-        node.stage3_payload([1])
+    header, cube = wire.decode_stage1(node.stage1_payload())
+    assert header.window_id == 0
+    assert cube.is_zero()
+    header, candidates, sketches = wire.decode_stage3(node.stage3_payload([1]))
+    assert header.window_id == 0
+    assert candidates.tolist() == [1]
+    assert not sketches.any()
 
 
 def test_reset_window_clears_state():

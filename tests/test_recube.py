@@ -50,6 +50,7 @@ def test_config_accepts_defaults():
         (dict(r=2, l=(4, 14, 22), s=(0, 10, 20)), "s[1] < s[0] + l[0] - 1"),
         (dict(r=2, l=(6, 6, 6), s=(0, 4, 8)), "s[u-1] + l[u-1] > 31-r"),
         (dict(r=2, l=(4, 28, 10), s=(0, 2, 25)), "wraparound overlap"),
+        (dict(r=6, l=(20, 7, 17), s=(0, 5, 10)), "s[0] + l[0] - s[1] <= l[1]"),
     ],
 )
 def test_config_rejects_bad_geometry(kwargs, fragment):

@@ -1,8 +1,10 @@
+import functools
 import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superpoint import wire
 from superpoint.hashing import HashSuite
@@ -51,7 +53,9 @@ def test_stage2_round_trip_and_size():
     assert len(payload) == wire.stage2_size(4) == 12 + 4 + 16
     header, decoded = wire.decode_stage2(payload)
     assert header.node_id == wire.COORDINATOR_ID
-    assert decoded == cands
+    assert decoded.dtype == np.dtype("<u4")
+    assert decoded.tolist() == cands
+    assert not decoded.flags.writeable
 
 
 def test_stage3_round_trip_and_size():
@@ -207,3 +211,49 @@ def _stage1_payload():
 def test_decoders_raise_only_value_error(decode, payload):
     with pytest.raises(ValueError):
         decode(payload())
+
+
+@functools.cache
+def _valid_payloads():
+    """A valid payload of each stage, empty ones included."""
+    sketches = np.arange(24, dtype=np.uint8).reshape(3, 8)
+    return [
+        _stage1_payload(),
+        wire.encode_stage2(4, [3, 1, 0xFFFFFFFF]),
+        wire.encode_stage2(4, []),
+        wire.encode_stage3(2, 4, [5, 6, 7], sketches, 64),
+        wire.encode_stage3(2, 4, [], np.zeros((0, 8), np.uint8), 64),
+    ]
+
+
+@st.composite
+def _damaged_payloads(draw):
+    """Random bytes, a random body behind a valid header, a truncation,
+    trailing bytes, or up to four byte flips (biased to the header and
+    geometry bytes) of a valid payload."""
+    payload = draw(st.sampled_from(_valid_payloads()))
+    kind = draw(st.sampled_from(["random", "body", "cut", "append", "flip"]))
+    if kind == "random":
+        return draw(st.binary(max_size=64))
+    if kind == "body":
+        return payload[: wire.HEADER_LEN] + draw(st.binary(max_size=64))
+    if kind == "cut":
+        return payload[: draw(st.integers(0, len(payload) - 1))]
+    if kind == "append":
+        return payload + draw(st.binary(min_size=1, max_size=16))
+    damaged = bytearray(payload)
+    last = len(payload) - 1
+    position = st.one_of(st.integers(0, min(31, last)), st.integers(0, last))
+    for index, mask in draw(st.lists(st.tuples(position, st.integers(1, 255)), min_size=1, max_size=4)):
+        damaged[index] ^= mask
+    return bytes(damaged)
+
+
+@settings(max_examples=500, deadline=None)
+@given(payload=_damaged_payloads())
+def test_decoders_raise_only_value_error_on_fuzzed_payloads(payload):
+    for decode in (wire.decode_stage1, wire.decode_stage2, wire.decode_stage3):
+        try:
+            decode(payload)
+        except ValueError:
+            pass
