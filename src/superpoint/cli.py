@@ -167,8 +167,19 @@ def parse_trace_spec(values: dict) -> TraceSpec:
     )
 
 
+#: keys a `gen` trace-spec file may set
+_GEN_KEYS = (
+    "planted", "planted_count", "planted_min_card", "planted_max_card",
+    "background_hosts", "zipf_s", "max_background_card", "duplication", "theta",
+    "straddle", "nodes", "partition", "weights", "seed", "format",
+)
+
+
 def cmd_gen(args) -> int:
     values = load_config(args.spec)
+    for key in values:
+        if key not in _GEN_KEYS:
+            raise ValueError(f"unknown trace-spec key {key!r}")
     spec = parse_trace_spec(values)
     seed = args.seed if args.seed is not None else int(values.get("seed", 1))
     n = args.nodes if args.nodes is not None else int(values.get("nodes", 1))
@@ -239,6 +250,7 @@ def _split_windows(traces: list[Trace], window_seconds: int) -> list[tuple[int, 
 
 def _print_summary(report, metrics) -> None:
     n = len(report.stage1_bytes)
+    s1, s2, s3 = (sum(b) for b in (report.stage1_bytes, report.stage2_bytes, report.stage3_bytes))
     print(
         f"window {report.window_id} [{report.mode}]: "
         f"{report.candidates_count} candidates, "
@@ -247,10 +259,10 @@ def _print_summary(report, metrics) -> None:
     print(
         "  comms/node: "
         f"w={report.candidates_count}  "
-        f"cube={report.stage1_total // n} B  "
-        f"stage2={report.stage2_total // n} B  "
-        f"stage3={report.stage3_total // n} B  "
-        f"total={(report.stage1_total + report.stage2_total + report.stage3_total) // n} B  "
+        f"cube={s1 // n} B  "
+        f"stage2={s2 // n} B  "
+        f"stage3={s3 // n} B  "
+        f"total={(s1 + s2 + s3) // n} B  "
         f"fraction={100 * report.transmitted_fraction:.3f}%"
     )
     if metrics is not None:
@@ -288,16 +300,15 @@ def cmd_run(args) -> int:
 
     records = []
     worst_ftr = 0.0
-    oracle_enabled = cfg.oracle
     for window_id, per_node in _split_windows(traces, cfg.window_seconds):
         for node, trace in zip(nodes, per_node):
             node.reset_window(window_id)
-            node.scan_window(trace, malformed if node.node_id == 0 else 0)
+            node.scan_window(trace)
         report = run_window(nodes, cfg.mode)
-        metrics = None
-        if oracle_enabled:
-            detected = {sp.address for sp in report.super_points}
-            metrics = oracle_evaluate(per_node, cfg.theta, detected)
+        truth_set = metrics = None
+        if cfg.oracle:
+            truth_set = true_super_points(per_node, cfg.theta)
+            metrics = oracle_evaluate(truth_set, {sp.address for sp in report.super_points})
             if metrics is not None:
                 worst_ftr = max(worst_ftr, metrics.ftr)
         _print_summary(report, metrics)
@@ -313,8 +324,10 @@ def cmd_run(args) -> int:
             "master_structure_bytes": report.master_structure_bytes,
             "transmitted_fraction": report.transmitted_fraction,
             "pairs_scanned": report.pairs_scanned,
-            "malformed_skipped": report.malformed_skipped,
+            # a count of the whole run, reported with the first window
+            "malformed_skipped": malformed,
         }
+        malformed = 0
         if metrics is not None:
             summary["metrics"] = {
                 "n_true": metrics.n_true,
@@ -323,7 +336,6 @@ def cmd_run(args) -> int:
                 "ftr": metrics.ftr,
             }
         records.append(summary)
-        truth_set = true_super_points(per_node, cfg.theta) if oracle_enabled else None
         for sp in report.super_points:
             record = {
                 "type": "super_point",
@@ -342,7 +354,7 @@ def cmd_run(args) -> int:
                 fh.write(json.dumps(record) + "\n")
         print(f"wrote {cfg.out}")
 
-    if oracle_enabled and worst_ftr > cfg.ftr_gate:
+    if cfg.oracle and worst_ftr > cfg.ftr_gate:
         print(f"FTR {worst_ftr:.2f}% exceeds gate {cfg.ftr_gate:.2f}%")
         return 1
     return 0

@@ -3,7 +3,8 @@
 Stage 1 collects every node's cube and ORs them; candidates are recovered
 from the merged cube. Stage 2 broadcasts the candidate list. Stage 3
 collects one inner-merged estimator per candidate per node as a
-(w, le_len / 8) matrix, ORs the matrices, and filters by the threshold.
+(w, le_len / 8) matrix, ORs the matrices, and keeps the candidates
+whose estimate exceeds the threshold.
 
 The transport is in-process, but every stage moves through the byte-exact
 wire encodings, so the counted sizes are what a socket would carry.
@@ -29,17 +30,21 @@ _NAIVE_LEA_HEADER = wire.HEADER_LEN + 12
 
 @dataclass
 class WindowReport:
+    """What one window reports, each value computed once."""
+
     window_id: int
     mode: str
     super_points: list[CandidateEstimate]
-    candidates: list[int]
-    candidates_count: int
+    candidates: np.ndarray
     stage1_bytes: list[int]
     stage2_bytes: list[int]
     stage3_bytes: list[int]
     master_structure_bytes: int
-    pairs_scanned: int = 0
-    malformed_skipped: int = 0
+    pairs_scanned: int
+
+    @property
+    def candidates_count(self) -> int:
+        return len(self.candidates)
 
     @property
     def per_node_fractions(self) -> list[float]:
@@ -51,18 +56,6 @@ class WindowReport:
     @property
     def transmitted_fraction(self) -> float:
         return float(np.mean(self.per_node_fractions))
-
-    @property
-    def stage1_total(self) -> int:
-        return sum(self.stage1_bytes)
-
-    @property
-    def stage2_total(self) -> int:
-        return sum(self.stage2_bytes)
-
-    @property
-    def stage3_total(self) -> int:
-        return sum(self.stage3_bytes)
 
 
 def _check_nodes(nodes: list[ObservationNode]) -> None:
@@ -141,21 +134,16 @@ def run_window(nodes: list[ObservationNode], mode: str = MODE_READ) -> WindowRep
         global_lea = lea_merge_outer([node.lea for node in nodes])
         sketches = global_lea.extract_candidates(candidates, nodes[0].hs)
 
-    estimates = estimate_candidates(candidates, sketches, nodes[0].params.theta)
-    super_points = [e for e in estimates if e.is_super]
-
     return WindowReport(
         window_id=window_id,
         mode=mode,
-        super_points=super_points,
-        candidates=candidates.tolist(),
-        candidates_count=len(candidates),
+        super_points=estimate_candidates(candidates, sketches, nodes[0].params.theta),
+        candidates=candidates,
         stage1_bytes=[len(p) for p in stage1_payloads],
         stage2_bytes=stage2_bytes,
         stage3_bytes=stage3_bytes,
         master_structure_bytes=nodes[0].master_structure_bytes(),
-        pairs_scanned=sum(n.stats.pairs_scanned for n in nodes),
-        malformed_skipped=sum(n.stats.malformed_skipped for n in nodes),
+        pairs_scanned=sum(n.pairs_scanned for n in nodes),
     )
 
 

@@ -53,6 +53,18 @@ def compute_tau(theta: float, g: int = RE_WIDTH) -> float:
     return math.log2(theta / g)
 
 
+def linear_count(nbits: int, n0: int) -> tuple[float, bool]:
+    """Linear-counting estimate -|C| * ln(n0 / |C|) of a vector with n0
+    zero bits out of nbits, and a saturation flag.
+
+    A fully set vector would estimate infinity; it is clamped to the
+    n0 = 1 value (|C| * ln |C|) and flagged.
+    """
+    if n0 == 0:
+        return nbits * math.log(nbits), True
+    return -nbits * math.log(n0 / nbits), False
+
+
 class RoughEstimator:
     """8-bit candidate sketch. Bits only ever turn on within a window."""
 
@@ -106,15 +118,8 @@ class LinearEstimator:
         return self.bits.bit_count()
 
     def estimate(self) -> tuple[float, bool]:
-        """Cardinality estimate and a saturation flag.
-
-        A fully set vector would estimate infinity; it is clamped to the
-        n0 = 1 value (|C| * ln |C|) and flagged.
-        """
-        n0 = self.nbits - self.popcount
-        if n0 == 0:
-            return self.nbits * math.log(self.nbits), True
-        return -self.nbits * math.log(n0 / self.nbits), False
+        """Cardinality estimate and a saturation flag."""
+        return linear_count(self.nbits, self.nbits - self.popcount)
 
     def outer(self, other: "LinearEstimator") -> "LinearEstimator":
         self._check_compatible(other)

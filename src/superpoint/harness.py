@@ -57,11 +57,9 @@ def true_super_points(traces: list[Trace], theta: float) -> set[int]:
     return {a for a, c in exact_cardinalities(traces).items() if c > theta}
 
 
-def oracle_evaluate(
-    traces: list[Trace], theta: float, detected: set[int]
-) -> Metrics | None:
-    """Score a detected set against exact truth; None when truth is empty."""
-    truth = true_super_points(traces, theta)
+def oracle_evaluate(truth: set[int], detected: set[int]) -> Metrics | None:
+    """Score a detected set against the true super points (see
+    true_super_points); None when there are none."""
     if not truth:
         return None
     return Metrics(

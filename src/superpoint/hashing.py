@@ -108,10 +108,3 @@ class HashSuite:
         return (mix64_arr(a, self._col_seed(row)) & np.uint64(ncols - 1)).astype(
             np.int64
         )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HashSuite) and other.master_seed == self.master_seed
-
-    def __repr__(self) -> str:
-        return f"HashSuite(master_seed={self.master_seed:#x})"
-

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import LinearEstimator
+from .estimators import LinearEstimator, linear_count
 from .hashing import HashSuite
 
 #: bytes of candidate rows extract_candidates gathers and ANDs per step
@@ -27,7 +27,6 @@ class CandidateEstimate:
     address: int
     estimate: float
     saturated: bool
-    is_super: bool
 
 
 class LEArray:
@@ -117,10 +116,9 @@ def lea_merge_outer(leas: Sequence[LEArray]) -> LEArray:
 def estimate_candidates(
     addresses: np.ndarray, sketches: np.ndarray, theta: float
 ) -> list[CandidateEstimate]:
-    """Estimate every candidate from its row of the (w, le_len // 8)
-    sketch matrix and flag super points (estimate > theta).
+    """The super points among the candidates: those whose row of the
+    (w, le_len // 8) sketch matrix estimates above theta, or saturates.
 
-    Saturated estimators are reported super with the saturation flag set.
     Results are sorted by descending estimate, then ascending address.
     """
     addresses = np.asarray(addresses, dtype=np.uint32)
@@ -128,14 +126,14 @@ def estimate_candidates(
     nbits = sketches.shape[1] * 8
     words = sketches.view(np.uint64) if nbits % 64 == 0 else sketches
     zeros = nbits - np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-    # the scalar estimator, once per distinct zero count, so every
-    # estimate is exactly the float LinearEstimator.estimate gives
+    # the scalar formula once per distinct zero count, so every estimate
+    # is exactly the float LinearEstimator.estimate gives
     table = np.zeros(nbits + 1)
     for n0 in np.flatnonzero(np.bincount(zeros, minlength=nbits + 1)).tolist():
-        table[n0] = LinearEstimator(nbits, (1 << (nbits - n0)) - 1).estimate()[0]
+        table[n0] = linear_count(nbits, n0)[0]
     estimates = table[zeros]
     saturated = zeros == 0
-    is_super = saturated | (estimates > theta)
-    order = np.lexsort((addresses, -estimates))
-    columns = (addresses, estimates, saturated, is_super)
-    return [CandidateEstimate(*row) for row in zip(*(c[order].tolist() for c in columns))]
+    keep = np.flatnonzero(saturated | (estimates > theta))
+    keep = keep[np.lexsort((addresses[keep], -estimates[keep]))]
+    columns = (addresses[keep].tolist(), estimates[keep].tolist(), saturated[keep].tolist())
+    return [CandidateEstimate(*row) for row in zip(*columns)]

@@ -131,12 +131,6 @@ def read_trace_csv(path) -> tuple[Trace, int]:
     )
 
 
-@dataclass
-class ScanStats:
-    pairs_scanned: int = 0
-    malformed_skipped: int = 0
-
-
 class ObservationNode:
     """One edge scanner: cube + LE grid + the shared hash suite.
 
@@ -165,22 +159,19 @@ class ObservationNode:
         self.window_id = window_id
         self.rec = RECube(self.cube_config)
         self.lea = LEArray(self.params.u_hat, self.params.v_hat, self.params.le_len)
-        self.stats = ScanStats()
+        self.pairs_scanned = 0
 
-    def scan_window(
-        self, trace: Trace, malformed_skipped: int = 0
-    ) -> tuple[RECube, LEArray]:
+    def scan_window(self, trace: Trace) -> tuple[RECube, LEArray]:
         """Fold one window's pair stream into the sketches."""
         self.rec.update_pairs(trace.a, trace.b, self.params.tau, self.hs)
         self.lea.update_pairs(trace.a, trace.b, self.hs)
-        self.stats.pairs_scanned += len(trace)
-        self.stats.malformed_skipped += malformed_skipped
+        self.pairs_scanned += len(trace)
         return self.rec, self.lea
 
     def stage1_payload(self) -> bytes:
         return wire.encode_stage1(self.node_id, self.window_id, self.rec)
 
-    def stage3_payload(self, candidates) -> bytes:
+    def stage3_payload(self, candidates) -> bytearray:
         """Inner-merged estimator per candidate, in the given order."""
         sketches = self.lea.extract_candidates(candidates, self.hs)
         return wire.encode_stage3(

@@ -212,19 +212,12 @@ class RECube:
     def copy(self) -> "RECube":
         return RECube(self.config, self.cells.copy())
 
-    def is_zero(self) -> bool:
-        return not self.cells.any()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RECube)
             and other.config == self.config
             and np.array_equal(self.cells, other.cells)
         )
-
-    def cell_bytes(self) -> bytes:
-        """Cells serialized plane-major (k, then row i, then index j)."""
-        return self.cells.tobytes()
 
     @classmethod
     def from_cell_bytes(cls, config: RECubeConfig, data) -> "RECube":

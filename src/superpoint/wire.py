@@ -140,17 +140,22 @@ def _stage3_records(le_len: int) -> np.dtype:
 
 def encode_stage3(
     node_id: int, window_id: int, candidates, sketches: np.ndarray, le_len: int
-) -> bytes:
-    """Candidate i with row i of the (w, le_len // 8) sketch matrix."""
+) -> bytearray:
+    """Candidate i with row i of the (w, le_len // 8) sketch matrix,
+    written straight into one payload buffer."""
     candidates = np.asarray(candidates, dtype=np.uint32)
     w = candidates.size
     if sketches.shape != (w, le_len // 8):
         raise ValueError(f"sketches {sketches.shape} are not {w} x {le_len} bits")
-    records = np.empty(w, _stage3_records(le_len))
+    payload = bytearray(stage3_size(w, le_len))
+    _HEADER.pack_into(payload, 0, MAGIC, VERSION, STAGE_CANDIDATE_LES, node_id, window_id)
+    struct.pack_into("<II", payload, HEADER_LEN, w, le_len)
+    records = np.frombuffer(
+        payload, _stage3_records(le_len), count=w, offset=stage3_header_len()
+    )
     records["c"] = candidates
     records["le"] = sketches
-    header = _pack_header(STAGE_CANDIDATE_LES, node_id, window_id)
-    return b"".join((header, struct.pack("<II", w, le_len), records))
+    return payload
 
 
 def decode_stage3(data) -> tuple[PayloadHeader, np.ndarray, np.ndarray]:

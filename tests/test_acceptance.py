@@ -16,7 +16,13 @@ from superpoint import wire
 from superpoint.cli import main
 from superpoint.coordinator import expected_comms, run_window
 from superpoint.estimators import DetectorParams, compute_tau, le_std_dev_hosts
-from superpoint.harness import TraceSpec, generate_trace, oracle_evaluate, partition_stream
+from superpoint.harness import (
+    TraceSpec,
+    generate_trace,
+    oracle_evaluate,
+    partition_stream,
+    true_super_points,
+)
 from superpoint.hashing import HashSuite
 from superpoint.node import ObservationNode
 from superpoint.recube import RECube, RECubeConfig, rec_merge_outer, recover_candidates
@@ -166,7 +172,7 @@ def detection_runs():
             nodes.append(node)
         report = run_window(nodes)
         metrics = oracle_evaluate(
-            parts, PARAMS.theta, {e.address for e in report.super_points}
+            true_super_points(parts, PARAMS.theta), {e.address for e in report.super_points}
         )
         results.append(
             {

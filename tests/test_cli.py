@@ -125,6 +125,14 @@ def test_gen_then_run_end_to_end(tmp_path, capsys):
     assert all(r["oracle_true"] for r in supers)
 
 
+def test_gen_rejects_unknown_key(tmp_path, capsys):
+    # a misspelled key must not silently fall back to its default
+    spec = _write(tmp_path / "trace.conf", GEN_SPEC + "backgroud_hosts = 5000\n")
+    assert main(["gen", "--spec", spec, "--out", str(tmp_path / "traces")]) == 2
+    assert "'backgroud_hosts'" in capsys.readouterr().err
+    assert not (tmp_path / "traces").exists()
+
+
 def test_gen_deterministic(tmp_path):
     spec = _write(tmp_path / "trace.conf", GEN_SPEC)
     main(["gen", "--spec", spec, "--out", str(tmp_path / "a"), "--nodes", "1"])
@@ -300,3 +308,44 @@ def test_run_multi_window_golden_digest(tmp_path, capsys, mode, digest):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["window_id"] for r in records if r["type"] == "summary"] == [0, 1, 2, 3]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _three_window_run(tmp_path, tail=b""):
+    """Run 3 nodes over three 60 s windows with the oracle on; `tail` is
+    appended to node 1's binary file. Returns the summary records."""
+    spec = TraceSpec(planted=((0x0A010001, 600),), background_hosts=100, theta=64)
+    trace = generate_trace(spec, 5)
+    trace.ts = (np.arange(len(trace)) % 3 * 60).astype(np.uint32)
+    out_dir = tmp_path / "traces"
+    out_dir.mkdir()
+    for i, part in enumerate(partition_stream(trace, 3, seed=5)):
+        write_trace_binary(out_dir / f"node_{i:03d}.bin", part)
+    with open(out_dir / "node_001.bin", "ab") as fh:
+        fh.write(tail)
+    conf = _write(tmp_path / "run.conf", MULTI_WINDOW_RUN_CONF)
+    out = tmp_path / "report.jsonl"
+    assert main(["run", "--config", conf, "--trace-dir", str(out_dir), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    return [r for r in records if r["type"] == "summary"]
+
+
+def test_run_reports_malformed_records_once(tmp_path, capsys):
+    # the count belongs to the run: the first window carries it
+    summaries = _three_window_run(tmp_path, tail=b"\x01" * 5)
+    assert [r["malformed_skipped"] for r in summaries] == [1, 0, 0]
+
+
+def test_run_oracle_counts_each_window_once(tmp_path, capsys, monkeypatch):
+    from superpoint import harness
+
+    calls = []
+    exact = harness.exact_cardinalities
+
+    def counted(traces):
+        calls.append(sum(len(t) for t in traces))
+        return exact(traces)
+
+    monkeypatch.setattr(harness, "exact_cardinalities", counted)
+    summaries = _three_window_run(tmp_path)
+    assert [r["metrics"]["n_true"] for r in summaries] == [1, 1, 1]
+    assert calls == [r["pairs_scanned"] for r in summaries]

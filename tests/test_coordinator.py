@@ -51,7 +51,7 @@ def test_single_node_equals_distributed():
     trace, planted = _demo_trace()
     single = run_window(_scanned_nodes(trace, 1))
     multi = run_window(_scanned_nodes(trace, 3))
-    assert single.candidates == multi.candidates
+    assert np.array_equal(single.candidates, multi.candidates)
     assert [e.address for e in single.super_points] == [
         e.address for e in multi.super_points
     ]
@@ -65,7 +65,7 @@ def test_node_order_does_not_matter():
     nodes = _scanned_nodes(trace, 4)
     fwd = run_window(nodes)
     rev = run_window(nodes[::-1])
-    assert fwd.candidates == rev.candidates
+    assert np.array_equal(fwd.candidates, rev.candidates)
     assert [e.address for e in fwd.super_points] == [
         e.address for e in rev.super_points
     ]
@@ -106,7 +106,7 @@ def test_zero_candidate_window():
     spec = TraceSpec(background_hosts=50, max_background_card=8, theta=PARAMS.theta)
     trace = generate_trace(spec, 4)
     report = run_window(_scanned_nodes(trace, 2))
-    assert report.candidates == []
+    assert np.array_equal(report.candidates, [])
     assert report.super_points == []
     assert report.stage2_bytes == [wire.stage2_size(0)] * 2
     assert report.stage3_bytes == [wire.stage3_size(0, PARAMS.le_len)] * 2
@@ -117,10 +117,10 @@ def test_naive_mode_agrees_on_easy_instance_and_costs_more():
     nodes = _scanned_nodes(trace, 3)
     read = run_window(nodes, mode=MODE_READ)
     naive = run_window(nodes, mode=MODE_NAIVE)
-    assert read.candidates == naive.candidates
+    assert np.array_equal(read.candidates, naive.candidates)
     assert planted <= {e.address for e in naive.super_points}
     # naive ships whole grids; the per-candidate path must be cheaper
-    assert naive.stage3_total > read.stage3_total
+    assert sum(naive.stage3_bytes) > sum(read.stage3_bytes)
     assert naive.stage3_bytes[0] >= PARAMS.lea_bytes
     # per-candidate estimates never exceed the naive (OR-then-AND) ones
     naive_by_addr = {e.address: e.estimate for e in naive.super_points}

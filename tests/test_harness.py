@@ -37,14 +37,14 @@ def test_oracle_evaluate_example():
         np.repeat(np.array([1, 2], np.uint32), 5),
         np.arange(10, dtype=np.uint32),
     )
-    m = oracle_evaluate([trace], theta=4, detected={1, 3})
+    m = oracle_evaluate(true_super_points([trace], theta=4), detected={1, 3})
     assert m == Metrics(n_true=2, n_false_positive=1, n_missed=1)
     assert m.fpr == 50.0 and m.fnr == 50.0
 
 
 def test_oracle_evaluate_empty_truth_is_none():
     trace = Trace(np.array([1], np.uint32), np.array([1], np.uint32))
-    assert oracle_evaluate([trace], theta=10, detected=set()) is None
+    assert oracle_evaluate(true_super_points([trace], theta=10), detected=set()) is None
 
 
 # -- exact cardinalities --------------------------------------------------------

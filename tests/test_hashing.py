@@ -19,7 +19,7 @@ def test_scalar_vector_agreement():
 def test_same_seed_same_outputs():
     a, b = HashSuite(123), HashSuite(123)
     assert [a.rand32(i) for i in range(50)] == [b.rand32(i) for i in range(50)]
-    assert a == b
+    assert [a.col(i, 2, 1024) for i in range(50)] == [b.col(i, 2, 1024) for i in range(50)]
 
 
 def test_different_seeds_differ():

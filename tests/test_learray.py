@@ -173,13 +173,9 @@ def test_estimate_candidates_flags_and_order():
     results = estimate_candidates(
         np.array([1, 2, 3, 4], np.uint32), _sketches(zero, heavy, full, light), theta
     )
-    by_addr = {r.address: r for r in results}
-    assert not by_addr[1].is_super and by_addr[1].estimate == 0.0
-    assert by_addr[2].is_super and not by_addr[2].saturated
-    assert by_addr[3].is_super and by_addr[3].saturated
-    assert not by_addr[4].is_super
-    # sorted by descending estimate
-    assert [r.address for r in results] == [3, 2, 4, 1]
+    # only the super points, by descending estimate; saturated is flagged
+    assert [(r.address, r.saturated) for r in results] == [(3, True), (2, False)]
+    assert results[1].estimate == heavy.estimate()[0]
     # plain Python values, as the JSON report needs
     assert all(type(r.address) is int and type(r.saturated) is bool for r in results)
     assert estimate_candidates(np.zeros(0, np.uint32), np.zeros((0, 128), np.uint8), theta) == []
@@ -194,24 +190,23 @@ def test_estimate_ties_sorted_by_address():
 @pytest.mark.parametrize("nbits", [8, 64, 1024])
 def test_estimates_match_scalar_formula(nbits):
     # every popcount 0..nbits, saturation included, must give exactly the
-    # float LinearEstimator.estimate gives
+    # float LinearEstimator.estimate gives; theta = -1 keeps every one
     rng = np.random.default_rng(nbits)
     les = []
     for popcount in range(nbits + 1):
         bits = rng.permutation(nbits)[:popcount].tolist()
         les.append(LinearEstimator(nbits, sum(1 << b for b in bits)))
     addresses = np.arange(nbits + 1, dtype=np.uint32)
-    results = estimate_candidates(addresses, _sketches(*les), theta=nbits / 2)
-    assert len(results) == nbits + 1
+    results = estimate_candidates(addresses, _sketches(*les), theta=-1)
+    assert sorted(r.address for r in results) == list(range(nbits + 1))
     for r in results:
         est, saturated = les[r.address].estimate()
         assert type(r.estimate) is float
         assert (r.estimate.hex(), r.saturated) == (est.hex(), saturated)
-        assert r.is_super == (saturated or est > nbits / 2)
 
 
 def test_estimate_strictly_above_theta():
-    # estimate == theta exactly must NOT be flagged
+    # estimate == theta exactly must NOT be reported
     import math
 
     nbits = 64
@@ -219,8 +214,8 @@ def test_estimate_strictly_above_theta():
     le = LinearEstimator(nbits, (1 << 32) - 1)
     est, _ = le.estimate()
     addr = np.array([1], np.uint32)
-    assert not estimate_candidates(addr, _sketches(le), est)[0].is_super
-    assert estimate_candidates(addr, _sketches(le), math.nextafter(est, 0))[0].is_super
+    assert estimate_candidates(addr, _sketches(le), est) == []
+    assert [r.address for r in estimate_candidates(addr, _sketches(le), math.nextafter(est, 0))] == [1]
 
 
 def test_candidate_below_theta_rarely_flagged():

@@ -126,9 +126,9 @@ def test_csv_trace_skips_malformed_lines(tmp_path):
 def test_empty_window_produces_zero_sketches():
     node = _node()
     rec, lea = node.scan_window(_random_trace(0, 0))
-    assert rec.is_zero()
+    assert not rec.cells.any()
     assert not lea.cells.any()
-    assert node.stats.pairs_scanned == 0
+    assert node.pairs_scanned == 0
 
 
 def test_scan_accumulates_and_order_invariant():
@@ -145,7 +145,7 @@ def test_scan_accumulates_and_order_invariant():
     order = np.random.default_rng(5).permutation(2000)
     rec3, lea3 = node_shuffled.scan_window(t.take(order))
     assert rec1 == rec3 and lea1 == lea3
-    assert node_shuffled.stats.pairs_scanned == 2000
+    assert node_shuffled.pairs_scanned == 2000
 
 
 def test_same_seed_nodes_build_identical_payloads():
@@ -226,7 +226,7 @@ def test_new_node_answers_for_an_empty_window_0():
     node = ObservationNode(0, PARAMS, CFG, master_seed=1)
     header, cube = wire.decode_stage1(node.stage1_payload())
     assert header.window_id == 0
-    assert cube.is_zero()
+    assert not cube.cells.any()
     header, candidates, sketches = wire.decode_stage3(node.stage3_payload([1]))
     assert header.window_id == 0
     assert candidates.tolist() == [1]
@@ -237,9 +237,9 @@ def test_reset_window_clears_state():
     node = _node()
     node.scan_window(_random_trace(100, 10))
     node.reset_window(1)
-    assert node.rec.is_zero()
+    assert not node.rec.cells.any()
     assert node.window_id == 1
-    assert node.stats.pairs_scanned == 0
+    assert node.pairs_scanned == 0
 
 
 def test_master_structure_bytes():

@@ -178,7 +178,7 @@ def test_update_empty_batch_is_noop():
     cube.update_pairs(
         np.array([], np.uint32), np.array([], np.uint32), 0.0, HS
     )
-    assert cube.is_zero()
+    assert not cube.cells.any()
 
 
 # -- merging ------------------------------------------------------------------
@@ -319,7 +319,7 @@ def test_recover_matches_dfs_oracle(cfg, sources, hosts_each, min_w, monkeypatch
 def test_recover_reads_a_decoded_payload_view():
     # the cube of a stage-1 payload is an unaligned read-only view
     cube = _seeded_cube(SMALL, 10, 50, seed=3)
-    view = RECube.from_cell_bytes(SMALL, memoryview(b"\0" * 3 + cube.cell_bytes())[3:])
+    view = RECube.from_cell_bytes(SMALL, memoryview(b"\0" * 3 + cube.cells.tobytes())[3:])
     assert np.array_equal(recover_candidates(view), recover_candidates(cube))
 
 
@@ -335,7 +335,7 @@ def test_cell_bytes_round_trip():
         0.0,
         HS,
     )
-    raw = cube.cell_bytes()
+    raw = cube.cells.tobytes()
     assert len(raw) == SMALL.nbytes
     assert RECube.from_cell_bytes(SMALL, raw) == cube
     with pytest.raises(ValueError):
@@ -345,7 +345,7 @@ def test_cell_bytes_round_trip():
 def test_cell_bytes_layout_is_plane_major():
     cube = RECube(SMALL)
     cube.set_cell(1, 0, 5, 0xAB)
-    raw = cube.cell_bytes()
+    raw = cube.cells.tobytes()
     # plane 1 starts after one full plane (sum of row widths)
     plane_bytes = sum(1 << li for li in SMALL.l)
     assert raw[plane_bytes + 5] == 0xAB
