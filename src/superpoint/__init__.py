@@ -5,7 +5,7 @@ per-node sketches; per-candidate linear estimators, inner-merged at each
 node and outer-merged at the coordinator, provide the cardinality
 estimates. The package also ships an exact oracle, a synthetic trace
 generator, a window-protocol simulator with byte-exact payloads, and a
-CLI (``superpoint gen|run|verify``).
+CLI (``superpoint gen|run``).
 
 The root re-exports what drives one window in-process; everything else
 lives in its module (``superpoint.recube``, ``superpoint.wire``, ...).

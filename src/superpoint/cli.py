@@ -3,7 +3,6 @@
 Subcommands:
   gen     build synthetic trace files from a trace-spec config
   run     execute the multi-node window protocol over trace files
-  verify  run the self-check suites (worked example, property sweeps)
 
 Config files are plain `key = value` lines with `#` comments. Keys for
 `run` (the fields of RunConfig): r, l, s, u_hat, v_hat, le_len, theta, g,
@@ -294,6 +293,9 @@ def cmd_run(args) -> int:
     params = cfg.detector_params()
     if cfg.mode not in (MODE_READ, MODE_NAIVE):
         raise ValueError(f"unknown mode {cfg.mode!r}")
+    if not 1 <= cfg.window_seconds <= 0xFFFFFFFF:
+        # _split_windows divides the uint32 timestamps by it
+        raise ValueError(f"window_seconds must be in 1..2^32-1, got {cfg.window_seconds}")
 
     traces, malformed = _load_node_traces(cfg)
     nodes = [ObservationNode(i, params, cube_cfg, cfg.seed) for i in range(len(traces))]
@@ -360,21 +362,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    from .verify import run_all
-
-    failed = False
-    try:
-        for name, detail in run_all(
-            theorem1_instances=args.theorem1, algebra_cases=args.algebra, seed=args.seed
-        ):
-            print(f"PASS {name}: {detail}")
-    except AssertionError as exc:
-        print(f"FAIL: {exc}")
-        failed = True
-    return 1 if failed else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superpoint",
@@ -401,12 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="write line-delimited JSON report records here")
     p_run.add_argument("--oracle", action="store_true", help="score against exact truth")
     p_run.set_defaults(func=cmd_run)
-
-    p_verify = sub.add_parser("verify", help="run the self-check suites")
-    p_verify.add_argument("--theorem1", type=int, default=100)
-    p_verify.add_argument("--algebra", type=int, default=500)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.set_defaults(func=cmd_verify)
     return parser
 
 

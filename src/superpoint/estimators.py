@@ -1,18 +1,17 @@
-"""The two estimator primitives and their scalar formulas.
+"""Estimator constants and formulas shared by the cube and the grid.
 
-RoughEstimator: an 8-bit sketch whose only job is to answer "could this
-host be a super point". An opposite host qualifies when the trailing-zero
-count of its 32-bit hash reaches tau = log2(theta / g); a qualifying host
-sets one of the 8 bit slots, and the host is a candidate once 3 or more
-slots are set.
+Rough estimator: an 8-bit cube cell whose only job is to answer "could
+this host be a super point". An opposite host qualifies when the
+trailing-zero count of its 32-bit hash reaches tau = log2(theta / g); a
+qualifying host sets one of the 8 bit slots, and the host is a candidate
+once 3 or more slots are set.
 
-LinearEstimator: a bit vector doing classic linear counting. The
+Linear estimator: a bit vector doing classic linear counting. The
 cardinality estimate is -|C| * ln(n0 / |C|), with n0 the number of zero
 bits.
 
-These classes are the value-semantics reference implementations; the bulk
-scan loops in recube/learray operate on numpy arrays and are tested
-against these.
+Both live as numpy cells in recube and learray; this module holds their
+thresholds, the estimate formula and its analytic error.
 """
 
 from __future__ import annotations
@@ -20,26 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hashing import HashSuite
-
 #: bit slots in a rough estimator
 RE_WIDTH = 8
 
 #: set bits needed before a rough estimator flags a candidate
 CANDIDATE_BITS = 3
-
-
-def lsb(x: int) -> int:
-    """Trailing-zero count of a 32-bit value; 32 for x == 0.
-
-    The all-zero input has no set bit, so its "first one from the right"
-    is undefined; 32 is used as a sentinel that qualifies under any
-    reasonable tau, a 2**-32 probability event with negligible bias.
-    """
-    x &= 0xFFFFFFFF
-    if x == 0:
-        return 32
-    return (x & -x).bit_length() - 1
 
 
 def compute_tau(theta: float, g: int = RE_WIDTH) -> float:
@@ -63,96 +47,6 @@ def linear_count(nbits: int, n0: int) -> tuple[float, bool]:
     if n0 == 0:
         return nbits * math.log(nbits), True
     return -nbits * math.log(n0 / nbits), False
-
-
-class RoughEstimator:
-    """8-bit candidate sketch. Bits only ever turn on within a window."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: int = 0):
-        if not 0 <= bits <= 0xFF:
-            raise ValueError(f"bits must fit in 8 bits, got {bits:#x}")
-        self.bits = bits
-
-    def update(self, b: int, tau: float, hs: HashSuite) -> "RoughEstimator":
-        if lsb(hs.rand32(b)) >= tau:
-            self.bits |= 1 << hs.re_bit(b)
-        return self
-
-    def is_candidate(self) -> bool:
-        return self.bits.bit_count() >= CANDIDATE_BITS
-
-    def outer(self, other: "RoughEstimator") -> "RoughEstimator":
-        """Union across nodes: bitwise OR."""
-        return RoughEstimator(self.bits | other.bits)
-
-    def inner(self, other: "RoughEstimator") -> "RoughEstimator":
-        """Intersection across rows: bitwise AND."""
-        return RoughEstimator(self.bits & other.bits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RoughEstimator) and other.bits == self.bits
-
-    def __repr__(self) -> str:
-        return f"RoughEstimator(bits={self.bits:#010b})"
-
-
-class LinearEstimator:
-    """Linear-counting bit vector of fixed power-of-two length."""
-
-    __slots__ = ("nbits", "bits")
-
-    def __init__(self, nbits: int, bits: int = 0):
-        if nbits <= 0 or nbits & (nbits - 1):
-            raise ValueError(f"nbits must be a power of two, got {nbits}")
-        self.nbits = nbits
-        self.bits = bits
-
-    def update(self, b: int, hs: HashSuite) -> "LinearEstimator":
-        self.bits |= 1 << hs.le_bit(b, self.nbits)
-        return self
-
-    @property
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def estimate(self) -> tuple[float, bool]:
-        """Cardinality estimate and a saturation flag."""
-        return linear_count(self.nbits, self.nbits - self.popcount)
-
-    def outer(self, other: "LinearEstimator") -> "LinearEstimator":
-        self._check_compatible(other)
-        return LinearEstimator(self.nbits, self.bits | other.bits)
-
-    def inner(self, other: "LinearEstimator") -> "LinearEstimator":
-        self._check_compatible(other)
-        return LinearEstimator(self.nbits, self.bits & other.bits)
-
-    def _check_compatible(self, other: "LinearEstimator") -> None:
-        if self.nbits != other.nbits:
-            raise ValueError(
-                f"length mismatch: {self.nbits} vs {other.nbits} bits"
-            )
-
-    def to_bytes(self) -> bytes:
-        return self.bits.to_bytes(self.nbits // 8, "little")
-
-    @classmethod
-    def from_bytes(cls, data: bytes, nbits: int) -> "LinearEstimator":
-        if len(data) != nbits // 8:
-            raise ValueError(f"expected {nbits // 8} bytes, got {len(data)}")
-        return cls(nbits, int.from_bytes(data, "little"))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinearEstimator)
-            and other.nbits == self.nbits
-            and other.bits == self.bits
-        )
-
-    def __repr__(self) -> str:
-        return f"LinearEstimator(nbits={self.nbits}, popcount={self.popcount})"
 
 
 def le_std_dev(load_factor: float, le_len: int) -> float:

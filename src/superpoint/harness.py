@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import mix64
+from .hashing import _MASK64, mix64_arr
 from .node import Trace
 
 _ODD_STRIDE = 0x9E3779B1  # odd, so opposite hosts of one source never collide
@@ -117,10 +117,7 @@ def _opposite_hosts(sources: np.ndarray, cards: np.ndarray, seed: int) -> Trace:
     src = np.repeat(sources, cards)
     starts = np.repeat(np.concatenate(([0], np.cumsum(cards)[:-1])), cards)
     within = np.arange(total, dtype=np.uint64) - starts.astype(np.uint64)
-    base = np.array(
-        [mix64(int(a), seed) & 0xFFFFFFFF for a in sources.tolist()],
-        dtype=np.uint64,
-    )
+    base = mix64_arr(sources, seed & _MASK64) & np.uint64(0xFFFFFFFF)
     b = (np.repeat(base, cards) + within * np.uint64(_ODD_STRIDE)) & np.uint64(
         0xFFFFFFFF
     )
@@ -128,19 +125,22 @@ def _opposite_hosts(sources: np.ndarray, cards: np.ndarray, seed: int) -> Trace:
 
 
 def _background_sources(spec: TraceSpec, seed: int) -> np.ndarray:
-    """Distinct background addresses, disjoint from the planted set."""
-    needed = spec.background_hosts
-    taken = {a for a, _ in spec.planted}
-    out: list[int] = []
+    """Distinct background addresses, disjoint from the planted set: the
+    first new values of the hash of counters 0, 1, 2, ... in counter order."""
+    seed = (seed ^ 0xBA5E) & _MASK64
+    out = np.zeros(0, np.uint32)
+    taken = np.array([a for a, _ in spec.planted], dtype=np.uint32)
     counter = 0
-    while len(out) < needed:
-        draw = mix64(counter, seed ^ 0xBA5E) & 0xFFFFFFFF
-        counter += 1
-        if draw in taken:
-            continue
-        taken.add(draw)
-        out.append(draw)
-    return np.array(out, dtype=np.uint32)
+    while out.size < spec.background_hosts:
+        block = spec.background_hosts - out.size
+        counters = np.arange(counter, counter + block, dtype=np.uint64)
+        counter += block
+        draws = (mix64_arr(counters, seed) & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+        draws = draws[np.sort(np.unique(draws, return_index=True)[1])]
+        draws = draws[~np.isin(draws, taken)]
+        out = np.concatenate([out, draws])
+        taken = np.concatenate([taken, draws])
+    return out
 
 
 def generate_trace(spec: TraceSpec, seed: int) -> Trace:
@@ -188,8 +188,6 @@ def partition_stream(
         key = (trace.a.astype(np.uint64) << np.uint64(32)) | trace.b.astype(
             np.uint64
         )
-        from .hashing import mix64_arr
-
         assignment = (mix64_arr(key, seed) % np.uint64(n)).astype(np.int64)
     elif mode == "skewed":
         if weights is None or len(weights) != n:

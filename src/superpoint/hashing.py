@@ -5,10 +5,9 @@ Every node in a run derives the same family of hash functions from it,
 which is the precondition for merging sketches across nodes: the same
 opposite host must map to the same bit everywhere.
 
-The mixer is a splitmix64-style finalizer, implemented twice with the
-same arithmetic: once on plain Python ints (scalar path, used by the
-small reference estimators and by test oracles) and once on numpy
-uint64 arrays (bulk path, used by the scan loops).
+The mixer is a splitmix64-style finalizer. The scan loops hash numpy
+uint64 arrays with mix64_arr; the scalar mix64 derives the per-role
+seeds from the master seed.
 """
 
 from __future__ import annotations
@@ -51,14 +50,14 @@ def mix64_arr(x: np.ndarray, seed: int) -> np.ndarray:
 class HashSuite:
     """The family of hash functions derived from one master seed.
 
-    rand32   -- opposite host -> uniform 32-bit integer (qualification test)
-    re_bit   -- opposite host -> one of the 8 rough-estimator bit slots
-    le_bit   -- opposite host -> bit position 0..nbits-1, shared by every
-                linear estimator in the run (a host must hit the same bit
-                in every row and on every node, otherwise inner merging
-                would erase its trace)
-    col      -- source address -> column of the i-th LE-array row; the
-                row seeds are independent of each other
+    rand32_arr -- opposite host -> uniform 32-bit integer (qualification test)
+    re_bit_arr -- opposite host -> one of the 8 rough-estimator bit slots
+    le_bit_arr -- opposite host -> bit position 0..nbits-1, shared by every
+                  linear estimator in the run (a host must hit the same bit
+                  in every row and on every node, otherwise inner merging
+                  would erase its trace)
+    col_arr    -- source address -> column of the i-th LE-array row; the
+                  row seeds are independent of each other
     """
 
     def __init__(self, master_seed: int):
@@ -74,22 +73,6 @@ class HashSuite:
             seed = mix64(_TAG_COL + row, self.master_seed)
             self._col_seeds[row] = seed
         return seed
-
-    # -- scalar path ----------------------------------------------------
-
-    def rand32(self, b: int) -> int:
-        return mix64(b, self._seed_rand) & 0xFFFFFFFF
-
-    def re_bit(self, b: int) -> int:
-        return mix64(b, self._seed_rebit) & 7
-
-    def le_bit(self, b: int, nbits: int) -> int:
-        return mix64(b, self._seed_lebit) & (nbits - 1)
-
-    def col(self, a: int, row: int, ncols: int) -> int:
-        return mix64(a, self._col_seed(row)) & (ncols - 1)
-
-    # -- vector path ----------------------------------------------------
 
     def rand32_arr(self, b: np.ndarray) -> np.ndarray:
         return (mix64_arr(b, self._seed_rand) & np.uint64(0xFFFFFFFF)).astype(

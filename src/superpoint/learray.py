@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import LinearEstimator, linear_count
+from .estimators import linear_count
 from .hashing import HashSuite
 
 #: bytes of candidate rows extract_candidates gathers and ANDs per step
@@ -61,9 +61,6 @@ class LEArray:
             col = hs.col_arr(a, i, self.v_hat)
             flat = col * (self.le_len // 8) + byte_idx
             np.bitwise_or.at(flat_cells[i], flat, vals)
-
-    def cell(self, i: int, j: int) -> LinearEstimator:
-        return LinearEstimator.from_bytes(self.cells[i, j].tobytes(), self.le_len)
 
     def extract_candidates(self, cands, hs: HashSuite) -> np.ndarray:
         """Inner merge (AND) of each candidate's u_hat row cells, as a
@@ -127,7 +124,7 @@ def estimate_candidates(
     words = sketches.view(np.uint64) if nbits % 64 == 0 else sketches
     zeros = nbits - np.bitwise_count(words).sum(axis=1, dtype=np.int64)
     # the scalar formula once per distinct zero count, so every estimate
-    # is exactly the float LinearEstimator.estimate gives
+    # is exactly the float linear_count gives
     table = np.zeros(nbits + 1)
     for n0 in np.flatnonzero(np.bincount(zeros, minlength=nbits + 1)).tolist():
         table[n0] = linear_count(nbits, n0)[0]

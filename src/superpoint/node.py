@@ -115,6 +115,8 @@ def read_trace_csv(path) -> tuple[Trace, int]:
                 a = parse_dotted(fields[0])
                 b = parse_dotted(fields[1])
                 t = int(fields[2]) if len(fields) > 2 else 0
+                if not 0 <= t <= 0xFFFFFFFF:
+                    raise ValueError("timestamp out of uint32 range")
             except (IndexError, ValueError, OSError):
                 malformed += 1
                 continue

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import CANDIDATE_BITS, RoughEstimator
+from .estimators import CANDIDATE_BITS
 from .hashing import HashSuite
 
 #: most chain extensions one join step materializes at a time
@@ -119,25 +119,12 @@ class RECubeConfig:
         return (1 << self.r) * sum(1 << li for li in self.l)
 
 
-def derive_indices(a: int, cfg: RECubeConfig) -> tuple[int, tuple[int, ...]]:
-    """Map a source address to its plane index k and per-row cell indexes."""
-    a &= 0xFFFFFFFF
-    k = a & ((1 << cfg.r) - 1)
-    lp = a >> cfg.r
-    n = cfg.left_bits
-    js = []
-    for si, li in zip(cfg.s, cfg.l):
-        j = 0
-        for t in range(li):
-            j |= ((lp >> ((si + t) % n)) & 1) << t
-        js.append(j)
-    return k, tuple(js)
-
-
 def derive_indices_arr(
     a: np.ndarray, cfg: RECubeConfig
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Vector form of :func:`derive_indices`."""
+    """Plane index k and per-row cell indexes j of each source address:
+    k is the low r bits, row i reads l[i] left-part bits from offset s[i],
+    wrapping past the top of the left part back to bit 0."""
     a64 = a.astype(np.uint64)
     k = (a64 & np.uint64((1 << cfg.r) - 1)).astype(np.int64)
     lp = a64 >> np.uint64(cfg.r)
@@ -202,12 +189,6 @@ class RECube:
         base = k * self.cells.shape[1]
         for off, j in zip(self._offsets, js):
             np.bitwise_or.at(flat, base + (off + j), vals)
-
-    def cell(self, k: int, i: int, j: int) -> RoughEstimator:
-        return RoughEstimator(int(self.rows[i][k, j]))
-
-    def set_cell(self, k: int, i: int, j: int, bits: int) -> None:
-        self.rows[i][k, j] = bits
 
     def copy(self) -> "RECube":
         return RECube(self.config, self.cells.copy())

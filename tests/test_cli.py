@@ -169,6 +169,14 @@ def test_run_reports_config_violation(tmp_path, capsys):
     assert "s[0] = 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window_seconds", [0, -300, 2**32])
+def test_run_rejects_window_out_of_range(tmp_path, capsys, window_seconds):
+    conf = _write(tmp_path / "run.conf", RUN_CONF + f"window_seconds = {window_seconds}\n")
+    rc = main(["run", "--config", conf, "--trace-dir", str(tmp_path)])
+    assert rc == 2
+    assert "window_seconds must be in 1..2^32-1" in capsys.readouterr().err
+
+
 def test_run_missing_traces(tmp_path, capsys):
     rc = main(["run", "--trace-dir", str(tmp_path / "nope")])
     assert rc == 2
@@ -183,15 +191,6 @@ def test_run_node_count_mismatch(tmp_path, capsys):
     rc = main(["run", "--config", conf, "--trace-dir", str(out_dir)])
     assert rc == 2
     assert "3 trace files but nodes=2" in capsys.readouterr().err
-
-
-def test_verify_subcommand(capsys):
-    rc = main(["verify", "--theorem1", "5", "--algebra", "5"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "PASS golden-recovery-example" in out
-    assert "PASS theorem1-sandwich" in out
-    assert "PASS merge-algebra" in out
 
 
 def test_split_windows_matches_per_window_mask():

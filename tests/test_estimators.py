@@ -5,19 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bits_of, le_sketch, lsb, rand32, re_slot
+
 from superpoint.estimators import (
     CANDIDATE_BITS,
     DetectorParams,
-    LinearEstimator,
-    RoughEstimator,
     compute_tau,
     le_std_dev,
     le_std_dev_hosts,
-    lsb,
+    linear_count,
 )
 from superpoint.hashing import HashSuite
+from superpoint.learray import LEArray, lea_merge_outer
+from superpoint.recube import RECube, RECubeConfig, rec_merge_outer
 
 HS = HashSuite(0xA5A5A5A5)
+# a small cube geometry for single-source scans: address 0 has every
+# per-row index 0 on plane 0
+ONE_SOURCE = RECubeConfig(r=2, l=(6,) * 8, s=(0, 4, 8, 12, 16, 20, 24, 28))
+
+
+def _cube(b, tau):
+    """Cube of source address 0 with opposite hosts b."""
+    cube = RECube(ONE_SOURCE)
+    cube.update_pairs(np.zeros(len(b), np.uint32), np.array(b, np.uint32), tau, HS)
+    return cube
+
+
+def _grid(b):
+    """One-cell grid of source address 0 with opposite hosts b."""
+    lea = LEArray(1, 1, 64)
+    lea.update_pairs(np.zeros(len(b), np.uint32), np.array(b, np.uint32), HS)
+    return lea
 
 
 # -- lsb / tau --------------------------------------------------------------
@@ -59,41 +78,20 @@ def test_compute_tau_examples():
 
 
 def test_re_update_idempotent():
-    re = RoughEstimator()
-    re.update(12345, 0.0, HS)
-    once = re.bits
-    re.update(12345, 0.0, HS)
-    assert re.bits == once
+    once = re_slot(HS, 12345, 0.0)
+    assert once | re_slot(HS, 12345, 0.0) == once
     assert once.bit_count() == 1  # tau=0 qualifies everything
 
 
 def test_re_update_respects_tau():
     # a host whose hash has few trailing zeros must not pass a high tau
     for b in range(100):
-        if lsb(HS.rand32(b)) == 0:
-            re = RoughEstimator()
-            re.update(b, 7.0, HS)
-            assert re.bits == 0
+        if lsb(rand32(HS, b)) == 0:
+            assert re_slot(HS, b, 7.0) == 0
+            assert not _cube([b], 7.0).cells.any()
             break
     else:
         pytest.fail("no host with lsb 0 in range, hash suite is broken")
-
-
-def test_re_is_candidate_examples():
-    assert not RoughEstimator(0).is_candidate()
-    assert not RoughEstimator(0b11).is_candidate()
-    assert RoughEstimator(0b111).is_candidate()
-    assert RoughEstimator(0b10101000).is_candidate()
-
-
-def test_re_merge_examples():
-    a, b = RoughEstimator(0b101), RoughEstimator(0b011)
-    assert a.outer(b).bits == 0b111
-    assert a.inner(b).bits == 0b001
-    zero = RoughEstimator(0)
-    assert a.outer(zero) == a
-    assert a.outer(a) == a
-    assert a.inner(a) == a
 
 
 def _distinct_bits_per_seed(seeds, k, tau):
@@ -134,7 +132,7 @@ def test_vectorized_qualification_matches_scalar():
     mask = (1 << math.ceil(tau)) - 1
     hosts = np.arange(2000, dtype=np.uint64)
     vec = (HS.rand32_arr(hosts) & np.uint32(mask)) == 0
-    scalar = np.array([lsb(HS.rand32(int(b))) >= tau for b in hosts])
+    scalar = np.array([lsb(rand32(HS, int(b))) >= tau for b in hosts])
     assert np.array_equal(vec, scalar)
 
 
@@ -142,51 +140,28 @@ def test_vectorized_qualification_matches_scalar():
 
 
 def test_le_update_idempotent_single_bit():
-    le = LinearEstimator(64)
-    le.update(999, HS)
-    assert le.popcount == 1
-    le.update(999, HS)
-    assert le.popcount == 1
+    assert le_sketch(HS, [999], 64).bit_count() == 1
+    assert le_sketch(HS, [999, 999], 64) == le_sketch(HS, [999], 64)
 
 
 def test_le_popcount_equals_distinct_buckets():
-    le = LinearEstimator(4096)
     hosts = np.arange(1000, dtype=np.uint64)
-    for b in hosts:
-        le.update(int(b), HS)
     expected = len(np.unique(HS.le_bit_arr(hosts, 4096)))
-    assert le.popcount == expected
+    assert le_sketch(HS, hosts.tolist(), 4096).bit_count() == expected
 
 
 def test_le_estimate_examples():
-    est, sat = LinearEstimator(1024).estimate()
+    est, sat = linear_count(1024, 1024)  # no bit set
     assert est == 0.0 and not sat
 
-    half = LinearEstimator(1024, (1 << 512) - 1)  # 512 bits set
-    est, sat = half.estimate()
+    half = (1 << 512) - 1  # 512 bits set
+    est, sat = linear_count(1024, 1024 - half.bit_count())
     assert est == pytest.approx(1024 * math.log(2))
     assert not sat
 
-    full = LinearEstimator(1024, (1 << 1024) - 1)
-    est, sat = full.estimate()
+    est, sat = linear_count(1024, 0)  # every bit set
     assert sat
     assert est == pytest.approx(1024 * math.log(1024))
-
-
-def test_le_serialization_round_trip():
-    le = LinearEstimator(256)
-    for b in range(40):
-        le.update(b, HS)
-    raw = le.to_bytes()
-    assert len(raw) == 32
-    assert LinearEstimator.from_bytes(raw, 256) == le
-    with pytest.raises(ValueError):
-        LinearEstimator.from_bytes(raw, 512)
-
-
-def test_le_merge_length_mismatch():
-    with pytest.raises(ValueError):
-        LinearEstimator(64).outer(LinearEstimator(128))
 
 
 def test_le_std_dev_examples():
@@ -221,13 +196,11 @@ def test_le_estimate_calibration_monte_carlo():
 
 
 def test_monte_carlo_helper_agrees_with_scalar_le():
-    # one trial of the vectorized helper replayed through LinearEstimator
+    # one trial of the vectorized helper replayed through the scalar oracle
     nbits, k = 256, 100
     est_vec = _le_monte_carlo(1, k, nbits)[0]
-    le = LinearEstimator(nbits)
-    for b in range(k):
-        le.update(b, HS)
-    assert le.estimate()[0] == pytest.approx(est_vec)
+    le = le_sketch(HS, range(k), nbits)
+    assert linear_count(nbits, nbits - le.bit_count())[0] == pytest.approx(est_vec)
 
 
 # -- merge algebra properties ----------------------------------------------
@@ -240,37 +213,27 @@ host_lists = st.lists(st.integers(0, 2**32 - 1), max_size=30)
 @given(host_lists, host_lists)
 def test_re_merge_equals_union_stream(xs, ys):
     tau = compute_tau(64, 8)
-    a, b, both = RoughEstimator(), RoughEstimator(), RoughEstimator()
-    for x in xs:
-        a.update(x, tau, HS)
-        both.update(x, tau, HS)
-    for y in ys:
-        b.update(y, tau, HS)
-        both.update(y, tau, HS)
-    assert a.outer(b) == both
+    merged = rec_merge_outer([_cube(xs, tau), _cube(ys, tau)])
+    assert merged == _cube(xs + ys, tau)
+    both = 0
+    for b in xs + ys:
+        both |= re_slot(HS, b, tau)
+    assert all(row[0, 0] == both for row in merged.rows)
 
 
 @settings(max_examples=50, deadline=None)
 @given(host_lists, host_lists)
 def test_le_merge_equals_union_stream(xs, ys):
-    a, b, both = (LinearEstimator(64) for _ in range(3))
-    for x in xs:
-        a.update(x, HS)
-        both.update(x, HS)
-    for y in ys:
-        b.update(y, HS)
-        both.update(y, HS)
-    assert a.outer(b) == both
-    # inner merge never has more bits than either side
-    assert a.inner(b).popcount <= min(a.popcount, b.popcount)
+    merged = lea_merge_outer([_grid(xs), _grid(ys)])
+    assert merged == _grid(xs + ys)
+    assert bits_of(merged.cells[0, 0]) == le_sketch(HS, xs + ys, 64)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
 def test_le_estimate_monotone_in_bits(x, y):
-    a = LinearEstimator(64, x & (2**64 - 1))
-    merged = a.outer(LinearEstimator(64, y & (2**64 - 1)))
-    assert merged.estimate()[0] >= a.estimate()[0]
+    merged = x | y
+    assert linear_count(64, 64 - merged.bit_count())[0] >= linear_count(64, 64 - x.bit_count())[0]
 
 
 # -- params -----------------------------------------------------------------

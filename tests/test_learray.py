@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from oracles import bits_of, check_theorem1_instance, col, le_sketch
 
-from superpoint.estimators import LinearEstimator
+from superpoint.estimators import linear_count
 from superpoint.hashing import HashSuite
 from superpoint.learray import LEArray, estimate_candidates, lea_merge_outer
-from superpoint.verify import check_theorem1_instance
 
 HS = HashSuite(0xBEEF)
 
@@ -28,8 +30,8 @@ def test_update_touches_one_cell_per_row():
     touched = np.argwhere(lea.cells.any(axis=2))
     assert len(touched) == 3
     for i, j in touched.tolist():
-        assert j == HS.col(0xAB, i, 16)
-        assert lea.cell(i, j).popcount == 1
+        assert j == col(HS, 0xAB, i, 16)
+        assert bits_of(lea.cells[i, j]).bit_count() == 1
 
 
 def test_update_idempotent():
@@ -41,7 +43,7 @@ def test_update_idempotent():
 
 
 def test_update_matches_scalar_replay():
-    # oracle: replay through per-cell LinearEstimators
+    # oracle: replay cell by cell on Python ints
     rng = np.random.default_rng(10)
     n = 2000
     a = rng.integers(0, 2**8, n, dtype=np.uint32)
@@ -49,30 +51,33 @@ def test_update_matches_scalar_replay():
     lea = LEArray(2, 8, 64)
     lea.update_pairs(a, b, HS)
 
-    oracle: dict[tuple[int, int], LinearEstimator] = {}
+    oracle: dict[tuple[int, int], int] = {}
     for av, bv in zip(a.tolist(), b.tolist()):
         for i in range(2):
-            key = (i, HS.col(av, i, 8))
-            oracle.setdefault(key, LinearEstimator(64)).update(bv, HS)
+            key = (i, col(HS, av, i, 8))
+            oracle[key] = oracle.get(key, 0) | le_sketch(HS, [bv], 64)
 
     for i in range(2):
         for j in range(8):
-            expected = oracle.get((i, j), LinearEstimator(64))
-            assert lea.cell(i, j) == expected
+            assert bits_of(lea.cells[i, j]) == oracle.get((i, j), 0)
 
 
-def _extract_one(lea: LEArray, c: int) -> LinearEstimator:
+def _extract_one(lea: LEArray, c: int) -> int:
     rows = lea.extract_candidates(np.array([c], np.uint32), HS)
     assert rows.shape == (1, lea.le_len // 8) and rows.dtype == np.uint8
-    return LinearEstimator.from_bytes(rows[0].tobytes(), lea.le_len)
+    return bits_of(rows[0])
 
 
-def _sketches(*les: LinearEstimator) -> np.ndarray:
-    return np.array([np.frombuffer(le.to_bytes(), np.uint8) for le in les])
+def _sketches(nbits: int, *les: int) -> np.ndarray:
+    return np.array([np.frombuffer(le.to_bytes(nbits // 8, "little"), np.uint8) for le in les])
+
+
+def _estimate(nbits: int, le: int) -> tuple[float, bool]:
+    return linear_count(nbits, nbits - le.bit_count())
 
 
 def test_extract_candidate_zero_grid():
-    assert _extract_one(LEArray(3, 8, 64), 42) == LinearEstimator(64)
+    assert _extract_one(LEArray(3, 8, 64), 42) == 0
     assert LEArray(3, 8, 64).extract_candidates([], HS).shape == (0, 8)
 
 
@@ -83,7 +88,7 @@ def test_extract_candidate_single_row_is_cell():
     b = rng.integers(0, 2**16, 500, dtype=np.uint32)
     lea.update_pairs(a, b, HS)
     c = int(a[0])
-    assert _extract_one(lea, c) == lea.cell(0, HS.col(c, 0, 8))
+    assert _extract_one(lea, c) == bits_of(lea.cells[0, col(HS, c, 0, 8)])
 
 
 def test_extract_candidate_alone_equals_exclusive():
@@ -93,10 +98,7 @@ def test_extract_candidate_alone_equals_exclusive():
     c = 0x12345678
     b = np.arange(100, dtype=np.uint32)
     lea.update_pairs(np.full(100, c, np.uint32), b, HS)
-    excl = LinearEstimator(256)
-    for bv in b.tolist():
-        excl.update(int(bv), HS)
-    assert _extract_one(lea, c) == excl
+    assert _extract_one(lea, c) == le_sketch(HS, b.tolist(), 256)
 
 
 def test_extract_candidate_inner_merge_drops_collision_bits():
@@ -107,8 +109,8 @@ def test_extract_candidate_inner_merge_drops_collision_bits():
     c = 1000
     for other in rng.integers(0, 2**32, 10_000):
         other = int(other)
-        same0 = HS.col(other, 0, 4) == HS.col(c, 0, 4)
-        same1 = HS.col(other, 1, 4) == HS.col(c, 1, 4)
+        same0 = col(HS, other, 0, 4) == col(HS, c, 0, 4)
+        same1 = col(HS, other, 1, 4) == col(HS, c, 1, 4)
         if same0 and not same1:
             break
     else:
@@ -120,9 +122,7 @@ def test_extract_candidate_inner_merge_drops_collision_bits():
         HS,
     )
     got = _extract_one(lea, c)
-    excl = LinearEstimator(64)
-    for bv in range(5):
-        excl.update(bv, HS)
+    excl = le_sketch(HS, range(5), 64)
     # c's own bits always survive; collider bits survive only if they also
     # appear in row 1's cell, which holds nothing but c's bits here
     assert got == excl
@@ -158,64 +158,62 @@ def test_extract_candidates_matches_one_at_a_time():
     rows = lea.extract_candidates(cands, HS)
     for c, row in zip(cands.tolist(), rows):
         # scalar oracle: AND of the candidate's row cells
-        want = lea.cell(0, HS.col(c, 0, 32))
+        want = bits_of(lea.cells[0, col(HS, c, 0, 32)])
         for i in range(1, 3):
-            want = want.inner(lea.cell(i, HS.col(c, i, 32)))
-        assert LinearEstimator.from_bytes(row.tobytes(), 128) == want
+            want &= bits_of(lea.cells[i, col(HS, c, i, 32)])
+        assert bits_of(row) == want
 
 
 def test_estimate_candidates_flags_and_order():
     theta = 100
-    zero = LinearEstimator(1024)
-    heavy = LinearEstimator(1024, (1 << 512) - 1)  # estimate ~709.8
-    full = LinearEstimator(1024, (1 << 1024) - 1)
-    light = LinearEstimator(1024, 0b1011)  # 3 bits, estimate ~3
+    zero = 0
+    heavy = (1 << 512) - 1  # estimate ~709.8
+    full = (1 << 1024) - 1
+    light = 0b1011  # 3 bits, estimate ~3
     results = estimate_candidates(
-        np.array([1, 2, 3, 4], np.uint32), _sketches(zero, heavy, full, light), theta
+        np.array([1, 2, 3, 4], np.uint32), _sketches(1024, zero, heavy, full, light), theta
     )
     # only the super points, by descending estimate; saturated is flagged
     assert [(r.address, r.saturated) for r in results] == [(3, True), (2, False)]
-    assert results[1].estimate == heavy.estimate()[0]
+    assert results[1].estimate == _estimate(1024, heavy)[0]
     # plain Python values, as the JSON report needs
     assert all(type(r.address) is int and type(r.saturated) is bool for r in results)
     assert estimate_candidates(np.zeros(0, np.uint32), np.zeros((0, 128), np.uint8), theta) == []
 
 
 def test_estimate_ties_sorted_by_address():
-    le = LinearEstimator(64, 0b111)
-    results = estimate_candidates(np.array([9, 3, 5], np.uint32), _sketches(le, le, le), 1)
+    le = 0b111
+    results = estimate_candidates(np.array([9, 3, 5], np.uint32), _sketches(64, le, le, le), 1)
     assert [r.address for r in results] == [3, 5, 9]
 
 
 @pytest.mark.parametrize("nbits", [8, 64, 1024])
 def test_estimates_match_scalar_formula(nbits):
     # every popcount 0..nbits, saturation included, must give exactly the
-    # float LinearEstimator.estimate gives; theta = -1 keeps every one
+    # float linear_count gives; theta = -1 keeps every one
     rng = np.random.default_rng(nbits)
     les = []
     for popcount in range(nbits + 1):
         bits = rng.permutation(nbits)[:popcount].tolist()
-        les.append(LinearEstimator(nbits, sum(1 << b for b in bits)))
+        les.append(sum(1 << b for b in bits))
     addresses = np.arange(nbits + 1, dtype=np.uint32)
-    results = estimate_candidates(addresses, _sketches(*les), theta=-1)
+    results = estimate_candidates(addresses, _sketches(nbits, *les), theta=-1)
     assert sorted(r.address for r in results) == list(range(nbits + 1))
     for r in results:
-        est, saturated = les[r.address].estimate()
+        est, saturated = _estimate(nbits, les[r.address])
         assert type(r.estimate) is float
         assert (r.estimate.hex(), r.saturated) == (est.hex(), saturated)
 
 
 def test_estimate_strictly_above_theta():
     # estimate == theta exactly must NOT be reported
-    import math
-
     nbits = 64
     # find a popcount whose estimate straddles a chosen theta
-    le = LinearEstimator(nbits, (1 << 32) - 1)
-    est, _ = le.estimate()
+    le = (1 << 32) - 1
+    est, _ = _estimate(nbits, le)
     addr = np.array([1], np.uint32)
-    assert estimate_candidates(addr, _sketches(le), est) == []
-    assert [r.address for r in estimate_candidates(addr, _sketches(le), math.nextafter(est, 0))] == [1]
+    assert estimate_candidates(addr, _sketches(nbits, le), est) == []
+    assert [r.address for r in estimate_candidates(addr, _sketches(nbits, le), math.nextafter(est, 0))] == [1]
 
 
 def test_candidate_below_theta_rarely_flagged():
@@ -224,10 +222,8 @@ def test_candidate_below_theta_rarely_flagged():
     misses = 0
     for seed in range(100):
         hs = HashSuite(seed)
-        le = LinearEstimator(nbits)
-        for b in range(theta // 4):
-            le.update(b + seed * 10_000, hs)
-        est, sat = le.estimate()
+        le = le_sketch(hs, range(seed * 10_000, seed * 10_000 + theta // 4), nbits)
+        est, sat = _estimate(nbits, le)
         if sat or est > theta:
             misses += 1
     assert misses <= 5

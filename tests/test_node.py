@@ -113,11 +113,15 @@ def test_csv_trace_skips_malformed_lines(tmp_path):
         "10.0.0.3\n"
         "\n"
         "10.0.0.4,10.0.0.5\n"
+        "1.2.3.4,5.6.7.8,-5\n"  # timestamps outside uint32
+        "1.2.3.4,5.6.7.8,99999999999\n"
+        "10.0.0.6,10.0.0.7,4294967295\n"
     )
     got, malformed = read_trace_csv(path)
-    assert len(got) == 2
-    assert malformed == 2
-    assert got.a.tolist() == [parse_dotted("10.0.0.1"), parse_dotted("10.0.0.4")]
+    assert len(got) == 3
+    assert malformed == 4
+    assert got.a.tolist() == [parse_dotted(x) for x in ("10.0.0.1", "10.0.0.4", "10.0.0.6")]
+    assert got.ts.tolist() == [5, 0, 2**32 - 1]
 
 
 # -- observation node -----------------------------------------------------------

@@ -178,7 +178,7 @@ def test_merge_does_not_write_through_decoded_payloads():
     assert [hashlib.sha256(p).digest() for p in payloads] == digests
     assert decoded == snapshots
     with pytest.raises(ValueError):
-        decoded[1].set_cell(0, 0, 0, 0xFF)  # decoded cubes are read-only
+        decoded[1].rows[0][0, 0] = 0xFF  # decoded cubes are read-only
 
 
 def _stage3_payload(w, le_len):
