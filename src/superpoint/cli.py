@@ -6,7 +6,7 @@ Subcommands:
 
 Config files are plain `key = value` lines with `#` comments. Keys for
 `run` (the fields of RunConfig): r, l, s, u_hat, v_hat, le_len, theta, g,
-seed, nodes (1 scans the concatenation of every trace file), mode
+seed, nodes (one trace file per node, or 1 to read every file), mode
 (read | naive_reference), window_seconds, trace_dir, out, oracle,
 ftr_gate. Keys for `gen`:
 planted ("addr:card;addr:card", dotted-quad or integer addresses),
@@ -18,6 +18,7 @@ straddle, nodes, partition, weights, seed, format.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import glob
 import json
@@ -37,11 +38,9 @@ from .harness import (
 )
 from .node import (
     ObservationNode,
-    Trace,
     dotted,
     parse_dotted,
-    read_trace_binary,
-    read_trace_csv,
+    read_trace,
     write_trace_binary,
     write_trace_csv,
 )
@@ -66,7 +65,9 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace("(", "").replace(")", "").split(",") if tok.strip())
 
 
-def _parse_bool(text: str) -> bool:
+def _parse_bool(key: str, text: str) -> bool:
+    if text.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"config key {key!r} must be 1/true/yes/on or 0/false/no/off, got {text!r}")
     return text.lower() in ("1", "true", "yes", "on")
 
 
@@ -106,7 +107,7 @@ class RunConfig:
             "mode": str,
             "trace_dir": str,
             "out": str,
-            "oracle": _parse_bool,
+            "oracle": lambda text: _parse_bool("oracle", text),
             "ftr_gate": float,
         }
         for key, text in values.items():
@@ -162,7 +163,7 @@ def parse_trace_spec(values: dict) -> TraceSpec:
         max_background_card=int(values.get("max_background_card", theta // 2)),
         duplication=int(values.get("duplication", 1)),
         theta=theta,
-        straddle=_parse_bool(values.get("straddle", "false")),
+        straddle=_parse_bool("straddle", values.get("straddle", "false")),
     )
 
 
@@ -187,64 +188,56 @@ def cmd_gen(args) -> int:
     if "weights" in values:
         weights = [float(tok) for tok in values["weights"].split(",")]
     fmt = args.format or values.get("format", "bin")
+    if fmt not in ("bin", "csv"):
+        raise ValueError(f"format must be bin or csv, got {fmt!r}")
 
     trace = generate_trace(spec, seed)
     parts = partition_stream(trace, n, mode=mode, seed=seed, weights=weights)
     os.makedirs(args.out, exist_ok=True)
+    write = write_trace_csv if fmt == "csv" else write_trace_binary
     for i, part in enumerate(parts):
-        if fmt == "csv":
-            path = os.path.join(args.out, f"node_{i:03d}.csv")
-            write_trace_csv(path, part)
-        else:
-            path = os.path.join(args.out, f"node_{i:03d}.bin")
-            write_trace_binary(path, part)
+        path = os.path.join(args.out, f"node_{i:03d}.{fmt}")
+        write(path, part)
         print(f"wrote {path} ({len(part)} pairs)")
     print(f"total pairs: {len(trace)}")
     return 0
 
 
-def _load_node_traces(cfg: RunConfig) -> tuple[list[Trace], int]:
+def _node_files(cfg: RunConfig) -> list[list[str]]:
+    """Each node's trace files: one file each, or all of them for nodes = 1."""
     paths = sorted(
         glob.glob(os.path.join(cfg.trace_dir, "*.bin"))
         + glob.glob(os.path.join(cfg.trace_dir, "*.csv"))
     )
     if not paths:
         raise FileNotFoundError(f"no .bin or .csv trace files in {cfg.trace_dir}")
-    traces = []
-    malformed = 0
-    for path in paths:
-        reader = read_trace_csv if path.endswith(".csv") else read_trace_binary
-        trace, bad = reader(path)
-        traces.append(trace)
-        malformed += bad
-    if len(traces) == cfg.nodes:
-        return traces, malformed
+    if len(paths) == cfg.nodes:
+        return [[path] for path in paths]
     if cfg.nodes == 1:
-        return [Trace.concatenate(traces)], malformed
-    if len(traces) == 1:
-        return partition_stream(traces[0], cfg.nodes, seed=cfg.seed), malformed
+        return [paths]
     raise ValueError(
-        f"found {len(traces)} trace files but nodes={cfg.nodes}; provide one "
-        "file per node, a single file to auto-partition, or nodes = 1"
+        f"found {len(paths)} trace files but nodes={cfg.nodes}; provide one "
+        f"file per node (gen --nodes {cfg.nodes} writes them) or set nodes = 1"
     )
 
 
-def _split_windows(traces: list[Trace], window_seconds: int) -> list[tuple[int, list[Trace]]]:
-    """Cut each trace into tumbling windows in one pass, keeping pair order."""
-    if not any(t.ts.any() for t in traces):
-        return [(0, traces)]
-    keys = [t.ts // window_seconds for t in traces]
-    ids = np.unique(np.concatenate(keys))
-    per_node = []
-    for trace, key in zip(traces, keys):
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        lo = np.searchsorted(sorted_key, ids, side="left")
-        hi = np.searchsorted(sorted_key, ids, side="right")
-        per_node.append([trace.take(order[i:j]) for i, j in zip(lo, hi)])
-    return [
-        (int(wid), [parts[w] for parts in per_node]) for w, wid in enumerate(ids)
-    ]
+def _window_spans(paths: list[str], window_seconds: int) -> tuple[dict, int]:
+    """Map each file to {window id: (offset of the first batch holding it, one
+    past the offset of the last)}, a `read_trace` span; also count malformed records."""
+    spans: dict[str, dict[int, tuple[int, int]]] = {path: {} for path in paths}
+    malformed = 0
+    for path in paths:
+        for offset, batch, bad in read_trace(path):
+            malformed += bad
+            for wid in np.unique(batch.ts // window_seconds).tolist():
+                spans[path][wid] = (spans[path].get(wid, (offset,))[0], offset + 1)
+    return spans, malformed
+
+
+def _window_pairs(path, spans: dict, window_id: int, window_seconds: int):
+    """Yield, batch by batch, one window's records from its span in a file."""
+    for _, batch, _ in read_trace(path, *spans.get(window_id, (0, 0))):
+        yield batch.take(np.flatnonzero(batch.ts // window_seconds == window_id))
 
 
 def _print_summary(report, metrics) -> None:
@@ -278,6 +271,44 @@ def _print_summary(report, metrics) -> None:
         print(f"  ... {len(report.super_points) - 20} more")
 
 
+def _window_records(report, metrics, truth_set, malformed: int):
+    """Yield one window's JSONL records: its summary, then its super points."""
+    summary = {
+        "type": "summary",
+        "window_id": report.window_id,
+        "mode": report.mode,
+        "candidates_count": report.candidates_count,
+        "super_points": len(report.super_points),
+        "stage1_bytes": report.stage1_bytes,
+        "stage2_bytes": report.stage2_bytes,
+        "stage3_bytes": report.stage3_bytes,
+        "master_structure_bytes": report.master_structure_bytes,
+        "transmitted_fraction": report.transmitted_fraction,
+        "pairs_scanned": report.pairs_scanned,
+        # a count of the whole run, reported with the first window
+        "malformed_skipped": malformed,
+    }
+    if metrics is not None:
+        summary["metrics"] = {
+            "n_true": metrics.n_true,
+            "fpr": metrics.fpr,
+            "fnr": metrics.fnr,
+            "ftr": metrics.ftr,
+        }
+    yield summary
+    for sp in report.super_points:
+        record = {
+            "type": "super_point",
+            "window_id": report.window_id,
+            "address": dotted(sp.address),
+            "estimate": sp.estimate,
+            "saturated": sp.saturated,
+        }
+        if truth_set is not None:
+            record["oracle_true"] = sp.address in truth_set
+        yield record
+
+
 def cmd_run(args) -> int:
     overrides = {
         "trace_dir": args.trace_dir,
@@ -294,66 +325,38 @@ def cmd_run(args) -> int:
     if cfg.mode not in (MODE_READ, MODE_NAIVE):
         raise ValueError(f"unknown mode {cfg.mode!r}")
     if not 1 <= cfg.window_seconds <= 0xFFFFFFFF:
-        # _split_windows divides the uint32 timestamps by it
         raise ValueError(f"window_seconds must be in 1..2^32-1, got {cfg.window_seconds}")
 
-    traces, malformed = _load_node_traces(cfg)
-    nodes = [ObservationNode(i, params, cube_cfg, cfg.seed) for i in range(len(traces))]
+    files = _node_files(cfg)
+    spans, malformed = _window_spans(sum(files, []), cfg.window_seconds)
+    window_ids = sorted(set().union(*spans.values())) or [0]
+    nodes = [ObservationNode(i, params, cube_cfg, cfg.seed) for i in range(len(files))]
 
-    records = []
     worst_ftr = 0.0
-    for window_id, per_node in _split_windows(traces, cfg.window_seconds):
-        for node, trace in zip(nodes, per_node):
-            node.reset_window(window_id)
-            node.scan_window(trace)
-        report = run_window(nodes, cfg.mode)
-        truth_set = metrics = None
-        if cfg.oracle:
-            truth_set = true_super_points(per_node, cfg.theta)
-            metrics = oracle_evaluate(truth_set, {sp.address for sp in report.super_points})
-            if metrics is not None:
-                worst_ftr = max(worst_ftr, metrics.ftr)
-        _print_summary(report, metrics)
-        summary = {
-            "type": "summary",
-            "window_id": report.window_id,
-            "mode": report.mode,
-            "candidates_count": report.candidates_count,
-            "super_points": len(report.super_points),
-            "stage1_bytes": report.stage1_bytes,
-            "stage2_bytes": report.stage2_bytes,
-            "stage3_bytes": report.stage3_bytes,
-            "master_structure_bytes": report.master_structure_bytes,
-            "transmitted_fraction": report.transmitted_fraction,
-            "pairs_scanned": report.pairs_scanned,
-            # a count of the whole run, reported with the first window
-            "malformed_skipped": malformed,
-        }
-        malformed = 0
-        if metrics is not None:
-            summary["metrics"] = {
-                "n_true": metrics.n_true,
-                "fpr": metrics.fpr,
-                "fnr": metrics.fnr,
-                "ftr": metrics.ftr,
-            }
-        records.append(summary)
-        for sp in report.super_points:
-            record = {
-                "type": "super_point",
-                "window_id": report.window_id,
-                "address": dotted(sp.address),
-                "estimate": sp.estimate,
-                "saturated": sp.saturated,
-            }
-            if truth_set is not None:
-                record["oracle_true"] = sp.address in truth_set
-            records.append(record)
-
+    with open(cfg.out, "w") if cfg.out else contextlib.nullcontext() as out:
+        for window_id in window_ids:
+            pairs = []  # the window's records, kept for the oracle only
+            for node, paths in zip(nodes, files):
+                node.reset_window(window_id)
+                for path in paths:
+                    for part in _window_pairs(path, spans[path], window_id, cfg.window_seconds):
+                        node.scan_window(part)
+                        if cfg.oracle:
+                            pairs.append(part)
+            report = run_window(nodes, cfg.mode)
+            truth_set = metrics = None
+            if cfg.oracle:
+                truth_set = true_super_points(pairs, cfg.theta)
+                metrics = oracle_evaluate(truth_set, {sp.address for sp in report.super_points})
+                if metrics is not None:
+                    worst_ftr = max(worst_ftr, metrics.ftr)
+            _print_summary(report, metrics)
+            if out is not None:
+                for record in _window_records(report, metrics, truth_set, malformed):
+                    out.write(json.dumps(record) + "\n")
+                out.flush()
+            malformed = 0
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
         print(f"wrote {cfg.out}")
 
     if cfg.oracle and worst_ftr > cfg.ftr_gate:

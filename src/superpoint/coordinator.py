@@ -87,8 +87,8 @@ def _received(node: ObservationNode, window_id: int, decode, payload) -> list:
 def run_window(nodes: list[ObservationNode], mode: str = MODE_READ) -> WindowReport:
     """Drive the three-stage protocol across already-scanned nodes.
 
-    A payload for another window or node, or a stage-3 payload whose
-    le_len or candidates differ from what was asked, raises ValueError.
+    A payload for another window, node or cube geometry, or a stage-3 payload
+    whose le_len or candidates differ from what was asked, raises ValueError.
     """
     _check_nodes(nodes)
     if mode not in (MODE_READ, MODE_NAIVE):
@@ -98,10 +98,11 @@ def run_window(nodes: list[ObservationNode], mode: str = MODE_READ) -> WindowRep
 
     # Stage 1: collect cubes, merge, recover candidates.
     stage1_payloads = [node.stage1_payload() for node in nodes]
-    cubes = [
-        _received(node, window_id, wire.decode_stage1, payload)[0]
-        for node, payload in zip(nodes, stage1_payloads)
-    ]
+    cubes = []
+    for node, payload in zip(nodes, stage1_payloads):
+        (cube,) = _received(node, window_id, wire.decode_stage1, payload)
+        _check(node, 1, "geometry", cube.config, node.cube_config)
+        cubes.append(cube)
     merged_cube = rec_merge_outer(cubes)
     candidates = recover_candidates(merged_cube)
 

@@ -43,9 +43,9 @@ class Metrics:
 
 def exact_cardinalities(traces: list[Trace]) -> dict[int, int]:
     """Distinct opposite-host count per source over the union stream."""
-    whole = Trace.concatenate(traces) if len(traces) != 1 else traces[0]
-    if len(whole) == 0:
+    if not any(len(t) for t in traces):
         return {}
+    whole = Trace.concatenate(traces) if len(traces) != 1 else traces[0]
     key = (whole.a.astype(np.uint64) << np.uint64(32)) | whole.b.astype(np.uint64)
     unique_pairs = np.unique(key)
     sources = (unique_pairs >> np.uint64(32)).astype(np.uint32)

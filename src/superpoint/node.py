@@ -5,12 +5,14 @@ answers the three protocol stages: ship the cube, receive the candidate
 list, ship the inner-merged per-candidate estimators.
 
 Trace formats: binary records of 12 bytes {a u32 BE, b u32 BE, ts u32 BE},
-or CSV lines "a_dotted,b_dotted[,ts]". Malformed records are skipped and
-counted, never fatal.
+or CSV lines "a_dotted,b_dotted[,ts]". Both are read in batches of at
+most BATCH_RECORDS records; malformed records are skipped and counted,
+never fatal.
 """
 
 from __future__ import annotations
 
+import itertools
 import socket
 import struct
 from dataclasses import dataclass
@@ -60,29 +62,7 @@ class Trace:
 
 
 def write_trace_binary(path, trace: Trace) -> None:
-    stacked = np.empty((len(trace), 3), dtype=">u4")
-    stacked[:, 0] = trace.a
-    stacked[:, 1] = trace.b
-    stacked[:, 2] = trace.ts
-    with open(path, "wb") as fh:
-        fh.write(stacked.tobytes())
-
-
-def read_trace_binary(path) -> tuple[Trace, int]:
-    """Read a binary trace; returns (trace, malformed_record_count)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    malformed = 1 if len(raw) % 12 else 0
-    usable = len(raw) - (len(raw) % 12)
-    records = np.frombuffer(raw, dtype=">u4", count=usable // 4).reshape(-1, 3)
-    return (
-        Trace(
-            records[:, 0].astype(np.uint32),
-            records[:, 1].astype(np.uint32),
-            records[:, 2].astype(np.uint32),
-        ),
-        malformed,
-    )
+    np.column_stack((trace.a, trace.b, trace.ts)).astype(">u4").tofile(path)
 
 
 def dotted(address: int) -> str:
@@ -99,38 +79,48 @@ def write_trace_csv(path, trace: Trace) -> None:
             fh.write(f"{dotted(a)},{dotted(b)},{t}\n")
 
 
-def read_trace_csv(path) -> tuple[Trace, int]:
-    """Read a CSV trace; returns (trace, malformed_line_count)."""
-    a_col: list[int] = []
-    b_col: list[int] = []
-    ts_col: list[int] = []
+#: records per `read_trace` batch; kept small because a binary batch is
+#: one `read` whose whole buffer is allocated before any byte arrives
+BATCH_RECORDS = 1 << 16
+
+
+def read_trace(path, start: int = 0, stop: int | None = None):
+    """Yield (byte offset, Trace, malformed count) for each batch of at
+    most BATCH_RECORDS records of a .bin or .csv trace file, from byte
+    `start` until a batch would begin at or past byte `stop` (None: the
+    end of the file). A batch's offset is a valid `start` for a later read."""
+    with open(path, "rb") as fh:
+        offset = fh.seek(start)
+        while stop is None or offset < stop:
+            if str(path).endswith(".csv"):
+                trace, malformed = _parse_csv(list(itertools.islice(fh, BATCH_RECORDS)))
+            else:
+                raw = fh.read(12 * BATCH_RECORDS)
+                records = np.frombuffer(raw, ">u4", count=len(raw) // 12 * 3).reshape(-1, 3)
+                trace = Trace(*records.T.astype(np.uint32, order="C"))
+                malformed = int(len(raw) % 12 != 0)  # a partial record ends the file
+            if fh.tell() == offset:
+                return
+            yield offset, trace, malformed
+            offset = fh.tell()
+
+
+def _parse_csv(lines: list[bytes]) -> tuple[Trace, int]:
+    """Parse CSV lines; blank lines are skipped, malformed ones counted."""
+    rows: list[int] = []  # a, b, ts of each record, flat
     malformed = 0
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            try:
-                a = parse_dotted(fields[0])
-                b = parse_dotted(fields[1])
-                t = int(fields[2]) if len(fields) > 2 else 0
-                if not 0 <= t <= 0xFFFFFFFF:
-                    raise ValueError("timestamp out of uint32 range")
-            except (IndexError, ValueError, OSError):
-                malformed += 1
-                continue
-            a_col.append(a)
-            b_col.append(b)
-            ts_col.append(t)
-    return (
-        Trace(
-            np.array(a_col, dtype=np.uint32),
-            np.array(b_col, dtype=np.uint32),
-            np.array(ts_col, dtype=np.uint32),
-        ),
-        malformed,
-    )
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            fields = line.decode().strip().split(",")
+            t = int(fields[2]) if len(fields) > 2 else 0
+            if not 0 <= t <= 0xFFFFFFFF:
+                raise ValueError("timestamp out of uint32 range")
+            rows += (parse_dotted(fields[0]), parse_dotted(fields[1]), t)
+        except (IndexError, ValueError, OSError):
+            malformed += 1
+    return Trace(*np.array(rows, dtype=np.uint32).reshape(-1, 3).T.copy()), malformed
 
 
 class ObservationNode:
@@ -159,7 +149,10 @@ class ObservationNode:
 
     def reset_window(self, window_id: int) -> None:
         self.window_id = window_id
-        self.rec = RECube(self.cube_config)
+        # the cube's cells are the tail of its stage-1 payload: no copy to send
+        cfg = self.cube_config
+        self._stage1 = np.zeros(wire.stage1_size(cfg), np.uint8)
+        self.rec = RECube(cfg, self._stage1[wire.stage1_header_len(cfg) :].reshape(1 << cfg.r, -1))
         self.lea = LEArray(self.params.u_hat, self.params.v_hat, self.params.le_len)
         self.pairs_scanned = 0
 
@@ -170,8 +163,11 @@ class ObservationNode:
         self.pairs_scanned += len(trace)
         return self.rec, self.lea
 
-    def stage1_payload(self) -> bytes:
-        return wire.encode_stage1(self.node_id, self.window_id, self.rec)
+    def stage1_payload(self) -> memoryview:
+        """A read-only view of the buffer that holds the cube: a scan changes it."""
+        header = wire.stage1_header(self.node_id, self.window_id, self.cube_config)
+        self._stage1[: len(header)] = np.frombuffer(header, np.uint8)
+        return memoryview(self._stage1).toreadonly()
 
     def stage3_payload(self, candidates) -> bytearray:
         """Inner-merged estimator per candidate, in the given order."""

@@ -77,14 +77,14 @@ def stage1_size(cfg: RECubeConfig) -> int:
     return stage1_header_len(cfg) + cfg.nbytes
 
 
+def stage1_header(node_id: int, window_id: int, cfg: RECubeConfig) -> bytes:
+    """The stage1_header_len(cfg) bytes that precede the cube's cells."""
+    geom = struct.pack(f"<BB{cfg.u}B{cfg.u}B", cfg.r, cfg.u, *cfg.l, *cfg.s)
+    return _pack_header(STAGE_CUBE, node_id, window_id) + geom
+
+
 def encode_stage1(node_id: int, window_id: int, cube: RECube) -> bytes:
-    cfg = cube.config
-    geom = struct.pack(
-        f"<BB{cfg.u}B{cfg.u}B", cfg.r, cfg.u, *cfg.l, *cfg.s
-    )
-    return b"".join(
-        (_pack_header(STAGE_CUBE, node_id, window_id), geom, cube.cells)
-    )
+    return b"".join((stage1_header(node_id, window_id, cube.config), cube.cells))
 
 
 def decode_stage1(data: bytes) -> tuple[PayloadHeader, RECube]:

@@ -1,12 +1,25 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from superpoint.cli import RunConfig, _split_windows, load_config, main, parse_trace_spec
+import superpoint
+from superpoint import node
+from superpoint.cli import (
+    RunConfig,
+    _window_pairs,
+    _window_spans,
+    load_config,
+    main,
+    parse_trace_spec,
+)
 from superpoint.harness import TraceSpec, generate_trace, partition_stream
-from superpoint.node import Trace, read_trace_binary, write_trace_binary
+from superpoint.node import Trace, read_trace, write_trace_binary, write_trace_csv
 
 
 def _write(path, text):
@@ -41,6 +54,20 @@ def test_run_config_overrides_and_unknown_key(tmp_path):
     bad = _write(tmp_path / "bad.conf", "bogus_key = 1\n")
     with pytest.raises(ValueError, match="bogus_key"):
         RunConfig.from_file(bad, {})
+
+
+def test_run_config_booleans_are_strict(tmp_path, capsys):
+    for text, want in (("ON", True), ("yes", True), ("1", True), ("No", False), ("off", False)):
+        path = _write(tmp_path / "c.conf", f"oracle = {text}\n")
+        assert RunConfig.from_file(path, {}).oracle is want
+    # a misspelled boolean must not silently read as false
+    conf = _write(tmp_path / "run.conf", RUN_CONF.replace("oracle = true", "oracle = ture"))
+    assert main(["run", "--config", conf, "--trace-dir", str(tmp_path)]) == 2
+    assert "config key 'oracle'" in capsys.readouterr().err
+    spec = _write(tmp_path / "trace.conf", GEN_SPEC + "straddle = ture\n")
+    assert main(["gen", "--spec", spec, "--out", str(tmp_path / "traces")]) == 2
+    assert "config key 'straddle'" in capsys.readouterr().err
+    assert parse_trace_spec({"straddle": "TRUE"}).straddle is True
 
 
 def test_parse_trace_spec_explicit_and_random():
@@ -95,7 +122,7 @@ def test_gen_then_run_end_to_end(tmp_path, capsys):
     assert main(["gen", "--spec", spec, "--out", str(out_dir)]) == 0
     files = sorted(out_dir.glob("node_*.bin"))
     assert len(files) == 3
-    total = sum(len(read_trace_binary(f)[0]) for f in files)
+    total = sum(len(trace) for f in files for _, trace, _ in read_trace(f))
     assert total >= 1500  # both planted hosts plus background
 
     conf = _write(tmp_path / "run.conf", RUN_CONF)
@@ -130,6 +157,13 @@ def test_gen_rejects_unknown_key(tmp_path, capsys):
     spec = _write(tmp_path / "trace.conf", GEN_SPEC + "backgroud_hosts = 5000\n")
     assert main(["gen", "--spec", spec, "--out", str(tmp_path / "traces")]) == 2
     assert "'backgroud_hosts'" in capsys.readouterr().err
+    assert not (tmp_path / "traces").exists()
+
+
+def test_gen_rejects_unknown_format(tmp_path, capsys):
+    spec = _write(tmp_path / "trace.conf", GEN_SPEC + "format = CSV\n")
+    assert main(["gen", "--spec", spec, "--out", str(tmp_path / "traces")]) == 2
+    assert "format must be bin or csv, got 'CSV'" in capsys.readouterr().err
     assert not (tmp_path / "traces").exists()
 
 
@@ -193,7 +227,10 @@ def test_run_node_count_mismatch(tmp_path, capsys):
     assert "3 trace files but nodes=2" in capsys.readouterr().err
 
 
-def test_split_windows_matches_per_window_mask():
+def test_split_windows_matches_per_window_mask(tmp_path, monkeypatch):
+    # each window's records, read from its spans in batches of 7, equal
+    # one mask over the whole trace
+    monkeypatch.setattr(node, "BATCH_RECORDS", 7)
     rng = np.random.default_rng(12)
     window_seconds = 60
     traces = [
@@ -206,15 +243,20 @@ def test_split_windows_matches_per_window_mask():
     ]
     # a node that sees only two of the five windows, out of time order
     traces.append(Trace([7, 8], [1, 2], [250, 10]))
+    paths = [str(tmp_path / f"node_{i}.bin") for i in range(len(traces))]
+    for path, trace in zip(paths, traces):
+        write_trace_binary(path, trace)
 
-    windows = _split_windows(traces, window_seconds)
+    spans, malformed = _window_spans(paths, window_seconds)
 
-    # reference: one mask over every trace per window id
+    assert malformed == 0
+    assert sorted(spans[paths[2]]) == [0, 4]
     ids = sorted(set(np.concatenate([t.ts // window_seconds for t in traces]).tolist()))
-    assert [wid for wid, _ in windows] == ids == [0, 1, 2, 3, 4]
-    for wid, per_node in windows:
-        assert len(per_node) == len(traces)
-        for got, trace in zip(per_node, traces):
+    assert sorted(set().union(*spans.values())) == ids == [0, 1, 2, 3, 4]
+    for wid in ids:
+        for path, trace in zip(paths, traces):
+            parts = [Trace([], [])] + list(_window_pairs(path, spans[path], wid, window_seconds))
+            got = Trace.concatenate(parts)
             want = trace.take(np.flatnonzero(trace.ts // window_seconds == wid))
             for column in ("a", "b", "ts"):
                 assert np.array_equal(getattr(got, column), getattr(want, column))
@@ -270,7 +312,7 @@ def test_run_report_golden_digest(tmp_path, capsys, mode, digest):
 MULTI_WINDOW_RUN_CONF = RUN_CONF.replace("theta = 256", "theta = 64") + "window_seconds = 60\n"
 
 
-def _write_timestamped_traces(out_dir):
+def _write_timestamped_traces(out_dir, fmt="bin"):
     """Three node files over four 60 s windows; node 2 sees no pair in
     the last window, and the planted hosts cross theta in some windows
     only."""
@@ -280,33 +322,81 @@ def _write_timestamped_traces(out_dir):
     rng = np.random.default_rng(21)
     trace.ts = rng.integers(0, 240, len(trace)).astype(np.uint32)
     out_dir.mkdir()
+    write = write_trace_csv if fmt == "csv" else write_trace_binary
     for i, part in enumerate(partition_stream(trace, 3, mode="hash_by_pair", seed=21)):
         if i == 2:
             part = part.take(np.flatnonzero(part.ts < 180))
-        write_trace_binary(out_dir / f"node_{i:03d}.bin", part)
+        write(out_dir / f"node_{i:03d}.{fmt}", part)
+
+
+def _run_digest(tmp_path, conf_text, trace_dir, *flags):
+    """sha256 of the JSONL of one `superpoint run`."""
+    conf = _write(tmp_path / "run.conf", conf_text)
+    out = tmp_path / "report.jsonl"
+    rc = main(["run", "--config", conf, "--trace-dir", str(trace_dir), "--out", str(out), *flags])
+    assert rc == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+MULTI_WINDOW_DIGESTS = {
+    "read": "2601f7d3e3ac1e74c8e2a8cd099ddb9859d62920bba98088dc9af0d564cf54f9",
+    "naive_reference": "ca0fb43e9c6e6a9e4fab269c7368d72c41660e58ded87842648fc3690a39295e",
+}
 
 
 @pytest.mark.parametrize(
-    "mode, digest",
+    "mode, digest, fmt",
     [
-        ("read", "2601f7d3e3ac1e74c8e2a8cd099ddb9859d62920bba98088dc9af0d564cf54f9"),
-        ("naive_reference", "ca0fb43e9c6e6a9e4fab269c7368d72c41660e58ded87842648fc3690a39295e"),
+        pytest.param(mode, digest, fmt, id=f"{mode}-{digest}" + ("-csv" if fmt == "csv" else ""))
+        for mode, digest in MULTI_WINDOW_DIGESTS.items()
+        for fmt in ("bin", "csv")
     ],
 )
-def test_run_multi_window_golden_digest(tmp_path, capsys, mode, digest):
-    # digests recorded when each window still built fresh nodes
-    _write_timestamped_traces(tmp_path / "traces")
-    conf = _write(tmp_path / "run.conf", MULTI_WINDOW_RUN_CONF)
-    out = tmp_path / "report.jsonl"
-    rc = main(
-        ["run", "--config", conf, "--trace-dir", str(tmp_path / "traces"),
-         "--mode", mode, "--out", str(out)]
-    )
-    assert rc == 0
+def test_run_multi_window_golden_digest(tmp_path, capsys, mode, digest, fmt):
+    # digests recorded when each window still built fresh nodes; the
+    # timestamps are unordered, so each window's span covers most of
+    # every file
+    _write_timestamped_traces(tmp_path / "traces", fmt)
+    assert _run_digest(tmp_path, MULTI_WINDOW_RUN_CONF, tmp_path / "traces", "--mode", mode) == digest
     capsys.readouterr()
-    records = [json.loads(line) for line in out.read_text().splitlines()]
+    records = [json.loads(line) for line in (tmp_path / "report.jsonl").read_text().splitlines()]
     assert [r["window_id"] for r in records if r["type"] == "summary"] == [0, 1, 2, 3]
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("batch", [1, 7, 2**16, 2**22])
+def test_run_output_does_not_depend_on_batch_size(tmp_path, capsys, monkeypatch, batch):
+    # from one record per batch to more than a whole file in one batch
+    monkeypatch.setattr(node, "BATCH_RECORDS", batch)
+    for fmt in ("bin", "csv"):
+        _write_timestamped_traces(tmp_path / fmt, fmt)
+        digest = _run_digest(tmp_path, MULTI_WINDOW_RUN_CONF, tmp_path / fmt)
+        assert digest == MULTI_WINDOW_DIGESTS["read"], fmt
+    spec = _write(tmp_path / "trace.conf", GEN_SPEC)
+    assert main(["gen", "--spec", spec, "--out", str(tmp_path / "gen")]) == 0
+    assert _run_digest(tmp_path, RUN_CONF, tmp_path / "gen", "--nodes", "1") == ONE_NODE_DIGEST
+    capsys.readouterr()
+
+
+def test_run_writes_each_window_when_it_is_done(tmp_path, capsys, monkeypatch):
+    # the report file holds every earlier window's records, and no more,
+    # when the next window's protocol starts
+    from superpoint import cli
+
+    lines_seen = []
+    run_window = cli.run_window
+
+    def spy(nodes, mode):
+        lines_seen.append(len((tmp_path / "report.jsonl").read_text().splitlines()))
+        return run_window(nodes, mode)
+
+    monkeypatch.setattr(cli, "run_window", spy)
+    _write_timestamped_traces(tmp_path / "traces")
+    _run_digest(tmp_path, MULTI_WINDOW_RUN_CONF, tmp_path / "traces")
+    records = [json.loads(line) for line in (tmp_path / "report.jsonl").read_text().splitlines()]
+    starts = [i for i, r in enumerate(records) if r["type"] == "summary"]
+    assert len(starts) == 4
+    assert lines_seen == starts
+    capsys.readouterr()
 
 
 def _three_window_run(tmp_path, tail=b""):
@@ -348,3 +438,43 @@ def test_run_oracle_counts_each_window_once(tmp_path, capsys, monkeypatch):
     summaries = _three_window_run(tmp_path)
     assert [r["metrics"]["n_true"] for r in summaries] == [1, 1, 1]
     assert calls == [r["pairs_scanned"] for r in summaries]
+
+
+# A small go-between process starts the run: a child's ru_maxrss also
+# counts the memory of the process that spawned it, and the test process
+# is large. The run inherits the address-space cap set here.
+_RSS_PROBE = """
+import os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "superpoint.cli", *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _run_peak_rss_mb(tmp_path, pairs):
+    trace_dir = tmp_path / f"pairs_{pairs}"
+    trace_dir.mkdir()
+    rng = np.random.default_rng(3)
+    a, b = rng.integers(0, 2**32, (2, pairs), dtype=np.uint32)
+    write_trace_binary(trace_dir / "node_000.bin", Trace(a, b))
+    del a, b
+    # theta is high enough that no cell of the cube becomes a candidate
+    conf = _write(tmp_path / "run.conf", DENSE_RUN_CONF.replace("theta = 128", "theta = 1048576")
+                  .replace("nodes = 3", "nodes = 1"))
+    src = str(Path(superpoint.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, "run", "--config", conf, "--trace-dir", str(trace_dir)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    code, maxrss_kb = probe.stdout.split()[-2:]
+    assert code == "0", probe.stdout + probe.stderr
+    return int(maxrss_kb) / 1024
+
+
+def test_run_ingest_memory_does_not_grow_with_trace(tmp_path):
+    # whole-file reads grew by about 130 MB from 0.75M to 3M pairs
+    small = _run_peak_rss_mb(tmp_path, 750_000)
+    large = _run_peak_rss_mb(tmp_path, 3_000_000)
+    assert large - small < 40, (small, large)

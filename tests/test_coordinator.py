@@ -11,10 +11,11 @@ from superpoint.coordinator import (
 from superpoint.estimators import DetectorParams
 from superpoint.harness import TraceSpec, generate_trace, partition_stream
 from superpoint.node import ObservationNode
-from superpoint.recube import RECubeConfig
+from superpoint.recube import RECube, RECubeConfig
 
 PARAMS = DetectorParams(theta=256, le_len=1024, u_hat=3, v_hat=256)
 CFG = RECubeConfig(r=2, l=(6,) * 8, s=(0, 4, 8, 12, 16, 20, 24, 28))
+OTHER_CFG = RECubeConfig(r=3, l=(6,) * 7, s=(0, 4, 8, 12, 16, 20, 24))
 SEED = 1234
 
 
@@ -153,11 +154,11 @@ def test_window_id_and_scan_totals_propagate():
 # -- what the coordinator accepts from nodes -------------------------------------
 
 
-def _stage1_from(node, window_id=None, node_id=None):
+def _stage1_from(node, window_id=None, node_id=None, cube=None):
     return lambda: wire.encode_stage1(
         node.node_id if node_id is None else node_id,
         node.window_id if window_id is None else window_id,
-        node.rec,
+        node.rec if cube is None else cube,
     )
 
 
@@ -181,24 +182,26 @@ def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None):
 
 
 @pytest.mark.parametrize(
-    "stage, fake, fragment",
+    "target, stage, fake, fragment",
     [
-        pytest.param("stage1_payload", lambda n: _stage1_from(n, window_id=8), "stage-1 window_id 8 != 0", id="stage1-window"),
-        pytest.param("stage1_payload", lambda n: _stage1_from(n, node_id=5), "stage-1 node_id 5 != 1", id="stage1-node"),
-        pytest.param("stage3_payload", lambda n: _stage3_from(n, window_id=8), "stage-3 window_id 8 != 0", id="stage3-window"),
-        pytest.param("stage3_payload", lambda n: _stage3_from(n, node_id=5), "stage-3 node_id 5 != 1", id="stage3-node"),
-        pytest.param("stage3_payload", lambda n: _stage3_from(n, le_len=512), "stage-3 le_len 512 != 1024", id="stage3-le-len"),
-        pytest.param("stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c[::-1]), "stage-3 candidates differ", id="stage3-order"),
-        pytest.param("stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c[:-1]), "stage-3 candidates differ", id="stage3-missing"),
-        pytest.param("stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c ^ np.uint32(1)), "stage-3 candidates differ", id="stage3-unknown"),
+        pytest.param(1, "stage1_payload", lambda n: _stage1_from(n, window_id=8), "stage-1 window_id 8 != 0", id="stage1-window"),
+        pytest.param(1, "stage1_payload", lambda n: _stage1_from(n, node_id=5), "stage-1 node_id 5 != 1", id="stage1-node"),
+        # an r=3 cube in an r=2 run; a lone node's cube has no other to differ from
+        pytest.param(0, "stage1_payload", lambda n: _stage1_from(n, cube=RECube(OTHER_CFG)), r"stage-1 geometry RECubeConfig\(r=3", id="stage1-geometry"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, window_id=8), "stage-3 window_id 8 != 0", id="stage3-window"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, node_id=5), "stage-3 node_id 5 != 1", id="stage3-node"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, le_len=512), "stage-3 le_len 512 != 1024", id="stage3-le-len"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c[::-1]), "stage-3 candidates differ", id="stage3-order"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c[:-1]), "stage-3 candidates differ", id="stage3-missing"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c ^ np.uint32(1)), "stage-3 candidates differ", id="stage3-unknown"),
     ],
 )
-def test_coordinator_rejects_mismatched_payloads(stage, fake, fragment):
+def test_coordinator_rejects_mismatched_payloads(target, stage, fake, fragment):
     trace, _ = _demo_trace(7)
     nodes = _scanned_nodes(trace, 3)
     assert run_window(nodes).candidates_count >= 2
-    setattr(nodes[1], stage, fake(nodes[1]))
-    with pytest.raises(ValueError, match=f"node 1: {fragment}"):
+    setattr(nodes[target], stage, fake(nodes[target]))
+    with pytest.raises(ValueError, match=f"node {target}: {fragment}"):
         run_window(nodes)
 
 

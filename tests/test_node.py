@@ -3,15 +3,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from superpoint import wire
+from superpoint import node as node_module, wire
 from superpoint.estimators import DetectorParams
 from superpoint.node import (
     ObservationNode,
     Trace,
     dotted,
     parse_dotted,
-    read_trace_binary,
-    read_trace_csv,
+    read_trace,
     write_trace_binary,
     write_trace_csv,
 )
@@ -63,6 +62,13 @@ def test_trace_take_and_concatenate():
 # -- trace file formats ---------------------------------------------------------
 
 
+def _read_whole(path):
+    """Every batch of a trace file, rejoined, and the malformed count."""
+    batches = list(read_trace(path))
+    traces = [Trace([], [])] + [trace for _, trace, _ in batches]
+    return Trace.concatenate(traces), sum(bad for _, _, bad in batches)
+
+
 def test_dotted_round_trip():
     assert dotted(0x0A000001) == "10.0.0.1"
     assert parse_dotted("10.0.0.1") == 0x0A000001
@@ -75,7 +81,7 @@ def test_binary_trace_round_trip(tmp_path):
     path = tmp_path / "t.bin"
     write_trace_binary(path, t)
     assert path.stat().st_size == 1200
-    got, malformed = read_trace_binary(path)
+    got, malformed = _read_whole(path)
     assert malformed == 0
     assert np.array_equal(got.a, t.a)
     assert np.array_equal(got.b, t.b)
@@ -88,7 +94,7 @@ def test_binary_trace_trailing_garbage(tmp_path):
     write_trace_binary(path, t)
     with open(path, "ab") as fh:
         fh.write(b"\x01\x02\x03")  # partial record
-    got, malformed = read_trace_binary(path)
+    got, malformed = _read_whole(path)
     assert len(got) == 10
     assert malformed == 1
 
@@ -98,7 +104,7 @@ def test_csv_trace_round_trip(tmp_path):
     t.ts = np.arange(50, dtype=np.uint32)
     path = tmp_path / "t.csv"
     write_trace_csv(path, t)
-    got, malformed = read_trace_csv(path)
+    got, malformed = _read_whole(path)
     assert malformed == 0
     assert np.array_equal(got.a, t.a)
     assert np.array_equal(got.b, t.b)
@@ -117,11 +123,36 @@ def test_csv_trace_skips_malformed_lines(tmp_path):
         "1.2.3.4,5.6.7.8,99999999999\n"
         "10.0.0.6,10.0.0.7,4294967295\n"
     )
-    got, malformed = read_trace_csv(path)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe,1.2.3.4\n")  # not UTF-8
+    got, malformed = _read_whole(path)
     assert len(got) == 3
-    assert malformed == 4
+    assert malformed == 5
     assert got.a.tolist() == [parse_dotted(x) for x in ("10.0.0.1", "10.0.0.4", "10.0.0.6")]
     assert got.ts.tolist() == [5, 0, 2**32 - 1]
+
+
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+def test_read_trace_batches_and_spans(tmp_path, monkeypatch, fmt):
+    # batches of 7 records; each batch starts where the last ended, and a
+    # span from one batch's offset to one past it reads just that batch
+    monkeypatch.setattr(node_module, "BATCH_RECORDS", 7)
+    t = _random_trace(20, 11)
+    t.ts = np.arange(20, dtype=np.uint32)
+    path = tmp_path / f"t.{fmt}"
+    (write_trace_binary if fmt == "bin" else write_trace_csv)(path, t)
+    with open(path, "ab") as fh:
+        fh.write(b"\x01\x02\x03" if fmt == "bin" else b"junk\n")
+    batches = list(read_trace(path))
+    assert [len(trace) for _, trace, _ in batches] == [7, 7, 6]
+    assert [bad for _, _, bad in batches] == [0, 0, 1]
+    assert batches[0][0] == 0
+    for offset, trace, _ in batches:
+        ((again_offset, again, _),) = read_trace(path, offset, offset + 1)
+        assert again_offset == offset
+        assert np.array_equal(again.ts, trace.ts)
+    assert list(read_trace(path, 0, 0)) == []
+    assert list(read_trace(path, path.stat().st_size)) == []
 
 
 # -- observation node -----------------------------------------------------------
@@ -178,6 +209,9 @@ def test_stage1_payload_size_and_round_trip():
     header, cube = wire.decode_stage1(payload)
     assert header.node_id == 9
     assert cube == node.rec
+    # the payload is the cube's own buffer, read-only, with the reference bytes
+    assert payload.readonly and np.shares_memory(np.asarray(payload), node.rec.cells)
+    assert payload == wire.encode_stage1(9, 0, node.rec)
 
 
 def test_stage3_payload_sizes():
