@@ -24,6 +24,7 @@ import glob
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -40,7 +41,8 @@ from .node import (
     ObservationNode,
     dotted,
     parse_dotted,
-    read_trace,
+    window_pairs,
+    window_spans,
     write_trace_binary,
     write_trace_csv,
 )
@@ -69,13 +71,6 @@ def _parse_bool(key: str, text: str) -> bool:
     if text.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
         raise ValueError(f"config key {key!r} must be 1/true/yes/on or 0/false/no/off, got {text!r}")
     return text.lower() in ("1", "true", "yes", "on")
-
-
-def _parse_address(text: str) -> int:
-    text = text.strip()
-    if "." in text:
-        return parse_dotted(text)
-    return int(text, 0)
 
 
 @dataclasses.dataclass
@@ -120,18 +115,6 @@ class RunConfig:
                 setattr(cfg, key, value)
         return cfg
 
-    def cube_config(self) -> RECubeConfig:
-        return RECubeConfig(r=self.r, l=self.l, s=self.s)
-
-    def detector_params(self) -> DetectorParams:
-        return DetectorParams(
-            theta=self.theta,
-            le_len=self.le_len,
-            u_hat=self.u_hat,
-            v_hat=self.v_hat,
-            g=self.g,
-        )
-
 
 def parse_trace_spec(values: dict) -> TraceSpec:
     planted: list[tuple[int, int]] = []
@@ -141,7 +124,8 @@ def parse_trace_spec(values: dict) -> TraceSpec:
             if not entry:
                 continue
             addr_text, _, card_text = entry.partition(":")
-            planted.append((_parse_address(addr_text), int(card_text)))
+            addr = parse_dotted(addr_text.strip()) if "." in addr_text else int(addr_text, 0)
+            planted.append((addr, int(card_text)))
     theta = int(values.get("theta", RunConfig.theta))
     if "planted_count" in values:
         count = int(values["planted_count"])
@@ -219,25 +203,6 @@ def _node_files(cfg: RunConfig) -> list[list[str]]:
         f"found {len(paths)} trace files but nodes={cfg.nodes}; provide one "
         f"file per node (gen --nodes {cfg.nodes} writes them) or set nodes = 1"
     )
-
-
-def _window_spans(paths: list[str], window_seconds: int) -> tuple[dict, int]:
-    """Map each file to {window id: (offset of the first batch holding it, one
-    past the offset of the last)}, a `read_trace` span; also count malformed records."""
-    spans: dict[str, dict[int, tuple[int, int]]] = {path: {} for path in paths}
-    malformed = 0
-    for path in paths:
-        for offset, batch, bad in read_trace(path):
-            malformed += bad
-            for wid in np.unique(batch.ts // window_seconds).tolist():
-                spans[path][wid] = (spans[path].get(wid, (offset,))[0], offset + 1)
-    return spans, malformed
-
-
-def _window_pairs(path, spans: dict, window_id: int, window_seconds: int):
-    """Yield, batch by batch, one window's records from its span in a file."""
-    for _, batch, _ in read_trace(path, *spans.get(window_id, (0, 0))):
-        yield batch.take(np.flatnonzero(batch.ts // window_seconds == window_id))
 
 
 def _print_summary(report, metrics) -> None:
@@ -320,26 +285,31 @@ def cmd_run(args) -> int:
         "oracle": args.oracle or None,
     }
     cfg = RunConfig.from_file(args.config, overrides)
-    cube_cfg = cfg.cube_config()  # raises with the violated inequality
-    params = cfg.detector_params()
+    cube_cfg = RECubeConfig(r=cfg.r, l=cfg.l, s=cfg.s)  # raises with the violated inequality
+    params = DetectorParams(
+        theta=cfg.theta, le_len=cfg.le_len, u_hat=cfg.u_hat, v_hat=cfg.v_hat, g=cfg.g
+    )
     if cfg.mode not in (MODE_READ, MODE_NAIVE):
         raise ValueError(f"unknown mode {cfg.mode!r}")
     if not 1 <= cfg.window_seconds <= 0xFFFFFFFF:
         raise ValueError(f"window_seconds must be in 1..2^32-1, got {cfg.window_seconds}")
 
     files = _node_files(cfg)
-    spans, malformed = _window_spans(sum(files, []), cfg.window_seconds)
-    window_ids = sorted(set().union(*spans.values())) or [0]
     nodes = [ObservationNode(i, params, cube_cfg, cfg.seed) for i in range(len(files))]
 
     worst_ftr = 0.0
-    with open(cfg.out, "w") if cfg.out else contextlib.nullcontext() as out:
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        open(cfg.out, "w") if cfg.out else contextlib.nullcontext() as out,
+    ):
+        spans, malformed = window_spans(sum(files, []), cfg.window_seconds, tmp)
+        window_ids = sorted(set().union(*(windows for _, windows in spans.values()))) or [0]
         for window_id in window_ids:
             pairs = []  # the window's records, kept for the oracle only
             for node, paths in zip(nodes, files):
                 node.reset_window(window_id)
                 for path in paths:
-                    for part in _window_pairs(path, spans[path], window_id, cfg.window_seconds):
+                    for part in window_pairs(*spans[path], window_id, cfg.window_seconds):
                         node.scan_window(part)
                         if cfg.oracle:
                             pairs.append(part)

@@ -12,7 +12,9 @@ never fatal.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
 import socket
 import struct
 from dataclasses import dataclass
@@ -107,7 +109,8 @@ def read_trace(path, start: int = 0, stop: int | None = None):
 
 def _parse_csv(lines: list[bytes]) -> tuple[Trace, int]:
     """Parse CSV lines; blank lines are skipped, malformed ones counted."""
-    rows: list[int] = []  # a, b, ts of each record, flat
+    addresses = bytearray()  # a then b of each record, 4 big-endian bytes each
+    ts: list[int] = []
     malformed = 0
     for line in lines:
         if not line.strip():
@@ -117,10 +120,43 @@ def _parse_csv(lines: list[bytes]) -> tuple[Trace, int]:
             t = int(fields[2]) if len(fields) > 2 else 0
             if not 0 <= t <= 0xFFFFFFFF:
                 raise ValueError("timestamp out of uint32 range")
-            rows += (parse_dotted(fields[0]), parse_dotted(fields[1]), t)
+            pair = socket.inet_aton(fields[0]) + socket.inet_aton(fields[1])
         except (IndexError, ValueError, OSError):
             malformed += 1
-    return Trace(*np.array(rows, dtype=np.uint32).reshape(-1, 3).T.copy()), malformed
+            continue
+        addresses += pair
+        ts.append(t)
+    ab = np.frombuffer(addresses, ">u4").reshape(-1, 2)
+    return Trace(ab[:, 0], ab[:, 1], ts), malformed
+
+
+def window_spans(paths: list[str], window_seconds: int, tmp: str) -> tuple[dict, int]:
+    """Map each file to (the binary file the window passes read, {window id:
+    its byte span there, for `read_trace`}) and count the malformed records.
+    A CSV file is parsed once, here, into a binary copy in `tmp`."""
+    spans: dict[str, tuple[str, dict[int, tuple[int, int]]]] = {}
+    malformed = 0
+    for i, path in enumerate(paths):
+        copy = os.path.join(tmp, f"{i}.bin") if path.endswith(".csv") else None
+        windows: dict[int, tuple[int, int]] = {}
+        with open(copy, "wb") if copy else contextlib.nullcontext() as sink:
+            for offset, batch, bad in read_trace(path):
+                malformed += bad
+                if sink is not None:
+                    offset = sink.tell()
+                    write_trace_binary(sink, batch)
+                wids = batch.ts // window_seconds
+                lo, hi = (int(wids.min()), int(wids.max())) if len(batch) else (0, -1)
+                for wid in [lo] if lo == hi else np.unique(wids).tolist():
+                    windows[wid] = (windows.get(wid, (offset,))[0], offset + 12 * len(batch))
+        spans[path] = (copy or path, windows)
+    return spans, malformed
+
+
+def window_pairs(path: str, windows: dict, window_id: int, window_seconds: int):
+    """Yield, batch by batch, one window's records from a `window_spans` span."""
+    for _, batch, _ in read_trace(path, *windows.get(window_id, (0, 0))):
+        yield batch.take(np.flatnonzero(batch.ts // window_seconds == window_id))
 
 
 class ObservationNode:
@@ -149,10 +185,7 @@ class ObservationNode:
 
     def reset_window(self, window_id: int) -> None:
         self.window_id = window_id
-        # the cube's cells are the tail of its stage-1 payload: no copy to send
-        cfg = self.cube_config
-        self._stage1 = np.zeros(wire.stage1_size(cfg), np.uint8)
-        self.rec = RECube(cfg, self._stage1[wire.stage1_header_len(cfg) :].reshape(1 << cfg.r, -1))
+        self._stage1, self.rec = wire.stage1_buffer(self.node_id, window_id, self.cube_config)
         self.lea = LEArray(self.params.u_hat, self.params.v_hat, self.params.le_len)
         self.pairs_scanned = 0
 
@@ -164,9 +197,7 @@ class ObservationNode:
         return self.rec, self.lea
 
     def stage1_payload(self) -> memoryview:
-        """A read-only view of the buffer that holds the cube: a scan changes it."""
-        header = wire.stage1_header(self.node_id, self.window_id, self.cube_config)
-        self._stage1[: len(header)] = np.frombuffer(header, np.uint8)
+        """A read-only view of the payload that holds the cube: the next scan changes it."""
         return memoryview(self._stage1).toreadonly()
 
     def stage3_payload(self, candidates) -> bytearray:

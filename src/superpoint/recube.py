@@ -73,6 +73,7 @@ class RECubeConfig:
                     f"{i + 1} nested in row {i}): overlap "
                     f"{s[i] + l[i] - s[i + 1]}, l[{i + 1}]={l[i + 1]}"
                 )
+        # rows overlap from bit 0 on, so this makes them cover every left-part bit
         if not s[u - 1] + l[u - 1] > 31 - r:
             raise ValueError(
                 f"s[u-1] + l[u-1] > 31-r violated: "
@@ -84,13 +85,6 @@ class RECubeConfig:
                 f"wraparound overlap must fit in row 0: "
                 f"s[u-1]+l[u-1]-(32-r)={wrap} > l[0]={l[0]}"
             )
-        covered = [False] * n
-        for si, li in zip(s, l):
-            for t in range(li):
-                covered[(si + t) % n] = True
-        if not all(covered):
-            missing = [i for i, c in enumerate(covered) if not c]
-            raise ValueError(f"left-part bits not covered by any row: {missing}")
 
     @property
     def u(self) -> int:

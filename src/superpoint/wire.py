@@ -69,22 +69,27 @@ def _check_size(data: bytes, expected: int) -> None:
 # -- stage 1: rough-estimator cube ---------------------------------------
 
 
-def stage1_header_len(cfg: RECubeConfig) -> int:
-    return HEADER_LEN + 2 + 2 * cfg.u
-
-
 def stage1_size(cfg: RECubeConfig) -> int:
-    return stage1_header_len(cfg) + cfg.nbytes
+    return HEADER_LEN + 2 + 2 * cfg.u + cfg.nbytes  # r, u, l and s, then the cells
 
 
-def stage1_header(node_id: int, window_id: int, cfg: RECubeConfig) -> bytes:
-    """The stage1_header_len(cfg) bytes that precede the cube's cells."""
+def _stage1_header(node_id: int, window_id: int, cfg: RECubeConfig) -> bytes:
+    """The bytes that precede the cube's cells."""
     geom = struct.pack(f"<BB{cfg.u}B{cfg.u}B", cfg.r, cfg.u, *cfg.l, *cfg.s)
     return _pack_header(STAGE_CUBE, node_id, window_id) + geom
 
 
 def encode_stage1(node_id: int, window_id: int, cube: RECube) -> bytes:
-    return b"".join((stage1_header(node_id, window_id, cube.config), cube.cells))
+    return b"".join((_stage1_header(node_id, window_id, cube.config), cube.cells))
+
+
+def stage1_buffer(node_id: int, window_id: int, cfg: RECubeConfig) -> tuple[np.ndarray, RECube]:
+    """A stage-1 payload whose cells are those of the empty cube returned
+    with it: the payload is `encode_stage1`'s bytes of that cube as it fills."""
+    header = _stage1_header(node_id, window_id, cfg)
+    buf = np.zeros(len(header) + cfg.nbytes, np.uint8)
+    buf[: len(header)] = np.frombuffer(header, np.uint8)
+    return buf, RECube(cfg, buf[len(header) :].reshape(1 << cfg.r, -1))
 
 
 def decode_stage1(data: bytes) -> tuple[PayloadHeader, RECube]:
@@ -94,7 +99,7 @@ def decode_stage1(data: bytes) -> tuple[PayloadHeader, RECube]:
     widths_offsets = _unpack(f"<{2 * u}B", data, HEADER_LEN + 2)
     cfg = RECubeConfig(r=r, l=widths_offsets[:u], s=widths_offsets[u:])
     _check_size(data, stage1_size(cfg))
-    cube = RECube.from_cell_bytes(cfg, memoryview(data)[stage1_header_len(cfg) :])
+    cube = RECube.from_cell_bytes(cfg, memoryview(data)[-cfg.nbytes :])
     return header, cube
 
 

@@ -12,14 +12,19 @@ import superpoint
 from superpoint import node
 from superpoint.cli import (
     RunConfig,
-    _window_pairs,
-    _window_spans,
     load_config,
     main,
     parse_trace_spec,
 )
 from superpoint.harness import TraceSpec, generate_trace, partition_stream
-from superpoint.node import Trace, read_trace, write_trace_binary, write_trace_csv
+from superpoint.node import (
+    Trace,
+    read_trace,
+    window_pairs,
+    window_spans,
+    write_trace_binary,
+    write_trace_csv,
+)
 
 
 def _write(path, text):
@@ -243,19 +248,22 @@ def test_split_windows_matches_per_window_mask(tmp_path, monkeypatch):
     ]
     # a node that sees only two of the five windows, out of time order
     traces.append(Trace([7, 8], [1, 2], [250, 10]))
-    paths = [str(tmp_path / f"node_{i}.bin") for i in range(len(traces))]
+    # the second file is CSV, read from its binary copy
+    paths = [str(tmp_path / f"node_{i}.{fmt}") for i, fmt in enumerate(("bin", "csv", "bin"))]
     for path, trace in zip(paths, traces):
-        write_trace_binary(path, trace)
+        (write_trace_csv if path.endswith(".csv") else write_trace_binary)(path, trace)
 
-    spans, malformed = _window_spans(paths, window_seconds)
+    spans, malformed = window_spans(paths, window_seconds, str(tmp_path))
 
     assert malformed == 0
-    assert sorted(spans[paths[2]]) == [0, 4]
+    assert spans[paths[0]][0] == paths[0]
+    assert spans[paths[1]][0] == str(tmp_path / "1.bin")
+    assert sorted(spans[paths[2]][1]) == [0, 4]
     ids = sorted(set(np.concatenate([t.ts // window_seconds for t in traces]).tolist()))
-    assert sorted(set().union(*spans.values())) == ids == [0, 1, 2, 3, 4]
+    assert sorted(set().union(*(windows for _, windows in spans.values()))) == ids == [0, 1, 2, 3, 4]
     for wid in ids:
         for path, trace in zip(paths, traces):
-            parts = [Trace([], [])] + list(_window_pairs(path, spans[path], wid, window_seconds))
+            parts = [Trace([], [])] + list(window_pairs(*spans[path], wid, window_seconds))
             got = Trace.concatenate(parts)
             want = trace.take(np.flatnonzero(trace.ts // window_seconds == wid))
             for column in ("a", "b", "ts"):
@@ -377,6 +385,20 @@ def test_run_output_does_not_depend_on_batch_size(tmp_path, capsys, monkeypatch,
     capsys.readouterr()
 
 
+def test_run_parses_each_csv_line_once(tmp_path, capsys, monkeypatch):
+    # four windows over unordered files: the window passes read binary
+    # copies, so no CSV line is parsed twice
+    parsed = []
+    parse = node._parse_csv
+    monkeypatch.setattr(node, "_parse_csv", lambda lines: parse(parsed.extend(lines) or lines))
+    _write_timestamped_traces(tmp_path / "traces", "csv")
+    digest = _run_digest(tmp_path, MULTI_WINDOW_RUN_CONF, tmp_path / "traces")
+    capsys.readouterr()
+    assert digest == MULTI_WINDOW_DIGESTS["read"]
+    lines = [line for path in sorted((tmp_path / "traces").iterdir()) for line in path.open("rb")]
+    assert sorted(parsed) == sorted(lines)
+
+
 def test_run_writes_each_window_when_it_is_done(tmp_path, capsys, monkeypatch):
     # the report file holds every earlier window's records, and no more,
     # when the next window's protocol starts
@@ -464,6 +486,8 @@ def _run_peak_rss_mb(tmp_path, pairs):
                   .replace("nodes = 3", "nodes = 1"))
     src = str(Path(superpoint.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # one BLAS thread, so the address-space cap measures the run, not the thread pool
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     probe = subprocess.run(
         [sys.executable, "-c", _RSS_PROBE, "run", "--config", conf, "--trace-dir", str(trace_dir)],
         env=env, capture_output=True, text=True, timeout=300,
