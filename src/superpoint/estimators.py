@@ -11,13 +11,16 @@ cardinality estimate is -|C| * ln(n0 / |C|), with n0 the number of zero
 bits.
 
 Both live as numpy cells in recube and learray; this module holds their
-thresholds, the estimate formula and its analytic error.
+thresholds, the estimate formula and its analytic error, and the bit
+writes both scans make.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 #: bit slots in a rough estimator
 RE_WIDTH = 8
@@ -47,6 +50,38 @@ def linear_count(nbits: int, n0: int) -> tuple[float, bool]:
     if n0 == 0:
         return nbits * math.log(nbits), True
     return -nbits * math.log(n0 / nbits), False
+
+
+def bit_groups(bits: np.ndarray) -> tuple[np.ndarray, list[tuple[np.uint8, slice]]]:
+    """Group a batch of bit writes by bit number (0-7): the order that
+    sorts the batch by bit, and each present bit's mask and slice of
+    that order, for :func:`or_bit_groups`."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    order = np.argsort(bits, kind="stable")  # a radix sort for uint8
+    ends = np.cumsum(np.bincount(bits, minlength=8)).tolist()
+    starts = [0] + ends[:-1]
+    groups = [
+        (np.uint8(1 << n), slice(lo, hi))
+        for n, (lo, hi) in enumerate(zip(starts, ends))
+        if hi > lo
+    ]
+    return order, groups
+
+
+def or_bit_groups(
+    cells: np.ndarray, index: np.ndarray, groups: list[tuple[np.uint8, slice]]
+) -> None:
+    """cells[index[span]] |= mask for each group, with `index` in
+    :func:`bit_groups` order: the same cells as ORing each write in turn.
+
+    Within a group every write to a byte ORs the same mask, so where an
+    index repeats, each copy gathers the same old byte and stores the
+    same new one; each group sees the writes of the groups before it.
+    Plain fancy indexing is several times faster than numpy's unbuffered
+    `ufunc.at` OR, which has no indexed fast loop.
+    """
+    for mask, span in groups:
+        cells[index[span]] |= mask
 
 
 def le_std_dev(load_factor: float, le_len: int) -> float:

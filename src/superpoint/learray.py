@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import linear_count
+from .estimators import bit_groups, linear_count, or_bit_groups
 from .hashing import HashSuite
 
 #: bytes of candidate rows extract_candidates gathers and ANDs per step
@@ -54,13 +54,14 @@ class LEArray:
         if a.size == 0:
             return
         bitpos = hs.le_bit_arr(b, self.le_len)
-        byte_idx = bitpos >> 3
-        vals = (np.uint8(1) << (bitpos & 7).astype(np.uint8)).astype(np.uint8)
+        # a pair sets the same bit in every row: group the batch once
+        order, groups = bit_groups(bitpos & 7)
+        a = a[order]
+        byte_idx = bitpos[order] >> 3
         flat_cells = self.cells.reshape(self.u_hat, -1)
         for i in range(self.u_hat):
             col = hs.col_arr(a, i, self.v_hat)
-            flat = col * (self.le_len // 8) + byte_idx
-            np.bitwise_or.at(flat_cells[i], flat, vals)
+            or_bit_groups(flat_cells[i], col * (self.le_len // 8) + byte_idx, groups)
 
     def extract_candidates(self, cands, hs: HashSuite) -> np.ndarray:
         """Inner merge (AND) of each candidate's u_hat row cells, as a

@@ -173,6 +173,11 @@ class ObservationNode:
         cube_config: RECubeConfig,
         master_seed: int,
     ):
+        # a payload's id field is 16 bits and 0xFFFF is the coordinator's
+        if not 0 <= node_id < wire.COORDINATOR_ID:
+            raise ValueError(
+                f"node_id must be in 0..{wire.COORDINATOR_ID - 1:#x}, got {node_id:#x}"
+            )
         self.node_id = node_id
         self.params = params
         self.cube_config = cube_config

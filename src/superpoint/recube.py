@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import CANDIDATE_BITS
+from .estimators import CANDIDATE_BITS, bit_groups, or_bit_groups
 from .hashing import HashSuite
 
 #: most chain extensions one join step materializes at a time
@@ -175,14 +175,13 @@ class RECube:
             qualifying = (hb & np.uint32((1 << mask_bits) - 1)) == 0
         if not qualifying.any():
             return
-        aq = a[qualifying]
-        vals = (np.uint8(1) << hs.re_bit_arr(b[qualifying])).astype(np.uint8)
-        k, js = derive_indices_arr(aq, self.config)
+        order, groups = bit_groups(hs.re_bit_arr(b[qualifying]))
+        k, js = derive_indices_arr(a[qualifying][order], self.config)
         # cells is C-contiguous, so this reshape is a view, not a copy
         flat = self.cells.reshape(-1)
         base = k * self.cells.shape[1]
         for off, j in zip(self._offsets, js):
-            np.bitwise_or.at(flat, base + (off + j), vals)
+            or_bit_groups(flat, base + (off + j), groups)
 
     def copy(self) -> "RECube":
         return RECube(self.config, self.cells.copy())

@@ -233,7 +233,6 @@ def test_criterion_8_throughput_informational():
     trace_a = rng.integers(0, 2**32, n, dtype=np.uint32)
     trace_b = rng.integers(0, 2**32, n, dtype=np.uint32)
     node = ObservationNode(0, PARAMS, SCALED_CUBE, master_seed=5)
-    node.reset_window(0)
     from superpoint.node import Trace
 
     start = time.perf_counter()
@@ -246,6 +245,6 @@ def test_criterion_8_throughput_informational():
         "throughput (informational, non-blocking)",
         ok,
         f"{rate / 1e6:.2f}M pairs/s single node "
-        f"(target 5M; vectorized interpreter path, see decisions ledger)",
+        "(target 5M; vectorized interpreter path, see README Tests)",
     )
     # informational: never fails the suite

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import bits_of, le_sketch, lsb, rand32, re_slot
@@ -10,10 +10,12 @@ from oracles import bits_of, le_sketch, lsb, rand32, re_slot
 from superpoint.estimators import (
     CANDIDATE_BITS,
     DetectorParams,
+    bit_groups,
     compute_tau,
     le_std_dev,
     le_std_dev_hosts,
     linear_count,
+    or_bit_groups,
 )
 from superpoint.hashing import HashSuite
 from superpoint.learray import LEArray, lea_merge_outer
@@ -234,6 +236,71 @@ def test_le_merge_equals_union_stream(xs, ys):
 def test_le_estimate_monotone_in_bits(x, y):
     merged = x | y
     assert linear_count(64, 64 - merged.bit_count())[0] >= linear_count(64, 64 - x.bit_count())[0]
+
+
+# -- bit-grouped writes ------------------------------------------------------
+
+
+# (byte index, bit number) writes into a few bytes, so indexes repeat with
+# different bits and with the same bit
+bit_writes = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7)), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_writes, st.binary(min_size=6, max_size=6))
+@example([], bytes(6))
+@example([(0, n) for n in range(8)], bytes(6))
+@example([(3, 5)] * 4 + [(3, 2)] * 3 + [(1, 5)], bytes(6))
+def test_or_bit_groups_matches_bitwise_or_at(writes, start):
+    index = np.array([i for i, _ in writes], np.int64)
+    bits = np.array([n for _, n in writes], np.uint8)
+    expected = np.frombuffer(start, np.uint8).copy()
+    np.bitwise_or.at(expected, index, (np.uint8(1) << bits).astype(np.uint8))
+    cells = np.frombuffer(start, np.uint8).copy()
+    order, groups = bit_groups(bits)
+    or_bit_groups(cells, index[order], groups)
+    assert cells.tobytes() == expected.tobytes()
+
+
+def _batches(a, b, cuts):
+    """The stream (a, b) cut at the given positions (clamped to its end)."""
+    edges = [0, *sorted(min(c, a.size) for c in cuts), a.size]
+    return [(a[lo:hi], b[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+
+
+split_streams = st.tuples(
+    st.integers(0, 2**32 - 1),  # stream seed
+    st.integers(0, 300),  # pairs
+    st.lists(st.integers(0, 300), max_size=8),  # batch cut points
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_streams, st.sampled_from([8, 64, 256]))
+def test_le_update_does_not_depend_on_batching(stream, le_len):
+    seed, n, cuts = stream
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 16, n, dtype=np.uint32)  # few sources: cells repeat
+    b = rng.integers(0, 2**32, n, dtype=np.uint32)
+    whole, split = LEArray(3, 4, le_len), LEArray(3, 4, le_len)
+    whole.update_pairs(a, b, HS)
+    for part_a, part_b in _batches(a, b, cuts):
+        split.update_pairs(part_a, part_b, HS)
+    assert split == whole
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_streams, st.sampled_from([0.0, 1.0]))
+def test_re_update_does_not_depend_on_batching(stream, tau):
+    seed, n, cuts = stream
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 16, n, dtype=np.uint32)
+    b = rng.integers(0, 2**32, n, dtype=np.uint32)
+    whole, split = RECube(ONE_SOURCE), RECube(ONE_SOURCE)
+    whole.update_pairs(a, b, tau, HS)
+    for part_a, part_b in _batches(a, b, cuts):
+        split.update_pairs(part_a, part_b, tau, HS)
+    assert split == whole
 
 
 # -- params -----------------------------------------------------------------

@@ -271,6 +271,18 @@ def test_new_node_answers_for_an_empty_window_0():
     assert not sketches.any()
 
 
+@pytest.mark.parametrize("node_id", [-1, wire.COORDINATOR_ID, 0x10000])
+def test_node_id_outside_the_wire_range_is_rejected(node_id):
+    with pytest.raises(ValueError, match="0..0xfffe"):
+        ObservationNode(node_id, PARAMS, CFG, master_seed=1)
+
+
+def test_largest_node_id_is_accepted():
+    node = ObservationNode(0xFFFE, PARAMS, CFG, master_seed=1)
+    header, _ = wire.decode_stage1(node.stage1_payload())
+    assert header.node_id == 0xFFFE
+
+
 def test_reset_window_clears_state():
     node = _node()
     node.scan_window(_random_trace(100, 10))
