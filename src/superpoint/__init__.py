@@ -14,14 +14,12 @@ lives in its module (``superpoint.recube``, ``superpoint.wire``, ...).
 from .estimators import DetectorParams
 from .recube import RECubeConfig
 from .node import ObservationNode, Trace
-from .coordinator import MODE_NAIVE, MODE_READ, WindowReport, run_window
+from .coordinator import WindowReport, run_window
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DetectorParams",
-    "MODE_NAIVE",
-    "MODE_READ",
     "ObservationNode",
     "RECubeConfig",
     "Trace",

@@ -5,10 +5,9 @@ Subcommands:
   run     execute the multi-node window protocol over trace files
 
 Config files are plain `key = value` lines with `#` comments. Keys for
-`run` (the fields of RunConfig): r, l, s, u_hat, v_hat, le_len, theta, g,
-seed, nodes (one trace file per node, or 1 to read every file), mode
-(read | naive_reference), window_seconds, trace_dir, out, oracle,
-ftr_gate. Keys for `gen`:
+`run` (the fields of RunConfig): r, l, s, u_hat, v_hat, le_len, theta,
+seed, nodes (one trace file per node, or 1 to read every file),
+window_seconds, trace_dir, out, oracle, ftr_gate. Keys for `gen`:
 planted ("addr:card;addr:card", dotted-quad or integer addresses),
 planted_count/planted_min_card/planted_max_card (random planting),
 background_hosts, zipf_s, max_background_card, duplication, theta,
@@ -28,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from .coordinator import MODE_NAIVE, MODE_READ, run_window
+from .coordinator import run_window
 from .estimators import DetectorParams
 from .harness import (
     TraceSpec,
@@ -67,10 +66,18 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace("(", "").replace(")", "").split(",") if tok.strip())
 
 
-def _parse_bool(key: str, text: str) -> bool:
+def _parse_bool(text: str) -> bool:
     if text.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-        raise ValueError(f"config key {key!r} must be 1/true/yes/on or 0/false/no/off, got {text!r}")
+        raise ValueError(f"must be 1/true/yes/on or 0/false/no/off, got {text!r}")
     return text.lower() in ("1", "true", "yes", "on")
+
+
+def _parse(key: str, parser, text: str):
+    """parser(text), re-raising a parse error with the config key it is for."""
+    try:
+        return parser(text)
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
 
 
 @dataclasses.dataclass
@@ -82,10 +89,8 @@ class RunConfig:
     v_hat: int = 2**15
     le_len: int = 2**14
     theta: int = 1024
-    g: int = 8
     seed: int = 1
     nodes: int = 1
-    mode: str = MODE_READ
     window_seconds: int = 300
     trace_dir: str = "."
     out: str | None = None
@@ -99,24 +104,24 @@ class RunConfig:
         parsers = {
             "l": _parse_int_tuple,
             "s": _parse_int_tuple,
-            "mode": str,
             "trace_dir": str,
             "out": str,
-            "oracle": lambda text: _parse_bool("oracle", text),
+            "oracle": _parse_bool,
             "ftr_gate": float,
         }
         for key, text in values.items():
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key {key!r}")
-            parser = parsers.get(key, int)
-            setattr(cfg, key, parser(text))
+            setattr(cfg, key, _parse(key, parsers.get(key, int), text))
         for key, value in overrides.items():
             if value is not None:
                 setattr(cfg, key, value)
         return cfg
 
 
-def parse_trace_spec(values: dict) -> TraceSpec:
+def parse_trace_spec(values: dict, seed: int | None = None) -> TraceSpec:
+    """The trace spec a `gen` config describes; `seed` (the spec's own
+    `seed` when None) also draws the randomly planted hosts."""
     planted: list[tuple[int, int]] = []
     if "planted" in values:
         for entry in values["planted"].split(";"):
@@ -131,7 +136,9 @@ def parse_trace_spec(values: dict) -> TraceSpec:
         count = int(values["planted_count"])
         low = int(values.get("planted_min_card", 2 * theta))
         high = int(values.get("planted_max_card", 16 * theta))
-        rng = np.random.default_rng(int(values.get("seed", 1)) ^ 0x9E37)
+        if seed is None:
+            seed = int(values.get("seed", 1))
+        rng = np.random.default_rng(seed ^ 0x9E37)
         addresses: set[int] = set(a for a, _ in planted)
         target = len(planted) + count
         while len(planted) < target:
@@ -147,7 +154,7 @@ def parse_trace_spec(values: dict) -> TraceSpec:
         max_background_card=int(values.get("max_background_card", theta // 2)),
         duplication=int(values.get("duplication", 1)),
         theta=theta,
-        straddle=_parse_bool("straddle", values.get("straddle", "false")),
+        straddle=_parse("straddle", _parse_bool, values.get("straddle", "false")),
     )
 
 
@@ -164,8 +171,8 @@ def cmd_gen(args) -> int:
     for key in values:
         if key not in _GEN_KEYS:
             raise ValueError(f"unknown trace-spec key {key!r}")
-    spec = parse_trace_spec(values)
     seed = args.seed if args.seed is not None else int(values.get("seed", 1))
+    spec = parse_trace_spec(values, seed)
     n = args.nodes if args.nodes is not None else int(values.get("nodes", 1))
     mode = args.partition or values.get("partition", "round_robin")
     weights = None
@@ -209,7 +216,7 @@ def _print_summary(report, metrics) -> None:
     n = len(report.stage1_bytes)
     s1, s2, s3 = (sum(b) for b in (report.stage1_bytes, report.stage2_bytes, report.stage3_bytes))
     print(
-        f"window {report.window_id} [{report.mode}]: "
+        f"window {report.window_id}: "
         f"{report.candidates_count} candidates, "
         f"{len(report.super_points)} super points"
     )
@@ -241,7 +248,7 @@ def _window_records(report, metrics, truth_set, malformed: int):
     summary = {
         "type": "summary",
         "window_id": report.window_id,
-        "mode": report.mode,
+        "mode": "read",  # the one protocol; the key keeps reports comparable
         "candidates_count": report.candidates_count,
         "super_points": len(report.super_points),
         "stage1_bytes": report.stage1_bytes,
@@ -280,17 +287,12 @@ def cmd_run(args) -> int:
         "nodes": args.nodes,
         "theta": args.theta,
         "seed": args.seed,
-        "mode": args.mode,
         "out": args.out,
         "oracle": args.oracle or None,
     }
     cfg = RunConfig.from_file(args.config, overrides)
     cube_cfg = RECubeConfig(r=cfg.r, l=cfg.l, s=cfg.s)  # raises with the violated inequality
-    params = DetectorParams(
-        theta=cfg.theta, le_len=cfg.le_len, u_hat=cfg.u_hat, v_hat=cfg.v_hat, g=cfg.g
-    )
-    if cfg.mode not in (MODE_READ, MODE_NAIVE):
-        raise ValueError(f"unknown mode {cfg.mode!r}")
+    params = DetectorParams(theta=cfg.theta, le_len=cfg.le_len, u_hat=cfg.u_hat, v_hat=cfg.v_hat)
     if not 1 <= cfg.window_seconds <= 0xFFFFFFFF:
         raise ValueError(f"window_seconds must be in 1..2^32-1, got {cfg.window_seconds}")
 
@@ -313,7 +315,7 @@ def cmd_run(args) -> int:
                         node.scan_window(part)
                         if cfg.oracle:
                             pairs.append(part)
-            report = run_window(nodes, cfg.mode)
+            report = run_window(nodes)
             truth_set = metrics = None
             if cfg.oracle:
                 truth_set = true_super_points(pairs, cfg.theta)
@@ -357,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--nodes", type=int)
     p_run.add_argument("--theta", type=int)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--mode", choices=[MODE_READ, MODE_NAIVE])
     p_run.add_argument("--out", help="write line-delimited JSON report records here")
     p_run.add_argument("--oracle", action="store_true", help="score against exact truth")
     p_run.set_defaults(func=cmd_run)
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,16 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learray import CandidateEstimate, estimate_candidates, lea_merge_outer
+from .learray import CandidateEstimate, estimate_candidates
 from .node import ObservationNode
 from .recube import rec_merge_outer, recover_candidates
 from . import wire
-
-MODE_READ = "read"
-MODE_NAIVE = "naive_reference"
-
-#: header + geometry bytes charged for a whole-grid transfer in naive mode
-_NAIVE_LEA_HEADER = wire.HEADER_LEN + 12
 
 
 @dataclass
@@ -33,7 +27,6 @@ class WindowReport:
     """What one window reports, each value computed once."""
 
     window_id: int
-    mode: str
     super_points: list[CandidateEstimate]
     candidates: np.ndarray
     stage1_bytes: list[int]
@@ -84,15 +77,13 @@ def _received(node: ObservationNode, window_id: int, decode, payload) -> list:
     return body
 
 
-def run_window(nodes: list[ObservationNode], mode: str = MODE_READ) -> WindowReport:
+def run_window(nodes: list[ObservationNode]) -> WindowReport:
     """Drive the three-stage protocol across already-scanned nodes.
 
     A payload for another window, node or cube geometry, or a stage-3 payload
     whose le_len or candidates differ from what was asked, raises ValueError.
     """
     _check_nodes(nodes)
-    if mode not in (MODE_READ, MODE_NAIVE):
-        raise ValueError(f"unknown mode {mode!r}")
     window_id = nodes[0].window_id
     le_len = nodes[0].params.le_len
 
@@ -106,43 +97,29 @@ def run_window(nodes: list[ObservationNode], mode: str = MODE_READ) -> WindowRep
     merged_cube = rec_merge_outer(cubes)
     candidates = recover_candidates(merged_cube)
 
-    if mode == MODE_READ:
-        # Stage 2: identical broadcast, counted once per node; every node
-        # answers the candidates it decodes from it.
-        stage2_payload = wire.encode_stage2(window_id, candidates)
-        stage2_bytes = [len(stage2_payload)] * len(nodes)
-        _, broadcast = wire.decode_stage2(stage2_payload)
+    # Stage 2: identical broadcast, counted once per node; every node
+    # answers the candidates it decodes from it.
+    stage2_payload = wire.encode_stage2(window_id, candidates)
+    _, broadcast = wire.decode_stage2(stage2_payload)
 
-        # Stage 3: per-candidate estimators, OR-merged across nodes into
-        # a copy of the first node's matrix (the payloads stay untouched).
-        stage3_payloads = [node.stage3_payload(broadcast) for node in nodes]
-        stage3_bytes = [len(p) for p in stage3_payloads]
-        sketches = None
-        for node, payload in zip(nodes, stage3_payloads):
-            got, les = _received(node, window_id, wire.decode_stage3, payload)
-            _check(node, 3, "le_len", les.shape[1] * 8, le_len)
-            if not np.array_equal(got, candidates):
-                raise ValueError(f"node {node.node_id}: stage-3 candidates differ from the broadcast")
-            sketches = les.copy() if sketches is None else np.bitwise_or(sketches, les, out=sketches)
-    else:
-        # Naive reference: ship whole LE grids, OR them, then inner-merge
-        # per candidate on the coordinator. Exists to measure what the
-        # per-candidate path saves and to bound its estimates from above.
-        stage2_bytes = [0] * len(nodes)
-        stage3_bytes = [
-            _NAIVE_LEA_HEADER + node.lea.nbytes for node in nodes
-        ]
-        global_lea = lea_merge_outer([node.lea for node in nodes])
-        sketches = global_lea.extract_candidates(candidates, nodes[0].hs)
+    # Stage 3: per-candidate estimators, OR-merged across nodes into a
+    # copy of the first node's matrix (the payloads stay untouched).
+    stage3_payloads = [node.stage3_payload(broadcast) for node in nodes]
+    sketches = None
+    for node, payload in zip(nodes, stage3_payloads):
+        got, les = _received(node, window_id, wire.decode_stage3, payload)
+        _check(node, 3, "le_len", les.shape[1] * 8, le_len)
+        if not np.array_equal(got, candidates):
+            raise ValueError(f"node {node.node_id}: stage-3 candidates differ from the broadcast")
+        sketches = les.copy() if sketches is None else np.bitwise_or(sketches, les, out=sketches)
 
     return WindowReport(
         window_id=window_id,
-        mode=mode,
         super_points=estimate_candidates(candidates, sketches, nodes[0].params.theta),
         candidates=candidates,
         stage1_bytes=[len(p) for p in stage1_payloads],
-        stage2_bytes=stage2_bytes,
-        stage3_bytes=stage3_bytes,
+        stage2_bytes=[len(stage2_payload)] * len(nodes),
+        stage3_bytes=[len(p) for p in stage3_payloads],
         master_structure_bytes=nodes[0].master_structure_bytes(),
         pairs_scanned=sum(n.pairs_scanned for n in nodes),
     )

@@ -2,9 +2,9 @@
 
 Rough estimator: an 8-bit cube cell whose only job is to answer "could
 this host be a super point". An opposite host qualifies when the
-trailing-zero count of its 32-bit hash reaches tau = log2(theta / g); a
-qualifying host sets one of the 8 bit slots, and the host is a candidate
-once 3 or more slots are set.
+trailing-zero count of its 32-bit hash reaches tau = log2(theta / g), with
+g = 8 the slot count; a qualifying host sets one of the 8 bit slots, and
+the host is a candidate once 3 or more slots are set.
 
 Linear estimator: a bit vector doing classic linear counting. The
 cardinality estimate is -|C| * ln(n0 / |C|), with n0 the number of zero
@@ -107,11 +107,10 @@ class DetectorParams:
     le_len: int
     u_hat: int
     v_hat: int
-    g: int = RE_WIDTH
 
     def __post_init__(self):
-        if self.theta < self.g:
-            raise ValueError(f"theta must be >= g: {self.theta} < {self.g}")
+        if self.theta < RE_WIDTH:
+            raise ValueError(f"theta must be >= {RE_WIDTH}, got {self.theta}")
         for name in ("le_len", "v_hat"):
             value = getattr(self, name)
             if value <= 0 or value & (value - 1):
@@ -121,7 +120,7 @@ class DetectorParams:
 
     @property
     def tau(self) -> float:
-        return compute_tau(self.theta, self.g)
+        return compute_tau(self.theta)
 
     @property
     def lea_bytes(self) -> int:

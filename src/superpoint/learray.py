@@ -11,7 +11,6 @@ travel as rows of one (w, le_len / 8) uint8 matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -79,11 +78,6 @@ class LEArray:
                 out &= self.cells[i][cols[i][lo : lo + step]]
         return merged
 
-    def copy(self) -> "LEArray":
-        dup = LEArray(self.u_hat, self.v_hat, self.le_len)
-        dup.cells = self.cells.copy()
-        return dup
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LEArray)
@@ -91,24 +85,6 @@ class LEArray:
             == (self.u_hat, self.v_hat, self.le_len)
             and np.array_equal(other.cells, self.cells)
         )
-
-
-def lea_merge_outer(leas: Sequence[LEArray]) -> LEArray:
-    """Cell-wise OR of grids sharing one geometry."""
-    if not leas:
-        raise ValueError("cannot merge an empty sequence of LE arrays")
-    first = leas[0]
-    for lea in leas[1:]:
-        if (lea.u_hat, lea.v_hat, lea.le_len) != (
-            first.u_hat,
-            first.v_hat,
-            first.le_len,
-        ):
-            raise ValueError("LE array geometry mismatch")
-    merged = first.copy()
-    for lea in leas[1:]:
-        np.bitwise_or(merged.cells, lea.cells, out=merged.cells)
-    return merged
 
 
 def estimate_candidates(

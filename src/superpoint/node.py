@@ -72,7 +72,10 @@ def dotted(address: int) -> str:
 
 
 def parse_dotted(text: str) -> int:
-    return struct.unpack("!I", socket.inet_aton(text))[0]
+    try:
+        return struct.unpack("!I", socket.inet_aton(text))[0]
+    except OSError:
+        raise ValueError(f"not a dotted-quad address: {text!r}") from None
 
 
 def write_trace_csv(path, trace: Trace) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from superpoint.estimators import CANDIDATE_BITS
 from superpoint.hashing import HashSuite, mix64
-from superpoint.learray import LEArray, lea_merge_outer
+from superpoint.learray import LEArray
 from superpoint.node import Trace
 from superpoint.recube import RECube, RECubeConfig, rec_merge_outer, recover_candidates
 
@@ -254,7 +254,8 @@ def _brute_force_cells(
 
 
 def check_theorem1_instance(rng: np.random.Generator) -> None:
-    """One randomized sandwich check: excl <= per-node-AND-then-OR <= OR-then-AND."""
+    """One randomized sandwich check: excl <= per-node-AND-then-OR <= OR-then-AND,
+    the last being one node that scanned the union of the streams."""
     n_nodes = int(rng.integers(1, 5))
     u_hat = int(rng.integers(1, 4))
     le_len = int(rng.choice([16, 32, 64]))
@@ -287,11 +288,13 @@ def check_theorem1_instance(rng: np.random.Generator) -> None:
     read = 0
     for lea in leas:
         read |= sketch(lea)
-    naive = sketch(lea_merge_outer(leas))
+    single_lea = LEArray(u_hat, v_hat, le_len)
+    single_lea.update_pairs(whole.a, whole.b, hs)
+    single = sketch(single_lea)
 
     assert excl & read == excl, "exclusive ⊄ per-candidate merge"
-    assert read & naive == read, "per-candidate merge ⊄ naive merge"
-    assert excl.bit_count() <= read.bit_count() <= naive.bit_count()
+    assert read & single == read, "per-candidate merge ⊄ single-node sketch"
+    assert excl.bit_count() <= read.bit_count() <= single.bit_count()
 
     # same sandwich against a brute-force reconstruction of every cell
     oracle_cells = _brute_force_cells(streams, u_hat, v_hat, le_len, hs)
@@ -302,14 +305,14 @@ def check_theorem1_instance(rng: np.random.Generator) -> None:
         for i in range(u_hat):
             inner &= cells.get((i, col(hs, candidate, i, v_hat)), 0)
         oracle_read |= inner
-    oracle_naive = full
+    oracle_single = full
     for i in range(u_hat):
         row_union = 0
         for cells in oracle_cells:
             row_union |= cells.get((i, col(hs, candidate, i, v_hat)), 0)
-        oracle_naive &= row_union
+        oracle_single &= row_union
     assert oracle_read == read, "production per-candidate path != oracle"
-    assert oracle_naive == naive, "production naive path != oracle"
+    assert oracle_single == single, "production single-node sketch != oracle"
 
 
 def check_theorem1_sweep(instances: int, seed: int = 0) -> int:

@@ -42,10 +42,10 @@ def test_load_config_parses_keys_and_comments(tmp_path):
         "theta = 512\n"
         "l = 14,14,14  # row widths\n"
         "\n"
-        "mode = read\n",
+        "oracle = true\n",
     )
     values = load_config(path)
-    assert values == {"theta": "512", "l": "14,14,14", "mode": "read"}
+    assert values == {"theta": "512", "l": "14,14,14", "oracle": "true"}
     bad = _write(tmp_path / "bad.conf", "theta 512\n")
     with pytest.raises(ValueError, match="key = value"):
         load_config(bad)
@@ -56,8 +56,13 @@ def test_run_config_overrides_and_unknown_key(tmp_path):
     cfg = RunConfig.from_file(path, {"nodes": 5, "theta": None})
     assert cfg.theta == 512
     assert cfg.nodes == 5
-    bad = _write(tmp_path / "bad.conf", "bogus_key = 1\n")
-    with pytest.raises(ValueError, match="bogus_key"):
+    # mode and g were keys once: the naive protocol and the cube cell width
+    for key in ("bogus_key", "mode", "g"):
+        bad = _write(tmp_path / "bad.conf", f"{key} = 1\n")
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            RunConfig.from_file(bad, {})
+    bad = _write(tmp_path / "bad.conf", "nodes = abc\n")
+    with pytest.raises(ValueError, match="config key 'nodes': invalid literal"):
         RunConfig.from_file(bad, {})
 
 
@@ -165,6 +170,21 @@ def test_gen_rejects_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "traces").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, out, fragment",
+    [
+        pytest.param("", "file", "File exists", id="out-is-a-file"),
+        pytest.param("planted = 1.2.3.999:100\n", "traces", "not a dotted-quad address: '1.2.3.999'", id="bad-address"),
+    ],
+)
+def test_gen_reports_bad_input_without_traceback(tmp_path, capsys, extra, out, fragment):
+    spec = _write(tmp_path / "trace.conf", GEN_SPEC.replace("planted = 10.1.0.1:600;10.1.0.2:900\n", extra))
+    (tmp_path / "file").write_text("")
+    assert main(["gen", "--spec", spec, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
 def test_gen_rejects_unknown_format(tmp_path, capsys):
     spec = _write(tmp_path / "trace.conf", GEN_SPEC + "format = CSV\n")
     assert main(["gen", "--spec", spec, "--out", str(tmp_path / "traces")]) == 2
@@ -179,6 +199,18 @@ def test_gen_deterministic(tmp_path):
     a = (tmp_path / "a" / "node_000.bin").read_bytes()
     b = (tmp_path / "b" / "node_000.bin").read_bytes()
     assert a == b
+
+
+def test_gen_seed_flag_also_draws_the_planted_hosts(tmp_path, capsys):
+    # --seed 7 over a spec that says seed = 1 equals a spec that says seed = 7
+    spec = "planted_count = 2\nbackground_hosts = 50\ntheta = 64\n"
+    one = _write(tmp_path / "one.conf", spec + "seed = 1\n")
+    seven = _write(tmp_path / "seven.conf", spec + "seed = 7\n")
+    assert main(["gen", "--spec", one, "--out", str(tmp_path / "a"), "--seed", "7"]) == 0
+    assert main(["gen", "--spec", seven, "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    a = (tmp_path / "a" / "node_000.bin").read_bytes()
+    assert a == (tmp_path / "b" / "node_000.bin").read_bytes()
 
 
 def test_run_one_node_concatenates_trace_files(tmp_path, capsys):
@@ -293,24 +325,32 @@ DENSE_RUN_CONF = (
 )
 
 
+#: extra `run` flags of each golden case: 3 nodes, or one node over the
+#: three files, which is the OR-then-AND, single-node reference
+RUN_FLAGS = {"read": [], "nodes1": ["--nodes", "1"]}
+
+
 @pytest.mark.parametrize(
-    "mode, digest",
+    "name, digest",
     [
-        ("read", "d7125699ffdbc6046a2135ae50f0c584df9dd75afc4a6219597d0a6fd91995e4"),
-        ("naive_reference", "fc4b65e8740420417edfccd16185176d7d319b1795815f7eb7b042c03d9a2360"),
+        pytest.param(name, digest, id=f"{name}-{digest}")
+        for name, digest in (
+            ("read", "d7125699ffdbc6046a2135ae50f0c584df9dd75afc4a6219597d0a6fd91995e4"),
+            ("nodes1", "ea1a5554aab212e038ad3b13a7a46147a45d2a005bf454b73cc6cf30249de99b"),
+        )
     ],
 )
-def test_run_report_golden_digest(tmp_path, capsys, mode, digest):
-    # 3 nodes, ~2000 candidates, ~850 super points, ~170 of them
-    # saturated: the JSONL, estimates included, must stay byte-identical
-    # to the digest recorded from the per-candidate implementation
+def test_run_report_golden_digest(tmp_path, capsys, name, digest):
+    # ~2000 candidates, ~850 super points, ~170 of them saturated: the
+    # JSONL, estimates included, must stay byte-identical to the digest
+    # recorded from the per-candidate implementation
     spec = _write(tmp_path / "trace.conf", DENSE_SPEC)
     assert main(["gen", "--spec", spec, "--out", str(tmp_path / "traces")]) == 0
     conf = _write(tmp_path / "run.conf", DENSE_RUN_CONF)
     out = tmp_path / "report.jsonl"
     rc = main(
         ["run", "--config", conf, "--trace-dir", str(tmp_path / "traces"),
-         "--mode", mode, "--out", str(out)]
+         *RUN_FLAGS[name], "--out", str(out)]
     )
     assert rc == 0
     capsys.readouterr()
@@ -348,24 +388,24 @@ def _run_digest(tmp_path, conf_text, trace_dir, *flags):
 
 MULTI_WINDOW_DIGESTS = {
     "read": "2601f7d3e3ac1e74c8e2a8cd099ddb9859d62920bba98088dc9af0d564cf54f9",
-    "naive_reference": "ca0fb43e9c6e6a9e4fab269c7368d72c41660e58ded87842648fc3690a39295e",
+    "nodes1": "3f7a4a009eb8c1e93f688eb077d3f0cda869bb2012d2c450399ccf4a4333c072",
 }
 
 
 @pytest.mark.parametrize(
-    "mode, digest, fmt",
+    "name, digest, fmt",
     [
-        pytest.param(mode, digest, fmt, id=f"{mode}-{digest}" + ("-csv" if fmt == "csv" else ""))
-        for mode, digest in MULTI_WINDOW_DIGESTS.items()
+        pytest.param(name, digest, fmt, id=f"{name}-{digest}" + ("-csv" if fmt == "csv" else ""))
+        for name, digest in MULTI_WINDOW_DIGESTS.items()
         for fmt in ("bin", "csv")
     ],
 )
-def test_run_multi_window_golden_digest(tmp_path, capsys, mode, digest, fmt):
+def test_run_multi_window_golden_digest(tmp_path, capsys, name, digest, fmt):
     # digests recorded when each window still built fresh nodes; the
     # timestamps are unordered, so each window's span covers most of
     # every file
     _write_timestamped_traces(tmp_path / "traces", fmt)
-    assert _run_digest(tmp_path, MULTI_WINDOW_RUN_CONF, tmp_path / "traces", "--mode", mode) == digest
+    assert _run_digest(tmp_path, MULTI_WINDOW_RUN_CONF, tmp_path / "traces", *RUN_FLAGS[name]) == digest
     capsys.readouterr()
     records = [json.loads(line) for line in (tmp_path / "report.jsonl").read_text().splitlines()]
     assert [r["window_id"] for r in records if r["type"] == "summary"] == [0, 1, 2, 3]
@@ -407,9 +447,9 @@ def test_run_writes_each_window_when_it_is_done(tmp_path, capsys, monkeypatch):
     lines_seen = []
     run_window = cli.run_window
 
-    def spy(nodes, mode):
+    def spy(nodes):
         lines_seen.append(len((tmp_path / "report.jsonl").read_text().splitlines()))
-        return run_window(nodes, mode)
+        return run_window(nodes)
 
     monkeypatch.setattr(cli, "run_window", spy)
     _write_timestamped_traces(tmp_path / "traces")

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from superpoint import wire
-from superpoint.coordinator import (
-    MODE_NAIVE,
-    MODE_READ,
-    expected_comms,
-    run_window,
-)
+from superpoint.coordinator import expected_comms, run_window
 from superpoint.estimators import DetectorParams
 from superpoint.harness import TraceSpec, generate_trace, partition_stream
 from superpoint.node import ObservationNode
@@ -82,8 +77,6 @@ def test_mismatched_nodes_abort():
         run_window(nodes + [other])
     with pytest.raises(ValueError):
         run_window([])
-    with pytest.raises(ValueError):
-        run_window(nodes, mode="bogus")
 
 
 def test_byte_accounting_matches_wire_sizes():
@@ -113,20 +106,26 @@ def test_zero_candidate_window():
     assert report.stage3_bytes == [wire.stage3_size(0, PARAMS.le_len)] * 2
 
 
-def test_naive_mode_agrees_on_easy_instance_and_costs_more():
+def test_read_is_bounded_by_one_node_over_the_union():
+    # one node that scanned every pair is the OR-then-AND reference: each
+    # of its row cells holds every node's, so its AND of rows holds each
+    # node's AND of rows, and its estimates bound READ's from above
     trace, planted = _demo_trace(5)
     nodes = _scanned_nodes(trace, 3)
-    read = run_window(nodes, mode=MODE_READ)
-    naive = run_window(nodes, mode=MODE_NAIVE)
-    assert np.array_equal(read.candidates, naive.candidates)
-    assert planted <= {e.address for e in naive.super_points}
-    # naive ships whole grids; the per-candidate path must be cheaper
-    assert sum(naive.stage3_bytes) > sum(read.stage3_bytes)
-    assert naive.stage3_bytes[0] >= PARAMS.lea_bytes
-    # per-candidate estimates never exceed the naive (OR-then-AND) ones
-    naive_by_addr = {e.address: e.estimate for e in naive.super_points}
+    (single,) = _scanned_nodes(trace, 1)
+    read = run_window(nodes)
+    reference = run_window([single])
+    assert np.array_equal(read.candidates, reference.candidates)
+    assert planted <= {e.address for e in read.super_points}
+    reference_by_addr = {e.address: e.estimate for e in reference.super_points}
     for e in read.super_points:
-        assert e.estimate <= naive_by_addr[e.address] + 1e-9
+        assert e.estimate <= reference_by_addr[e.address]
+    merged = np.bitwise_or.reduce(
+        [node.lea.extract_candidates(read.candidates, node.hs) for node in nodes]
+    )
+    assert np.array_equal(merged & single.lea.extract_candidates(read.candidates, single.hs), merged)
+    # per-candidate stage 3 ships less than the whole LE grid
+    assert read.stage3_bytes[0] < PARAMS.lea_bytes
 
 
 def test_expected_comms_default_geometry():
