@@ -80,6 +80,11 @@ def _parse(key: str, parser, text: str):
         raise ValueError(f"config key {key!r}: {exc}") from None
 
 
+def _get(values: dict, key: str, parser, default):
+    """values[key] parsed as by `_parse`, or default when the key is absent."""
+    return _parse(key, parser, values[key]) if key in values else default
+
+
 @dataclasses.dataclass
 class RunConfig:
     r: int = 6
@@ -100,6 +105,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | None, overrides: dict) -> "RunConfig":
         values = load_config(path) if path else {}
+        keys = {field.name for field in dataclasses.fields(cls)}
         cfg = cls()
         parsers = {
             "l": _parse_int_tuple,
@@ -110,7 +116,7 @@ class RunConfig:
             "ftr_gate": float,
         }
         for key, text in values.items():
-            if not hasattr(cfg, key):
+            if key not in keys:
                 raise ValueError(f"unknown config key {key!r}")
             setattr(cfg, key, _parse(key, parsers.get(key, int), text))
         for key, value in overrides.items():
@@ -122,22 +128,14 @@ class RunConfig:
 def parse_trace_spec(values: dict, seed: int | None = None) -> TraceSpec:
     """The trace spec a `gen` config describes; `seed` (the spec's own
     `seed` when None) also draws the randomly planted hosts."""
-    planted: list[tuple[int, int]] = []
-    if "planted" in values:
-        for entry in values["planted"].split(";"):
-            entry = entry.strip()
-            if not entry:
-                continue
-            addr_text, _, card_text = entry.partition(":")
-            addr = parse_dotted(addr_text.strip()) if "." in addr_text else int(addr_text, 0)
-            planted.append((addr, int(card_text)))
-    theta = int(values.get("theta", RunConfig.theta))
+    planted = _get(values, "planted", _parse_planted, [])
+    theta = _get(values, "theta", int, RunConfig.theta)
     if "planted_count" in values:
-        count = int(values["planted_count"])
-        low = int(values.get("planted_min_card", 2 * theta))
-        high = int(values.get("planted_max_card", 16 * theta))
+        count = _parse("planted_count", int, values["planted_count"])
+        low = _get(values, "planted_min_card", int, 2 * theta)
+        high = _get(values, "planted_max_card", int, 16 * theta)
         if seed is None:
-            seed = int(values.get("seed", 1))
+            seed = _get(values, "seed", int, 1)
         rng = np.random.default_rng(seed ^ 0x9E37)
         addresses: set[int] = set(a for a, _ in planted)
         target = len(planted) + count
@@ -149,13 +147,24 @@ def parse_trace_spec(values: dict, seed: int | None = None) -> TraceSpec:
             planted.append((addr, int(rng.integers(low, high + 1))))
     return TraceSpec(
         planted=tuple(planted),
-        background_hosts=int(values.get("background_hosts", 0)),
-        zipf_s=float(values.get("zipf_s", 1.2)),
-        max_background_card=int(values.get("max_background_card", theta // 2)),
-        duplication=int(values.get("duplication", 1)),
+        background_hosts=_get(values, "background_hosts", int, 0),
+        zipf_s=_get(values, "zipf_s", float, 1.2),
+        max_background_card=_get(values, "max_background_card", int, theta // 2),
+        duplication=_get(values, "duplication", int, 1),
         theta=theta,
-        straddle=_parse("straddle", _parse_bool, values.get("straddle", "false")),
+        straddle=_get(values, "straddle", _parse_bool, False),
     )
+
+
+def _parse_planted(text: str) -> list[tuple[int, int]]:
+    """(address, cardinality) of each "addr:card" entry of a `;` list."""
+    planted = []
+    for entry in text.split(";"):
+        if entry.strip():
+            addr_text, _, card_text = entry.strip().partition(":")
+            addr = parse_dotted(addr_text.strip()) if "." in addr_text else int(addr_text, 0)
+            planted.append((addr, int(card_text)))
+    return planted
 
 
 #: keys a `gen` trace-spec file may set
@@ -171,13 +180,11 @@ def cmd_gen(args) -> int:
     for key in values:
         if key not in _GEN_KEYS:
             raise ValueError(f"unknown trace-spec key {key!r}")
-    seed = args.seed if args.seed is not None else int(values.get("seed", 1))
+    seed = args.seed if args.seed is not None else _get(values, "seed", int, 1)
     spec = parse_trace_spec(values, seed)
-    n = args.nodes if args.nodes is not None else int(values.get("nodes", 1))
+    n = args.nodes if args.nodes is not None else _get(values, "nodes", int, 1)
     mode = args.partition or values.get("partition", "round_robin")
-    weights = None
-    if "weights" in values:
-        weights = [float(tok) for tok in values["weights"].split(",")]
+    weights = _get(values, "weights", lambda text: [float(tok) for tok in text.split(",")], None)
     fmt = args.format or values.get("format", "bin")
     if fmt not in ("bin", "csv"):
         raise ValueError(f"format must be bin or csv, got {fmt!r}")

@@ -124,23 +124,3 @@ def run_window(nodes: list[ObservationNode]) -> WindowReport:
         pairs_scanned=sum(n.pairs_scanned for n in nodes),
     )
 
-
-def expected_comms(cfg, params, w: int) -> dict:
-    """Per-node byte accounting for a given geometry and candidate count.
-
-    Pure arithmetic mirror of what run_window measures; used to project
-    the communication fraction at geometries too big to instantiate.
-    """
-    stage1 = wire.stage1_size(cfg)
-    stage2 = wire.stage2_size(w)
-    stage3 = wire.stage3_size(w, params.le_len)
-    master = cfg.nbytes + params.lea_bytes
-    total = stage1 + stage2 + stage3
-    return {
-        "stage1_bytes": stage1,
-        "stage2_bytes": stage2,
-        "stage3_bytes": stage3,
-        "per_node_total": total,
-        "master_structure_bytes": master,
-        "fraction": total / master,
-    }

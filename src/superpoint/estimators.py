@@ -29,15 +29,11 @@ RE_WIDTH = 8
 CANDIDATE_BITS = 3
 
 
-def compute_tau(theta: float, g: int = RE_WIDTH) -> float:
-    """Qualification threshold tau = log2(theta / g)."""
-    if g <= 0:
-        raise ValueError(f"g must be positive, got {g}")
-    if theta < g:
-        raise ValueError(
-            f"theta must be >= g (tau would be negative): theta={theta}, g={g}"
-        )
-    return math.log2(theta / g)
+def compute_tau(theta: float) -> float:
+    """Qualification threshold tau = log2(theta / RE_WIDTH)."""
+    if theta < RE_WIDTH:
+        raise ValueError(f"theta must be >= {RE_WIDTH} (tau would be negative), got {theta}")
+    return math.log2(theta / RE_WIDTH)
 
 
 def linear_count(nbits: int, n0: int) -> tuple[float, bool]:

@@ -4,8 +4,8 @@ Each source address owns one cell per row (chosen by per-row column
 hashes); every opposite host sets the same bit position in each of those
 cells. At the end of a window a candidate's per-node sketch is the AND
 of its row cells (collision bits rarely survive all rows), and the
-global sketch is the OR of the per-node ANDs. Per-candidate sketches
-travel as rows of one (w, le_len / 8) uint8 matrix.
+global sketch is the OR of the per-node ANDs. A node gathers its
+per-candidate sketches straight into the records of its stage-3 payload.
 """
 
 from __future__ import annotations
@@ -62,12 +62,12 @@ class LEArray:
             col = hs.col_arr(a, i, self.v_hat)
             or_bit_groups(flat_cells[i], col * (self.le_len // 8) + byte_idx, groups)
 
-    def extract_candidates(self, cands, hs: HashSuite) -> np.ndarray:
-        """Inner merge (AND) of each candidate's u_hat row cells, as a
-        (len(cands), le_len // 8) uint8 matrix in the given order."""
+    def extract_candidates(self, cands, hs: HashSuite, merged: np.ndarray) -> None:
+        """Write the inner merge (AND) of candidate i's u_hat row cells into
+        row i of `merged`, a (len(cands), le_len // 8) uint8 matrix; a
+        strided view, such as a payload's records, will do."""
         cands = np.asarray(cands, dtype=np.uint32)
         cols = [hs.col_arr(cands, i, self.v_hat) for i in range(self.u_hat)]
-        merged = np.empty((cands.size, self.le_len // 8), dtype=np.uint8)
         # a cache-sized block of rows at a time: the ANDs stay in cache and
         # no temporary as large as the whole matrix is allocated
         step = max(1, _GATHER_BYTES // (self.le_len // 8))
@@ -76,15 +76,6 @@ class LEArray:
             np.take(self.cells[0], cols[0][lo : lo + step], axis=0, out=out)
             for i in range(1, self.u_hat):
                 out &= self.cells[i][cols[i][lo : lo + step]]
-        return merged
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LEArray)
-            and (other.u_hat, other.v_hat, other.le_len)
-            == (self.u_hat, self.v_hat, self.le_len)
-            and np.array_equal(other.cells, self.cells)
-        )
 
 
 def estimate_candidates(

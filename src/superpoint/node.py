@@ -209,11 +209,13 @@ class ObservationNode:
         return memoryview(self._stage1).toreadonly()
 
     def stage3_payload(self, candidates) -> bytearray:
-        """Inner-merged estimator per candidate, in the given order."""
-        sketches = self.lea.extract_candidates(candidates, self.hs)
-        return wire.encode_stage3(
-            self.node_id, self.window_id, candidates, sketches, self.params.le_len
+        """Inner-merged estimator per candidate, in the given order,
+        gathered straight into the payload."""
+        payload, sketches = wire.stage3_buffer(
+            self.node_id, self.window_id, candidates, self.params.le_len
         )
+        self.lea.extract_candidates(candidates, self.hs, sketches)
+        return payload
 
     def master_structure_bytes(self) -> int:
         return self.cube_config.nbytes + self.params.lea_bytes

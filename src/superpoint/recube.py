@@ -183,16 +183,6 @@ class RECube:
         for off, j in zip(self._offsets, js):
             or_bit_groups(flat, base + (off + j), groups)
 
-    def copy(self) -> "RECube":
-        return RECube(self.config, self.cells.copy())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RECube)
-            and other.config == self.config
-            and np.array_equal(self.cells, other.cells)
-        )
-
     @classmethod
     def from_cell_bytes(cls, config: RECubeConfig, data) -> "RECube":
         """Read-only cube viewing `data` (any bytes-like object), no copy."""
@@ -216,7 +206,7 @@ def rec_merge_outer(cubes: Sequence[RECube]) -> RECube:
             raise ValueError(
                 f"cube geometry mismatch: {cube.config} vs {first.config}"
             )
-    merged = first.copy()
+    merged = RECube(first.config, first.cells.copy())
     for cube in cubes[1:]:
         np.bitwise_or(merged.cells, cube.cells, out=merged.cells)
     return merged

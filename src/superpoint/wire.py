@@ -79,13 +79,9 @@ def _stage1_header(node_id: int, window_id: int, cfg: RECubeConfig) -> bytes:
     return _pack_header(STAGE_CUBE, node_id, window_id) + geom
 
 
-def encode_stage1(node_id: int, window_id: int, cube: RECube) -> bytes:
-    return b"".join((_stage1_header(node_id, window_id, cube.config), cube.cells))
-
-
 def stage1_buffer(node_id: int, window_id: int, cfg: RECubeConfig) -> tuple[np.ndarray, RECube]:
     """A stage-1 payload whose cells are those of the empty cube returned
-    with it: the payload is `encode_stage1`'s bytes of that cube as it fills."""
+    with it: the payload holds the cube as it fills."""
     header = _stage1_header(node_id, window_id, cfg)
     buf = np.zeros(len(header) + cfg.nbytes, np.uint8)
     buf[: len(header)] = np.frombuffer(header, np.uint8)
@@ -129,13 +125,12 @@ def decode_stage2(data) -> tuple[PayloadHeader, np.ndarray]:
 
 # -- stage 3: per-candidate linear estimators ----------------------------
 
-
-def stage3_header_len() -> int:
-    return HEADER_LEN + 8
+#: the common header, then w and le_len
+STAGE3_HEADER_LEN = HEADER_LEN + 8
 
 
 def stage3_size(w: int, le_len: int) -> int:
-    return stage3_header_len() + w * (4 + le_len // 8)
+    return STAGE3_HEADER_LEN + w * (4 + le_len // 8)
 
 
 def _stage3_records(le_len: int) -> np.dtype:
@@ -143,24 +138,20 @@ def _stage3_records(le_len: int) -> np.dtype:
     return np.dtype([("c", "<u4"), ("le", "u1", (le_len // 8,))])
 
 
-def encode_stage3(
-    node_id: int, window_id: int, candidates, sketches: np.ndarray, le_len: int
-) -> bytearray:
-    """Candidate i with row i of the (w, le_len // 8) sketch matrix,
-    written straight into one payload buffer."""
+def stage3_buffer(
+    node_id: int, window_id: int, candidates, le_len: int
+) -> tuple[bytearray, np.ndarray]:
+    """A stage-3 payload with its header and candidate column written, and
+    the writable (w, le_len // 8) view of its zeroed sketches: row i is
+    candidate i's, for the node to fill in place."""
     candidates = np.asarray(candidates, dtype=np.uint32)
     w = candidates.size
-    if sketches.shape != (w, le_len // 8):
-        raise ValueError(f"sketches {sketches.shape} are not {w} x {le_len} bits")
     payload = bytearray(stage3_size(w, le_len))
     _HEADER.pack_into(payload, 0, MAGIC, VERSION, STAGE_CANDIDATE_LES, node_id, window_id)
     struct.pack_into("<II", payload, HEADER_LEN, w, le_len)
-    records = np.frombuffer(
-        payload, _stage3_records(le_len), count=w, offset=stage3_header_len()
-    )
+    records = np.frombuffer(payload, _stage3_records(le_len), count=w, offset=STAGE3_HEADER_LEN)
     records["c"] = candidates
-    records["le"] = sketches
-    return payload
+    return payload, records["le"]
 
 
 def decode_stage3(data) -> tuple[PayloadHeader, np.ndarray, np.ndarray]:
@@ -171,9 +162,7 @@ def decode_stage3(data) -> tuple[PayloadHeader, np.ndarray, np.ndarray]:
     if le_len < 8 or le_len & (le_len - 1):
         raise ValueError(f"le_len must be a power of two >= 8, got {le_len}")
     _check_size(data, stage3_size(w, le_len))
-    records = np.frombuffer(
-        data, _stage3_records(le_len), count=w, offset=stage3_header_len()
-    )
+    records = np.frombuffer(data, _stage3_records(le_len), count=w, offset=STAGE3_HEADER_LEN)
     # a writable buffer (bytearray) must not be changed through the views
     records.flags.writeable = False
     return header, records["c"], records["le"]

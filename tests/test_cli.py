@@ -56,8 +56,9 @@ def test_run_config_overrides_and_unknown_key(tmp_path):
     cfg = RunConfig.from_file(path, {"nodes": 5, "theta": None})
     assert cfg.theta == 512
     assert cfg.nodes == 5
-    # mode and g were keys once: the naive protocol and the cube cell width
-    for key in ("bogus_key", "mode", "g"):
+    # mode and g were keys once: the naive protocol and the cube cell width;
+    # from_file and __class__ are attributes of RunConfig, not fields
+    for key in ("bogus_key", "mode", "g", "from_file", "__class__"):
         bad = _write(tmp_path / "bad.conf", f"{key} = 1\n")
         with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             RunConfig.from_file(bad, {})
@@ -183,6 +184,27 @@ def test_gen_reports_bad_input_without_traceback(tmp_path, capsys, extra, out, f
     assert main(["gen", "--spec", spec, "--out", str(tmp_path / out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "background_hosts = abc",
+        "planted = 10.1.0.1:abc",
+        "nodes = x",
+        "weights = 0.5,x",
+        "seed = 1.5",
+        "zipf_s = steep",
+        "planted_count = many",
+    ],
+    ids=lambda line: line.split(" =")[0],
+)
+def test_gen_names_the_key_of_a_value_that_does_not_parse(tmp_path, capsys, line):
+    spec = _write(tmp_path / "trace.conf", GEN_SPEC + line + "\n")
+    assert main(["gen", "--spec", spec, "--out", str(tmp_path / "traces")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key '{line.split(' =')[0]}': ")
+    assert not (tmp_path / "traces").exists()
 
 
 def test_gen_rejects_unknown_format(tmp_path, capsys):

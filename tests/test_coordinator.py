@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from oracles import encode_stage1, encode_stage3, expected_comms, extract
 
 from superpoint import wire
-from superpoint.coordinator import expected_comms, run_window
+from superpoint.coordinator import run_window
 from superpoint.estimators import DetectorParams
 from superpoint.harness import TraceSpec, generate_trace, partition_stream
 from superpoint.node import ObservationNode
@@ -121,9 +122,9 @@ def test_read_is_bounded_by_one_node_over_the_union():
     for e in read.super_points:
         assert e.estimate <= reference_by_addr[e.address]
     merged = np.bitwise_or.reduce(
-        [node.lea.extract_candidates(read.candidates, node.hs) for node in nodes]
+        [extract(node.lea, read.candidates, node.hs) for node in nodes]
     )
-    assert np.array_equal(merged & single.lea.extract_candidates(read.candidates, single.hs), merged)
+    assert np.array_equal(merged & extract(single.lea, read.candidates, single.hs), merged)
     # per-candidate stage 3 ships less than the whole LE grid
     assert read.stage3_bytes[0] < PARAMS.lea_bytes
 
@@ -154,7 +155,7 @@ def test_window_id_and_scan_totals_propagate():
 
 
 def _stage1_from(node, window_id=None, node_id=None, cube=None):
-    return lambda: wire.encode_stage1(
+    return lambda: encode_stage1(
         node.node_id if node_id is None else node_id,
         node.window_id if window_id is None else window_id,
         node.rec if cube is None else cube,
@@ -166,10 +167,10 @@ def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None):
         candidates = np.asarray(candidates, np.uint32)
         if reorder is not None:
             candidates = reorder(candidates)
-        sketches = node.lea.extract_candidates(candidates, node.hs)
+        sketches = extract(node.lea, candidates, node.hs)
         if le_len is not None:
             sketches = sketches[:, : le_len // 8]
-        return wire.encode_stage3(
+        return encode_stage3(
             node.node_id if node_id is None else node_id,
             node.window_id if window_id is None else window_id,
             candidates,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import bits_of, check_theorem1_instance, col, le_sketch
+from oracles import bits_of, check_theorem1_instance, col, extract, le_sketch
 
 from superpoint.estimators import linear_count
 from superpoint.hashing import HashSuite
@@ -63,9 +63,7 @@ def test_update_matches_scalar_replay():
 
 
 def _extract_one(lea: LEArray, c: int) -> int:
-    rows = lea.extract_candidates(np.array([c], np.uint32), HS)
-    assert rows.shape == (1, lea.le_len // 8) and rows.dtype == np.uint8
-    return bits_of(rows[0])
+    return bits_of(extract(lea, np.array([c], np.uint32), HS)[0])
 
 
 def _sketches(nbits: int, *les: int) -> np.ndarray:
@@ -78,7 +76,7 @@ def _estimate(nbits: int, le: int) -> tuple[float, bool]:
 
 def test_extract_candidate_zero_grid():
     assert _extract_one(LEArray(3, 8, 64), 42) == 0
-    assert LEArray(3, 8, 64).extract_candidates([], HS).shape == (0, 8)
+    assert extract(LEArray(3, 8, 64), [], HS).shape == (0, 8)
 
 
 def test_extract_candidate_single_row_is_cell():
@@ -146,7 +144,7 @@ def test_extract_candidates_matches_one_at_a_time():
     a = rng.integers(0, 2**10, 5000, dtype=np.uint32)
     lea.update_pairs(a, rng.integers(0, 2**32, 5000, dtype=np.uint32), HS)
     cands = np.concatenate([a[:50], rng.integers(0, 2**32, 20, dtype=np.uint32)])
-    rows = lea.extract_candidates(cands, HS)
+    rows = extract(lea, cands, HS)
     for c, row in zip(cands.tolist(), rows):
         # scalar oracle: AND of the candidate's row cells
         want = bits_of(lea.cells[0, col(HS, c, 0, 32)])

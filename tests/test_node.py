@@ -1,9 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import col, encode_stage1, encode_stage3, same_sketch
 
-from superpoint import node as node_module, wire
+from superpoint import learray, node as node_module, wire
 from superpoint.estimators import DetectorParams
 from superpoint.node import (
     ObservationNode,
@@ -174,12 +176,12 @@ def test_scan_accumulates_and_order_invariant():
     node_chunks = _node()
     node_chunks.scan_window(t.take(np.arange(500)))
     rec2, lea2 = node_chunks.scan_window(t.take(np.arange(500, 2000)))
-    assert rec1 == rec2 and lea1 == lea2
+    assert same_sketch(rec1, rec2) and same_sketch(lea1, lea2)
 
     node_shuffled = _node()
     order = np.random.default_rng(5).permutation(2000)
     rec3, lea3 = node_shuffled.scan_window(t.take(order))
-    assert rec1 == rec3 and lea1 == lea3
+    assert same_sketch(rec1, rec3) and same_sketch(lea1, lea3)
     assert node_shuffled.pairs_scanned == 2000
 
 
@@ -197,7 +199,7 @@ def test_different_seed_changes_sketches():
     n1, n2 = _node(seed=1), _node(seed=2)
     rec1, _ = n1.scan_window(t)
     rec2, _ = n2.scan_window(t)
-    assert rec1 != rec2
+    assert not same_sketch(rec1, rec2)
     assert n1.fingerprint() != n2.fingerprint()
 
 
@@ -208,10 +210,10 @@ def test_stage1_payload_size_and_round_trip():
     assert len(payload) == wire.stage1_size(CFG)
     header, cube = wire.decode_stage1(payload)
     assert header.node_id == 9
-    assert cube == node.rec
+    assert same_sketch(cube, node.rec)
     # the payload is the cube's own buffer, read-only, with the reference bytes
     assert payload.readonly and np.shares_memory(np.asarray(payload), node.rec.cells)
-    assert payload == wire.encode_stage1(9, 0, node.rec)
+    assert payload == encode_stage1(9, 0, node.rec)
 
 
 def test_stage3_payload_sizes():
@@ -258,6 +260,51 @@ def test_stage3_golden_digests(params, pairs, digest):
     node.scan_window(Trace(a, b))
     candidates = pool[:40].tolist()[::-1] + [1, 2, 0xFFFFFFFF]
     assert hashlib.sha256(node.stage3_payload(candidates)).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "le_len, w",
+    [
+        (64, 0),
+        (8, 300),
+        # more rows than one gather step holds, the last step partial
+        (4096, 2 * (learray._GATHER_BYTES // (4096 // 8)) + 7),
+    ],
+)
+def test_stage3_payload_is_the_reference_encoding(le_len, w):
+    params = DetectorParams(theta=64, le_len=le_len, u_hat=3, v_hat=64)
+    node = ObservationNode(4, params, CFG, master_seed=13)
+    node.reset_window(2)
+    rng = np.random.default_rng(31)
+    pool = rng.integers(0, 2**32, 200, dtype=np.uint32)
+    node.scan_window(Trace(rng.choice(pool, 5000), rng.integers(0, 2**32, 5000, dtype=np.uint32)))
+    # seen and unseen candidates, out of order
+    unseen = rng.integers(0, 2**32, w, dtype=np.uint32)
+    candidates = rng.permutation(np.concatenate([pool, unseen]))[:w]
+    # scalar oracle: AND of each candidate's row cells, then copied record by record
+    sketches = np.zeros((w, le_len // 8), np.uint8)
+    for row, c in zip(sketches, candidates.tolist()):
+        cells = [node.lea.cells[i, col(node.hs, c, i, 64)] for i in range(3)]
+        row[:] = np.bitwise_and.reduce(cells)
+    want = encode_stage3(4, 2, candidates, sketches, le_len)
+    assert node.stage3_payload(candidates) == want
+
+
+def test_stage3_payload_is_gathered_in_place():
+    # no (w, le_len / 8) matrix beside the payload: the traced peak stays
+    # well under twice the payload's size
+    params = DetectorParams(theta=64, le_len=4096, u_hat=5, v_hat=1024)
+    node = ObservationNode(0, params, CFG, master_seed=3)
+    node.scan_window(_random_trace(20_000, 11))
+    candidates = np.random.default_rng(12).integers(0, 2**32, 2000, dtype=np.uint32)
+    tracemalloc.start()
+    try:
+        payload = node.stage3_payload(candidates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(payload) == wire.stage3_size(2000, 4096)
+    assert peak < 1.5 * len(payload), peak / len(payload)
 
 
 def test_new_node_answers_for_an_empty_window_0():

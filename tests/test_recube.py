@@ -11,6 +11,7 @@ from oracles import (
     re_bit,
     re_slot,
     reconstruct_left_part,
+    same_sketch,
 )
 
 from superpoint import recube
@@ -146,9 +147,9 @@ def test_update_touches_exactly_u_cells():
 def test_update_idempotent():
     cube = RECube(SMALL)
     cube.update_pairs(_one(42), _one(43), 0.0, HS)
-    snapshot = cube.copy()
+    snapshot = cube.cells.copy()
     cube.update_pairs(_one(42), _one(43), 0.0, HS)
-    assert cube == snapshot
+    assert np.array_equal(cube.cells, snapshot)
 
 
 def test_update_pairs_matches_scalar_replay():
@@ -157,7 +158,7 @@ def test_update_pairs_matches_scalar_replay():
     n = 3000
     a = rng.integers(0, 2**10, n, dtype=np.uint32)  # small pool forces reuse
     b = rng.integers(0, 2**16, n, dtype=np.uint32)
-    tau = compute_tau(64, 8)  # tau = 3
+    tau = compute_tau(64)  # tau = 3
 
     cube = RECube(SMALL)
     cube.update_pairs(a, b, tau, HS)
@@ -193,14 +194,14 @@ def test_merge_identity_and_split_equality():
     whole = RECube(SMALL)
     whole.update_pairs(a, b, 0.0, HS)
 
-    assert rec_merge_outer([whole]) == whole
-    assert rec_merge_outer([whole, RECube(SMALL)]) == whole
+    assert same_sketch(rec_merge_outer([whole]), whole)
+    assert same_sketch(rec_merge_outer([whole, RECube(SMALL)]), whole)
 
     left, right = RECube(SMALL), RECube(SMALL)
     left.update_pairs(a[:2500], b[:2500], 0.0, HS)
     right.update_pairs(a[2500:], b[2500:], 0.0, HS)
-    assert rec_merge_outer([left, right]) == whole
-    assert rec_merge_outer([right, left]) == whole
+    assert same_sketch(rec_merge_outer([left, right]), whole)
+    assert same_sketch(rec_merge_outer([right, left]), whole)
 
 
 def test_merge_rejects_geometry_mismatch():
@@ -262,7 +263,7 @@ def test_recover_never_misses_qualifying_address():
 def test_recover_planted_host_monte_carlo():
     # a host with 4*theta opposite hosts is recovered in >= 99/100 runs
     theta = 256
-    tau = compute_tau(theta, 8)
+    tau = compute_tau(theta)
     hits = 0
     rng = np.random.default_rng(7)
     for seed in range(100):
@@ -339,7 +340,7 @@ def test_cell_bytes_round_trip():
     )
     raw = cube.cells.tobytes()
     assert len(raw) == SMALL.nbytes
-    assert RECube.from_cell_bytes(SMALL, raw) == cube
+    assert same_sketch(RECube.from_cell_bytes(SMALL, raw), cube)
     with pytest.raises(ValueError):
         RECube.from_cell_bytes(SMALL, raw[:-1])
 
