@@ -5,7 +5,9 @@ hashes); every opposite host sets the same bit position in each of those
 cells. At the end of a window a candidate's per-node sketch is the AND
 of its row cells (collision bits rarely survive all rows), and the
 global sketch is the OR of the per-node ANDs. A node gathers its
-per-candidate sketches straight into the records of its stage-3 payload.
+per-candidate sketches block by block, straight into the records of the
+stage-3 block it sends, and the coordinator keeps only each merged
+sketch's popcount.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .estimators import bit_groups, linear_count, or_bit_groups
 from .hashing import HashSuite
 
-#: bytes of candidate rows extract_candidates gathers and ANDs per step
+#: bytes of candidate sketches gathered and ANDed per block
 _GATHER_BYTES = 1 << 18
 
 
@@ -62,35 +64,43 @@ class LEArray:
             col = hs.col_arr(a, i, self.v_hat)
             or_bit_groups(flat_cells[i], col * (self.le_len // 8) + byte_idx, groups)
 
-    def extract_candidates(self, cands, hs: HashSuite, merged: np.ndarray) -> None:
-        """Write the inner merge (AND) of candidate i's u_hat row cells into
-        row i of `merged`, a (len(cands), le_len // 8) uint8 matrix; a
-        strided view, such as a payload's records, will do."""
+    @property
+    def block_rows(self) -> int:
+        """Candidates per gather block: a cache-sized block of rows, so the
+        ANDs stay in cache and no temporary grows with the candidate count."""
+        return max(1, _GATHER_BYTES // (self.le_len // 8))
+
+    def candidate_columns(self, cands, hs: HashSuite) -> list[np.ndarray]:
+        """Each candidate's column in each of the u_hat rows."""
         cands = np.asarray(cands, dtype=np.uint32)
-        cols = [hs.col_arr(cands, i, self.v_hat) for i in range(self.u_hat)]
-        # a cache-sized block of rows at a time: the ANDs stay in cache and
-        # no temporary as large as the whole matrix is allocated
-        step = max(1, _GATHER_BYTES // (self.le_len // 8))
-        for lo in range(0, cands.size, step):
-            out = merged[lo : lo + step]
-            np.take(self.cells[0], cols[0][lo : lo + step], axis=0, out=out)
-            for i in range(1, self.u_hat):
-                out &= self.cells[i][cols[i][lo : lo + step]]
+        return [hs.col_arr(cands, i, self.v_hat) for i in range(self.u_hat)]
+
+    def extract_candidates(self, cols: list[np.ndarray], merged: np.ndarray) -> None:
+        """Write the inner merge (AND) of the row cells at cols[i][j], i < u_hat,
+        into row j of `merged`, a (len(cols[0]), le_len // 8) uint8 matrix;
+        a strided view, such as a block's records, will do."""
+        np.take(self.cells[0], cols[0], axis=0, out=merged)
+        for i in range(1, self.u_hat):
+            merged &= self.cells[i][cols[i]]
+
+
+def popcounts(sketches: np.ndarray) -> np.ndarray:
+    """The set bits of each row of a C-contiguous (w, le_len // 8) uint8 matrix."""
+    words = sketches.view(np.uint64) if sketches.shape[1] % 8 == 0 else sketches
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
 def estimate_candidates(
-    addresses: np.ndarray, sketches: np.ndarray, theta: float
+    addresses: np.ndarray, set_bits: np.ndarray, nbits: int, theta: float
 ) -> list[CandidateEstimate]:
-    """The super points among the candidates: those whose row of the
-    (w, le_len // 8) sketch matrix estimates above theta, or saturates.
+    """The super points among the candidates: those whose merged nbits-bit
+    sketch, with set_bits[i] bits set for addresses[i], estimates above
+    theta, or saturates.
 
     Results are sorted by descending estimate, then ascending address.
     """
     addresses = np.asarray(addresses, dtype=np.uint32)
-    sketches = np.ascontiguousarray(sketches)
-    nbits = sketches.shape[1] * 8
-    words = sketches.view(np.uint64) if nbits % 64 == 0 else sketches
-    zeros = nbits - np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    zeros = nbits - np.asarray(set_bits, dtype=np.int64)
     # the scalar formula once per distinct zero count, so every estimate
     # is exactly the float linear_count gives
     table = np.zeros(nbits + 1)

@@ -18,6 +18,7 @@ import os
 import socket
 import struct
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -159,7 +160,10 @@ def window_spans(paths: list[str], window_seconds: int, tmp: str) -> tuple[dict,
 def window_pairs(path: str, windows: dict, window_id: int, window_seconds: int):
     """Yield, batch by batch, one window's records from a `window_spans` span."""
     for _, batch, _ in read_trace(path, *windows.get(window_id, (0, 0))):
-        yield batch.take(np.flatnonzero(batch.ts // window_seconds == window_id))
+        inside = batch.ts // window_seconds == window_id
+        # a batch wholly inside the window, as every batch of a one-window
+        # file is, goes through uncopied
+        yield batch if inside.all() else batch.take(np.flatnonzero(inside))
 
 
 class ObservationNode:
@@ -193,8 +197,15 @@ class ObservationNode:
 
     def reset_window(self, window_id: int) -> None:
         self.window_id = window_id
-        self._stage1, self.rec = wire.stage1_buffer(self.node_id, window_id, self.cube_config)
-        self.lea = LEArray(self.params.u_hat, self.params.v_hat, self.params.le_len)
+        try:
+            self._stage1, self.rec = wire.stage1_buffer(self.node_id, window_id, self.cube_config)
+            self.lea = LEArray(self.params.u_hat, self.params.v_hat, self.params.le_len)
+        except MemoryError:
+            p = self.params
+            raise ValueError(
+                f"cannot allocate {self.master_structure_bytes()} bytes of sketches per node "
+                f"(u_hat={p.u_hat}, v_hat={p.v_hat}, le_len={p.le_len})"
+            ) from None
         self.pairs_scanned = 0
 
     def scan_window(self, trace: Trace) -> tuple[RECube, LEArray]:
@@ -208,14 +219,20 @@ class ObservationNode:
         """A read-only view of the payload that holds the cube: the next scan changes it."""
         return memoryview(self._stage1).toreadonly()
 
-    def stage3_payload(self, candidates) -> bytearray:
-        """Inner-merged estimator per candidate, in the given order,
-        gathered straight into the payload."""
-        payload, sketches = wire.stage3_buffer(
-            self.node_id, self.window_id, candidates, self.params.le_len
-        )
-        self.lea.extract_candidates(candidates, self.hs, sketches)
-        return payload
+    def stage3_payload(self, candidates) -> Iterator[bytes | bytearray]:
+        """Yield the stage-3 payload, the inner-merged estimator of each
+        candidate in the given order, as a stream of chunks: its header,
+        then blocks of at most `lea.block_rows` records, each a new buffer
+        the gather fills in place. Joined, the chunks are the whole payload."""
+        candidates = np.asarray(candidates, dtype=np.uint32)
+        le_len = self.params.le_len
+        yield wire.stage3_header(self.node_id, self.window_id, candidates.size, le_len)
+        cols = self.lea.candidate_columns(candidates, self.hs)  # hashed once per stream
+        step = self.lea.block_rows
+        for lo in range(0, candidates.size, step):
+            block, sketches = wire.stage3_block(candidates[lo : lo + step], le_len)
+            self.lea.extract_candidates([col[lo : lo + step] for col in cols], sketches)
+            yield block
 
     def master_structure_bytes(self) -> int:
         return self.cube_config.nbytes + self.params.lea_bytes

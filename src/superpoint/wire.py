@@ -3,7 +3,9 @@
 Everything is fixed little-endian so payloads are bit-identical across
 platforms. Common header: magic "READ", version, stage, node id, window
 id. Stage 1 carries the merged-ready rough-estimator cube, stage 2 the
-candidate broadcast, stage 3 the per-candidate linear estimators.
+candidate broadcast, stage 3 the per-candidate linear estimators. A
+stage-3 payload moves as a stream of chunks: its header, then blocks of
+whole records.
 """
 
 from __future__ import annotations
@@ -138,31 +140,40 @@ def _stage3_records(le_len: int) -> np.dtype:
     return np.dtype([("c", "<u4"), ("le", "u1", (le_len // 8,))])
 
 
-def stage3_buffer(
-    node_id: int, window_id: int, candidates, le_len: int
-) -> tuple[bytearray, np.ndarray]:
-    """A stage-3 payload with its header and candidate column written, and
-    the writable (w, le_len // 8) view of its zeroed sketches: row i is
-    candidate i's, for the node to fill in place."""
+def stage3_header(node_id: int, window_id: int, w: int, le_len: int) -> bytes:
+    """The first chunk of a stage-3 payload: the common header, w and le_len."""
+    return _pack_header(STAGE_CANDIDATE_LES, node_id, window_id) + struct.pack("<II", w, le_len)
+
+
+def stage3_block(candidates, le_len: int) -> tuple[bytearray, np.ndarray]:
+    """A block of stage-3 records, one per candidate, with the candidate
+    column written, and the writable (len(candidates), le_len // 8) view
+    of its sketches, for the node to fill in place."""
     candidates = np.asarray(candidates, dtype=np.uint32)
-    w = candidates.size
-    payload = bytearray(stage3_size(w, le_len))
-    _HEADER.pack_into(payload, 0, MAGIC, VERSION, STAGE_CANDIDATE_LES, node_id, window_id)
-    struct.pack_into("<II", payload, HEADER_LEN, w, le_len)
-    records = np.frombuffer(payload, _stage3_records(le_len), count=w, offset=STAGE3_HEADER_LEN)
+    record = _stage3_records(le_len)
+    block = bytearray(candidates.size * record.itemsize)
+    records = np.frombuffer(block, record)
     records["c"] = candidates
-    return payload, records["le"]
+    return block, records["le"]
 
 
-def decode_stage3(data) -> tuple[PayloadHeader, np.ndarray, np.ndarray]:
-    """Decode a stage-3 payload into (header, candidates, sketches), both
-    read-only views of `data`: (w,) uint32 and (w, le_len // 8) uint8."""
+def decode_stage3_header(data) -> tuple[PayloadHeader, int, int]:
+    """Decode the header chunk of a stage-3 payload into (header, w, le_len)."""
     header = _unpack_header(data, STAGE_CANDIDATE_LES)
     w, le_len = _unpack("<II", data, HEADER_LEN)
     if le_len < 8 or le_len & (le_len - 1):
         raise ValueError(f"le_len must be a power of two >= 8, got {le_len}")
-    _check_size(data, stage3_size(w, le_len))
-    records = np.frombuffer(data, _stage3_records(le_len), count=w, offset=STAGE3_HEADER_LEN)
+    _check_size(data, STAGE3_HEADER_LEN)
+    return header, w, le_len
+
+
+def decode_stage3_block(data, le_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a block of stage-3 records into (candidates, sketches), both
+    read-only views of `data`: (n,) uint32 and (n, le_len // 8) uint8."""
+    record = _stage3_records(le_len)
+    if len(data) % record.itemsize:
+        raise ValueError(f"block of {len(data)} bytes ends in a partial {record.itemsize}-byte record")
+    records = np.frombuffer(data, record)
     # a writable buffer (bytearray) must not be changed through the views
     records.flags.writeable = False
-    return header, records["c"], records["le"]
+    return records["c"], records["le"]

@@ -83,7 +83,7 @@ def same_sketch(x: RECube | LEArray, y: RECube | LEArray) -> bool:
 def extract(lea: LEArray, cands, hs: HashSuite) -> np.ndarray:
     """`lea.extract_candidates` into a fresh (len(cands), le_len // 8) matrix."""
     merged = np.empty((np.size(cands), lea.le_len // 8), np.uint8)
-    lea.extract_candidates(cands, hs, merged)
+    lea.extract_candidates(lea.candidate_columns(cands, hs), merged)
     return merged
 
 
@@ -112,6 +112,17 @@ def encode_stage3(
     records = [struct.pack("<I", c) + row.tobytes() for c, row in zip(candidates, sketches)]
     head = _header(wire.STAGE_CANDIDATE_LES, node_id, window_id)
     return b"".join([head, struct.pack("<II", len(candidates), le_len), *records])
+
+
+def decode_stage3(data) -> tuple[wire.PayloadHeader, np.ndarray, np.ndarray]:
+    """A whole stage-3 payload through the chunk decoders: (header,
+    candidates, sketches), read-only views of `data`."""
+    data = memoryview(data)
+    header, w, le_len = wire.decode_stage3_header(data[: wire.STAGE3_HEADER_LEN])
+    candidates, sketches = wire.decode_stage3_block(data[wire.STAGE3_HEADER_LEN :], le_len)
+    if candidates.size != w:
+        raise ValueError(f"expected {w} records, got {candidates.size}")
+    return header, candidates, sketches
 
 
 def expected_comms(cfg: RECubeConfig, params, w: int) -> dict:

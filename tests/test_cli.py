@@ -286,6 +286,19 @@ def test_run_node_count_mismatch(tmp_path, capsys):
     assert "3 trace files but nodes=2" in capsys.readouterr().err
 
 
+def test_run_reports_a_geometry_too_large_to_allocate(tmp_path, capsys):
+    # 5 rows of 2^40 estimators of 2 KiB: 10 PiB per node is more than any
+    # address space, so the allocation fails before a page is touched
+    write_trace_binary(tmp_path / "t.bin", Trace([1], [2]))
+    conf = _write(tmp_path / "run.conf", "v_hat = 1099511627776\n")
+    rc = main(["run", "--config", conf, "--trace-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    # the grid, then the default 3 MiB cube
+    assert err.startswith(f"error: cannot allocate {5 * 2**40 * 2048 + 3 * 2**20} bytes")
+    assert "u_hat=5, v_hat=1099511627776, le_len=16384" in err
+
+
 def test_split_windows_matches_per_window_mask(tmp_path, monkeypatch):
     # each window's records, read from its spans in batches of 7, equal
     # one mask over the whole trace
@@ -457,7 +470,10 @@ def test_run_parses_each_csv_line_once(tmp_path, capsys, monkeypatch):
     digest = _run_digest(tmp_path, MULTI_WINDOW_RUN_CONF, tmp_path / "traces")
     capsys.readouterr()
     assert digest == MULTI_WINDOW_DIGESTS["read"]
-    lines = [line for path in sorted((tmp_path / "traces").iterdir()) for line in path.open("rb")]
+    lines = []
+    for path in sorted((tmp_path / "traces").iterdir()):
+        with path.open("rb") as fh:
+            lines.extend(fh)
     assert sorted(parsed) == sorted(lines)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import encode_stage1, encode_stage3, expected_comms, extract
@@ -6,6 +8,7 @@ from superpoint import wire
 from superpoint.coordinator import run_window
 from superpoint.estimators import DetectorParams
 from superpoint.harness import TraceSpec, generate_trace, partition_stream
+from superpoint.learray import estimate_candidates, popcounts
 from superpoint.node import ObservationNode
 from superpoint.recube import RECube, RECubeConfig
 
@@ -129,6 +132,30 @@ def test_read_is_bounded_by_one_node_over_the_union():
     assert read.stage3_bytes[0] < PARAMS.lea_bytes
 
 
+def test_stage3_memory_is_a_few_blocks_not_w_sketches():
+    # a dense 3-node window, w above 2000 at |C| = 2^14: the nodes and the
+    # coordinator hold a few blocks of stage 3 at a time, never a
+    # (w, |C|/8) matrix; one per node and a merged copy read about 4 payloads
+    cfg = RECubeConfig(r=4, l=(12, 12, 12), s=(0, 9, 18))
+    params = DetectorParams(theta=32, le_len=2**14, u_hat=3, v_hat=256)
+    rng = np.random.default_rng(40)
+    planted = tuple((int(a), 112) for a in rng.choice(2**32, 400, replace=False))
+    trace = generate_trace(TraceSpec(planted=planted, theta=32), 40)
+    nodes = _scanned_nodes(trace, 3, params=params, cfg=cfg, seed=9)
+    tracemalloc.start()
+    try:
+        report = run_window(nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.candidates_count > 2000
+    assert peak < report.stage3_bytes[0], peak / report.stage3_bytes[0]
+    # the same estimates as from the OR of whole (w, |C|/8) matrices
+    merged = np.bitwise_or.reduce([extract(n.lea, report.candidates, n.hs) for n in nodes])
+    assert report.super_points == estimate_candidates(report.candidates, popcounts(merged), 2**14, 32)
+    assert {e.address for e in report.super_points} >= {a for a, _ in planted}
+
+
 def test_expected_comms_default_geometry():
     cfg = RECubeConfig(r=6, l=(14, 14, 14), s=(0, 10, 20))
     params = DetectorParams(theta=1024, le_len=2**14, u_hat=5, v_hat=2**15)
@@ -162,7 +189,19 @@ def _stage1_from(node, window_id=None, node_id=None, cube=None):
     )
 
 
-def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None):
+def _chunks(payload: bytes, le_len: int, rows: int) -> list[bytes]:
+    """A whole stage-3 payload as the stream a node sends: the header, then
+    blocks of `rows` records."""
+    size = rows * (4 + le_len // 8)
+    body = payload[wire.STAGE3_HEADER_LEN :]
+    return [payload[: wire.STAGE3_HEADER_LEN]] + [body[i : i + size] for i in range(0, len(body), size)]
+
+
+def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None, edit=None):
+    """A fake stage3_payload: the reference encoding of what the node would
+    send, with the given fields changed, as a stream; `edit` changes the
+    list of chunks."""
+
     def payload(candidates):
         candidates = np.asarray(candidates, np.uint32)
         if reorder is not None:
@@ -170,13 +209,15 @@ def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None):
         sketches = extract(node.lea, candidates, node.hs)
         if le_len is not None:
             sketches = sketches[:, : le_len // 8]
-        return encode_stage3(
+        whole = encode_stage3(
             node.node_id if node_id is None else node_id,
             node.window_id if window_id is None else window_id,
             candidates,
             sketches,
             le_len or node.params.le_len,
         )
+        chunks = _chunks(whole, le_len or node.params.le_len, node.lea.block_rows)
+        return iter(chunks if edit is None else edit(chunks))
 
     return payload
 
@@ -192,8 +233,19 @@ def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None):
         pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, node_id=5), "stage-3 node_id 5 != 1", id="stage3-node"),
         pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, le_len=512), "stage-3 le_len 512 != 1024", id="stage3-le-len"),
         pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c[::-1]), "stage-3 candidates differ", id="stage3-order"),
-        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c[:-1]), "stage-3 candidates differ", id="stage3-missing"),
+        # the header's w differs from the broadcast
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c[:-1]), r"stage-3 w \d+ != \d+", id="stage3-missing"),
         pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c ^ np.uint32(1)), "stage-3 candidates differ", id="stage3-unknown"),
+        # a block's records, against its slice of the broadcast
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: [c[0], c[1][: 4 + 128], *c[2:]]), "stage-3 candidates differ", id="stage3-short-block"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: [c[0], c[1][:-1], *c[2:]]), r"stage-3 block of \d+ bytes ends in a partial 132-byte record", id="stage3-partial-record"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c[:1]), r"stage-3 stream ended after 0 of \d+ records", id="stage3-ends-early"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: []), "stage-3 payload truncated: 0 bytes", id="stage3-no-header"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c + c[1:]), r"stage-3 stream runs past its \d+ records", id="stage3-extra-block"),
+        # node 0 runs long while the later nodes end on time: zip() would
+        # drop the block it had already pulled from node 0
+        pytest.param(0, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c + c[1:]), r"stage-3 stream runs past its \d+ records", id="stage3-first-runs-long"),
+        pytest.param(2, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c[:1]), r"stage-3 stream ended after 0 of \d+ records", id="stage3-last-ends-early"),
     ],
 )
 def test_coordinator_rejects_mismatched_payloads(target, stage, fake, fragment):
@@ -212,14 +264,15 @@ def test_stage3_merge_does_not_write_through_payloads():
     sent = []
     for node in nodes:
 
-        def stage3_payload(candidates, encode=node.stage3_payload):
-            # a writable buffer, as a socket receive would hand over
-            payload = bytearray(encode(candidates))
-            sent.append((payload, bytes(payload)))
-            return payload
+        def stage3_payload(candidates, stream=node.stage3_payload):
+            # writable buffers, as a socket receive would hand over
+            for chunk in stream(candidates):
+                chunk = bytearray(chunk)
+                sent.append((chunk, bytes(chunk)))
+                yield chunk
 
         node.stage3_payload = stage3_payload
     report = run_window(nodes)
     assert report.super_points == expected.super_points
-    assert len(sent) == 3
-    assert all(payload == snapshot for payload, snapshot in sent)
+    assert len(sent) == 3 * 2  # a header and one block each
+    assert all(chunk == snapshot for chunk, snapshot in sent)

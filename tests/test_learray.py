@@ -6,7 +6,7 @@ from oracles import bits_of, check_theorem1_instance, col, extract, le_sketch
 
 from superpoint.estimators import linear_count
 from superpoint.hashing import HashSuite
-from superpoint.learray import LEArray, estimate_candidates
+from superpoint.learray import LEArray, estimate_candidates, popcounts
 
 HS = HashSuite(0xBEEF)
 
@@ -66,8 +66,11 @@ def _extract_one(lea: LEArray, c: int) -> int:
     return bits_of(extract(lea, np.array([c], np.uint32), HS)[0])
 
 
-def _sketches(nbits: int, *les: int) -> np.ndarray:
-    return np.array([np.frombuffer(le.to_bytes(nbits // 8, "little"), np.uint8) for le in les])
+def _set_bits(nbits: int, *les: int) -> tuple[np.ndarray, int]:
+    """The popcounts of the packed nbits-bit sketches, and nbits: what
+    the coordinator hands `estimate_candidates`."""
+    sketches = np.array([np.frombuffer(le.to_bytes(nbits // 8, "little"), np.uint8) for le in les])
+    return popcounts(sketches.reshape(len(les), nbits // 8)), nbits
 
 
 def _estimate(nbits: int, le: int) -> tuple[float, bool]:
@@ -160,19 +163,19 @@ def test_estimate_candidates_flags_and_order():
     full = (1 << 1024) - 1
     light = 0b1011  # 3 bits, estimate ~3
     results = estimate_candidates(
-        np.array([1, 2, 3, 4], np.uint32), _sketches(1024, zero, heavy, full, light), theta
+        np.array([1, 2, 3, 4], np.uint32), *_set_bits(1024, zero, heavy, full, light), theta
     )
     # only the super points, by descending estimate; saturated is flagged
     assert [(r.address, r.saturated) for r in results] == [(3, True), (2, False)]
     assert results[1].estimate == _estimate(1024, heavy)[0]
     # plain Python values, as the JSON report needs
     assert all(type(r.address) is int and type(r.saturated) is bool for r in results)
-    assert estimate_candidates(np.zeros(0, np.uint32), np.zeros((0, 128), np.uint8), theta) == []
+    assert estimate_candidates(np.zeros(0, np.uint32), *_set_bits(1024), theta) == []
 
 
 def test_estimate_ties_sorted_by_address():
     le = 0b111
-    results = estimate_candidates(np.array([9, 3, 5], np.uint32), _sketches(64, le, le, le), 1)
+    results = estimate_candidates(np.array([9, 3, 5], np.uint32), *_set_bits(64, le, le, le), 1)
     assert [r.address for r in results] == [3, 5, 9]
 
 
@@ -186,7 +189,7 @@ def test_estimates_match_scalar_formula(nbits):
         bits = rng.permutation(nbits)[:popcount].tolist()
         les.append(sum(1 << b for b in bits))
     addresses = np.arange(nbits + 1, dtype=np.uint32)
-    results = estimate_candidates(addresses, _sketches(nbits, *les), theta=-1)
+    results = estimate_candidates(addresses, *_set_bits(nbits, *les), theta=-1)
     assert sorted(r.address for r in results) == list(range(nbits + 1))
     for r in results:
         est, saturated = _estimate(nbits, les[r.address])
@@ -201,8 +204,8 @@ def test_estimate_strictly_above_theta():
     le = (1 << 32) - 1
     est, _ = _estimate(nbits, le)
     addr = np.array([1], np.uint32)
-    assert estimate_candidates(addr, _sketches(nbits, le), est) == []
-    assert [r.address for r in estimate_candidates(addr, _sketches(nbits, le), math.nextafter(est, 0))] == [1]
+    assert estimate_candidates(addr, *_set_bits(nbits, le), est) == []
+    assert [r.address for r in estimate_candidates(addr, *_set_bits(nbits, le), math.nextafter(est, 0))] == [1]
 
 
 def test_candidate_below_theta_rarely_flagged():

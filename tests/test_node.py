@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import col, encode_stage1, encode_stage3, same_sketch
+from oracles import col, decode_stage3, encode_stage1, encode_stage3, same_sketch
 
 from superpoint import learray, node as node_module, wire
 from superpoint.estimators import DetectorParams
@@ -13,6 +13,8 @@ from superpoint.node import (
     dotted,
     parse_dotted,
     read_trace,
+    window_pairs,
+    window_spans,
     write_trace_binary,
     write_trace_csv,
 )
@@ -157,6 +159,34 @@ def test_read_trace_batches_and_spans(tmp_path, monkeypatch, fmt):
     assert list(read_trace(path, path.stat().st_size)) == []
 
 
+def test_window_pairs_passes_whole_batches_uncopied(tmp_path, monkeypatch):
+    # batches of 7 over windows of 10 seconds: a batch inside one window
+    # goes through as the reader made it, one that straddles is filtered
+    monkeypatch.setattr(node_module, "BATCH_RECORDS", 7)
+    t = _random_trace(21, 12)
+    t.ts = np.repeat(np.array([0, 10, 20], np.uint32), [7, 5, 9])
+    path = str(tmp_path / "t.bin")
+    write_trace_binary(path, t)
+    read = []
+    reader = node_module.read_trace
+
+    def recording_reader(*args):
+        for offset, batch, bad in reader(*args):
+            read.append(batch)
+            yield offset, batch, bad
+
+    spans, _ = window_spans([path], 10, str(tmp_path))
+    monkeypatch.setattr(node_module, "read_trace", recording_reader)
+    for wid, sizes, uncopied in ((0, [7], [True]), (1, [5], [False]), (2, [2, 7], [False, True])):
+        read.clear()
+        parts = list(window_pairs(*spans[path], wid, 10))
+        assert [len(part) for part in parts] == sizes
+        assert all((part.ts // 10 == wid).all() for part in parts)
+        for part, batch, whole in zip(parts, read, uncopied):
+            for column in ("a", "b", "ts"):
+                assert np.shares_memory(getattr(part, column), getattr(batch, column)) == whole
+
+
 # -- observation node -----------------------------------------------------------
 
 
@@ -191,7 +221,7 @@ def test_same_seed_nodes_build_identical_payloads():
     n1.scan_window(t)
     n2.scan_window(t)
     assert n1.stage1_payload() == n2.stage1_payload()
-    assert n1.stage3_payload([1, 2, 3]) == n2.stage3_payload([1, 2, 3])
+    assert b"".join(n1.stage3_payload([1, 2, 3])) == b"".join(n2.stage3_payload([1, 2, 3]))
 
 
 def test_different_seed_changes_sketches():
@@ -219,16 +249,16 @@ def test_stage1_payload_size_and_round_trip():
 def test_stage3_payload_sizes():
     node = _node()
     node.scan_window(_random_trace(500, 9))
-    empty = node.stage3_payload([])
+    empty = b"".join(node.stage3_payload([]))
     assert len(empty) == wire.stage3_size(0, PARAMS.le_len) == 20
-    three = node.stage3_payload([1, 2, 3])
+    three = b"".join(node.stage3_payload([1, 2, 3]))
     assert len(three) == wire.stage3_size(3, PARAMS.le_len)
 
 
 def test_stage3_unseen_candidate_is_zero_estimator():
     node = _node()
     node.scan_window(_random_trace(0, 0))
-    _, candidates, sketches = wire.decode_stage3(node.stage3_payload([12345]))
+    _, candidates, sketches = decode_stage3(b"".join(node.stage3_payload([12345])))
     assert candidates.tolist() == [12345]
     assert not sketches.any()
 
@@ -259,7 +289,7 @@ def test_stage3_golden_digests(params, pairs, digest):
     node.reset_window(3)
     node.scan_window(Trace(a, b))
     candidates = pool[:40].tolist()[::-1] + [1, 2, 0xFFFFFFFF]
-    assert hashlib.sha256(node.stage3_payload(candidates)).hexdigest() == digest
+    assert hashlib.sha256(b"".join(node.stage3_payload(candidates))).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -287,24 +317,37 @@ def test_stage3_payload_is_the_reference_encoding(le_len, w):
         cells = [node.lea.cells[i, col(node.hs, c, i, 64)] for i in range(3)]
         row[:] = np.bitwise_and.reduce(cells)
     want = encode_stage3(4, 2, candidates, sketches, le_len)
-    assert node.stage3_payload(candidates) == want
+    # the header, then blocks of whole records; a block stays valid after
+    # the next is made, so the joined stream is the payload
+    chunks = list(node.stage3_payload(candidates))
+    assert b"".join(chunks) == want
+    assert len(chunks[0]) == wire.STAGE3_HEADER_LEN
+    rows = [len(block) // (4 + le_len // 8) for block in chunks[1:]]
+    step = node.lea.block_rows
+    assert rows == [min(step, w - lo) for lo in range(0, w, step)]
 
 
 def test_stage3_payload_is_gathered_in_place():
-    # no (w, le_len / 8) matrix beside the payload: the traced peak stays
-    # well under twice the payload's size
+    # no (w, le_len / 8) matrix at the node: building and draining the
+    # stream peaks at a few blocks, whatever the payload's size
     params = DetectorParams(theta=64, le_len=4096, u_hat=5, v_hat=1024)
     node = ObservationNode(0, params, CFG, master_seed=3)
     node.scan_window(_random_trace(20_000, 11))
-    candidates = np.random.default_rng(12).integers(0, 2**32, 2000, dtype=np.uint32)
+    w = 20_000
+    candidates = np.random.default_rng(12).integers(0, 2**32, w, dtype=np.uint32)
+    block = node.lea.block_rows * (4 + 4096 // 8)
+    size = 0
     tracemalloc.start()
     try:
-        payload = node.stage3_payload(candidates)
+        for chunk in node.stage3_payload(candidates):
+            size += len(chunk)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(payload) == wire.stage3_size(2000, 4096)
-    assert peak < 1.5 * len(payload), peak / len(payload)
+    assert size == wire.stage3_size(w, 4096) > 30 * block
+    # two blocks alive at a hand-over, the gather's temporary, and the
+    # candidates' u_hat columns (8 bytes each)
+    assert peak < 4 * block + 5 * 8 * w, peak / block
 
 
 def test_new_node_answers_for_an_empty_window_0():
@@ -312,7 +355,7 @@ def test_new_node_answers_for_an_empty_window_0():
     header, cube = wire.decode_stage1(node.stage1_payload())
     assert header.window_id == 0
     assert not cube.cells.any()
-    header, candidates, sketches = wire.decode_stage3(node.stage3_payload([1]))
+    header, candidates, sketches = decode_stage3(b"".join(node.stage3_payload([1])))
     assert header.window_id == 0
     assert candidates.tolist() == [1]
     assert not sketches.any()

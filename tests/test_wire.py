@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import encode_stage1, encode_stage3, same_sketch
+from oracles import decode_stage3, encode_stage1, encode_stage3, same_sketch
 
 from superpoint import wire
 from superpoint.hashing import HashSuite
@@ -65,34 +65,38 @@ def test_stage3_round_trip_and_size():
     sketches = np.array(
         [[0b1010, 0, 0, 0, 0, 0, 0, 0], [0xFF] * 8], np.uint8
     )
-    payload, les = wire.stage3_buffer(5, 1, candidates, le_len)
+    header = wire.stage3_header(5, 1, 2, le_len)
+    block, les = wire.stage3_block(candidates, le_len)
     assert les.shape == (2, 8) and not les.any()
-    les[:] = sketches  # the view writes into the payload's records
+    les[:] = sketches  # the view writes into the block's records
+    payload = header + block
+    assert len(header) == wire.STAGE3_HEADER_LEN
     assert len(payload) == wire.stage3_size(2, le_len) == 12 + 8 + 2 * (4 + 8)
     # each record is the little-endian address, then the sketch bytes
     assert payload[20:32] == struct.pack("<I", 10) + sketches[0].tobytes()
     assert payload == encode_stage3(5, 1, candidates, sketches, le_len)
-    header, got_candidates, got_sketches = wire.decode_stage3(payload)
-    assert (header.node_id, header.window_id) == (5, 1)
+    got_header, w, got_le_len = wire.decode_stage3_header(header)
+    assert (got_header.node_id, got_header.window_id, w, got_le_len) == (5, 1, 2, le_len)
+    got_candidates, got_sketches = wire.decode_stage3_block(block, le_len)
     assert got_candidates.tolist() == [10, 11]
     assert got_sketches.shape == (2, 8)
     assert np.array_equal(got_sketches, sketches)
-    empty, les = wire.stage3_buffer(5, 1, [], le_len)
+    empty, les = wire.stage3_block([], le_len)
     assert les.shape == (0, 8)
-    _, got_candidates, got_sketches = wire.decode_stage3(empty)
+    _, got_candidates, got_sketches = decode_stage3(wire.stage3_header(5, 1, 0, le_len) + empty)
     assert got_candidates.size == 0 and got_sketches.shape == (0, 8)
 
 
 def test_stage3_decode_is_read_only_view():
-    payload, les = wire.stage3_buffer(0, 0, [1, 2], 64)
+    block, les = wire.stage3_block([1, 2], 64)
     les[:] = np.arange(16, dtype=np.uint8).reshape(2, 8)
-    before = bytes(payload)
-    _, candidates, decoded = wire.decode_stage3(payload)
+    before = bytes(block)
+    candidates, decoded = wire.decode_stage3_block(block, 64)
     for view in (candidates, decoded):
         assert not view.flags.writeable
         with pytest.raises(ValueError):
             view |= 1
-    assert bytes(payload) == before
+    assert bytes(block) == before
 
 
 def test_stage3_size_formula_at_default_length():
@@ -215,12 +219,15 @@ def _stage1_payload():
         pytest.param(wire.decode_stage2, lambda: wire.encode_stage2(0, [1, 2])[:14], id="stage2-count-cut"),
         pytest.param(wire.decode_stage2, lambda: wire.encode_stage2(0, [1, 2])[:-1], id="stage2-truncated"),
         pytest.param(wire.decode_stage2, lambda: wire.encode_stage2(0, [1, 2]) + b"\0", id="stage2-trailing"),
-        pytest.param(wire.decode_stage3, lambda: _stage3_payload(2, 64)[:16], id="stage3-header-cut"),
-        pytest.param(wire.decode_stage3, lambda: _stage3_payload(2, 64)[:-1], id="stage3-truncated"),
-        pytest.param(wire.decode_stage3, lambda: _stage3_payload(2, 64) + b"\0", id="stage3-trailing"),
-        pytest.param(wire.decode_stage3, lambda: _stage3_payload(0, 12), id="stage3-le-len-12"),
-        pytest.param(wire.decode_stage3, lambda: _stage3_payload(0, 4), id="stage3-le-len-4"),
-        pytest.param(wire.decode_stage3, lambda: _stage3_payload(0, 0), id="stage3-le-len-0"),
+        pytest.param(decode_stage3, lambda: _stage3_payload(2, 64)[:16], id="stage3-header-cut"),
+        pytest.param(decode_stage3, lambda: _stage3_payload(2, 64)[:-1], id="stage3-truncated"),
+        pytest.param(decode_stage3, lambda: _stage3_payload(2, 64) + b"\0", id="stage3-trailing"),
+        pytest.param(decode_stage3, lambda: _stage3_payload(0, 12), id="stage3-le-len-12"),
+        pytest.param(decode_stage3, lambda: _stage3_payload(0, 4), id="stage3-le-len-4"),
+        pytest.param(decode_stage3, lambda: _stage3_payload(0, 0), id="stage3-le-len-0"),
+        # the chunk decoders the coordinator reads a stage-3 stream with
+        pytest.param(wire.decode_stage3_header, lambda: _stage3_payload(1, 64), id="stage3-header-with-records"),
+        pytest.param(functools.partial(wire.decode_stage3_block, le_len=64), lambda: bytes(11), id="stage3-block-partial"),
     ],
 )
 def test_decoders_raise_only_value_error(decode, payload):
@@ -267,8 +274,22 @@ def _damaged_payloads(draw):
 @settings(max_examples=500, deadline=None)
 @given(payload=_damaged_payloads())
 def test_decoders_raise_only_value_error_on_fuzzed_payloads(payload):
-    for decode in (wire.decode_stage1, wire.decode_stage2, wire.decode_stage3):
+    # a stage-3 payload is also read as the coordinator reads it: the
+    # header chunk, then the rest as one block at the header's le_len
+    # (64 when the header does not decode)
+    head, rest = payload[: wire.STAGE3_HEADER_LEN], payload[wire.STAGE3_HEADER_LEN :]
+    le_len = 64
+    try:
+        _, _, le_len = wire.decode_stage3_header(head)
+    except ValueError:
+        pass
+    for decode, data in (
+        (wire.decode_stage1, payload),
+        (wire.decode_stage2, payload),
+        (decode_stage3, payload),
+        (functools.partial(wire.decode_stage3_block, le_len=le_len), rest),
+    ):
         try:
-            decode(payload)
+            decode(data)
         except ValueError:
             pass
