@@ -5,9 +5,12 @@ hashes); every opposite host sets the same bit position in each of those
 cells. At the end of a window a candidate's per-node sketch is the AND
 of its row cells (collision bits rarely survive all rows), and the
 global sketch is the OR of the per-node ANDs. A node gathers its
-per-candidate sketches block by block, straight into the records of the
-stage-3 block it sends, and the coordinator keeps only each merged
-sketch's popcount.
+per-candidate sketches block by block, ANDing rows in a contiguous
+scratch and copying the result into the zeroed records of the stage-3
+block it sends, and the coordinator keeps only each merged sketch's
+popcount. A candidate whose AND is all zero after its first two rows, as
+the cube's phantom candidates mostly are, costs two row gathers, not
+u_hat: an all-zero AND stays zero.
 """
 
 from __future__ import annotations
@@ -77,11 +80,27 @@ class LEArray:
 
     def extract_candidates(self, cols: list[np.ndarray], merged: np.ndarray) -> None:
         """Write the inner merge (AND) of the row cells at cols[i][j], i < u_hat,
-        into row j of `merged`, a (len(cols[0]), le_len // 8) uint8 matrix;
-        a strided view, such as a block's records, will do."""
-        np.take(self.cells[0], cols[0], axis=0, out=merged)
-        for i in range(1, self.u_hat):
-            merged &= self.cells[i][cols[i]]
+        into row j of `merged`, a zero (len(cols[0]), le_len // 8) uint8
+        matrix; a strided view, such as a new block's records, will do.
+
+        Rows 0 and 1 are gathered for every candidate, rows 2.. only for
+        those whose AND of the first two is not all zero: the others' rows
+        of `merged` are left zero."""
+        scratch = np.take(self.cells[0], cols[0], axis=0)
+        if self.u_hat > 1:
+            scratch &= np.take(self.cells[1], cols[1], axis=0)
+        if self.u_hat > 2:
+            words = scratch.view(np.uint64) if scratch.shape[1] % 8 == 0 else scratch
+            live = np.flatnonzero(words.max(axis=1))
+            if live.size < scratch.shape[0]:
+                rest = scratch[live]
+                for i in range(2, self.u_hat):
+                    rest &= np.take(self.cells[i], cols[i][live], axis=0)
+                merged[live] = rest
+                return
+            for i in range(2, self.u_hat):
+                scratch &= np.take(self.cells[i], cols[i], axis=0)
+        merged[...] = scratch
 
 
 def popcounts(sketches: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ whole records.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -135,8 +136,10 @@ def stage3_size(w: int, le_len: int) -> int:
     return STAGE3_HEADER_LEN + w * (4 + le_len // 8)
 
 
+@functools.cache
 def _stage3_records(le_len: int) -> np.dtype:
-    """One stage-3 record: candidate address, then its packed sketch."""
+    """One stage-3 record: candidate address, then its packed sketch; built
+    once per le_len, as every block of a stream uses it."""
     return np.dtype([("c", "<u4"), ("le", "u1", (le_len // 8,))])
 
 
@@ -148,7 +151,7 @@ def stage3_header(node_id: int, window_id: int, w: int, le_len: int) -> bytes:
 def stage3_block(candidates, le_len: int) -> tuple[bytearray, np.ndarray]:
     """A block of stage-3 records, one per candidate, with the candidate
     column written, and the writable (len(candidates), le_len // 8) view
-    of its sketches, for the node to fill in place."""
+    of its sketches, all zero, for the node to fill in place."""
     candidates = np.asarray(candidates, dtype=np.uint32)
     record = _stage3_records(le_len)
     block = bytearray(candidates.size * record.itemsize)

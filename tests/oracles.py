@@ -80,10 +80,14 @@ def same_sketch(x: RECube | LEArray, y: RECube | LEArray) -> bool:
     return type(x) is type(y) and geometry(x) == geometry(y) and np.array_equal(x.cells, y.cells)
 
 
-def extract(lea: LEArray, cands, hs: HashSuite) -> np.ndarray:
-    """`lea.extract_candidates` into a fresh (len(cands), le_len // 8) matrix."""
-    merged = np.empty((np.size(cands), lea.le_len // 8), np.uint8)
-    lea.extract_candidates(lea.candidate_columns(cands, hs), merged)
+def and_of_rows(lea: LEArray, cands, hs: HashSuite, rows: int | None = None) -> np.ndarray:
+    """The reference stage-3 sketches: each candidate's row cells, every
+    one of the first `rows` (all u_hat by default) gathered and ANDed, as
+    a (len(cands), le_len // 8) matrix."""
+    cands = np.asarray(cands, np.uint32)
+    merged = np.full((cands.size, lea.le_len // 8), 0xFF, np.uint8)
+    for i in range(lea.u_hat if rows is None else rows):
+        merged &= lea.cells[i][hs.col_arr(cands, i, lea.v_hat)]
     return merged
 
 
@@ -362,7 +366,7 @@ def check_theorem1_instance(rng: np.random.Generator) -> None:
     excl = le_sketch(hs, np.unique(whole.b[whole.a == candidate]).tolist(), le_len)
 
     def sketch(lea: LEArray) -> int:
-        return bits_of(extract(lea, [candidate], hs))
+        return bits_of(and_of_rows(lea, [candidate], hs))
 
     read = 0
     for lea in leas:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import encode_stage1, encode_stage3, expected_comms, extract
+from oracles import and_of_rows, encode_stage1, encode_stage3, expected_comms
 
 from superpoint import wire
 from superpoint.coordinator import run_window
@@ -125,9 +125,9 @@ def test_read_is_bounded_by_one_node_over_the_union():
     for e in read.super_points:
         assert e.estimate <= reference_by_addr[e.address]
     merged = np.bitwise_or.reduce(
-        [extract(node.lea, read.candidates, node.hs) for node in nodes]
+        [and_of_rows(node.lea, read.candidates, node.hs) for node in nodes]
     )
-    assert np.array_equal(merged & extract(single.lea, read.candidates, single.hs), merged)
+    assert np.array_equal(merged & and_of_rows(single.lea, read.candidates, single.hs), merged)
     # per-candidate stage 3 ships less than the whole LE grid
     assert read.stage3_bytes[0] < PARAMS.lea_bytes
 
@@ -151,7 +151,7 @@ def test_stage3_memory_is_a_few_blocks_not_w_sketches():
     assert report.candidates_count > 2000
     assert peak < report.stage3_bytes[0], peak / report.stage3_bytes[0]
     # the same estimates as from the OR of whole (w, |C|/8) matrices
-    merged = np.bitwise_or.reduce([extract(n.lea, report.candidates, n.hs) for n in nodes])
+    merged = np.bitwise_or.reduce([and_of_rows(n.lea, report.candidates, n.hs) for n in nodes])
     assert report.super_points == estimate_candidates(report.candidates, popcounts(merged), 2**14, 32)
     assert {e.address for e in report.super_points} >= {a for a, _ in planted}
 
@@ -206,7 +206,7 @@ def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None, 
         candidates = np.asarray(candidates, np.uint32)
         if reorder is not None:
             candidates = reorder(candidates)
-        sketches = extract(node.lea, candidates, node.hs)
+        sketches = and_of_rows(node.lea, candidates, node.hs)
         if le_len is not None:
             sketches = sketches[:, : le_len // 8]
         whole = encode_stage3(

@@ -2,13 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from oracles import bits_of, check_theorem1_instance, col, extract, le_sketch
+from oracles import bits_of, check_theorem1_instance, col, le_sketch
 
 from superpoint.estimators import linear_count
 from superpoint.hashing import HashSuite
 from superpoint.learray import LEArray, estimate_candidates, popcounts
 
 HS = HashSuite(0xBEEF)
+
+
+def extract(lea: LEArray, cands, hs: HashSuite) -> np.ndarray:
+    """`lea.extract_candidates` into a fresh (len(cands), le_len // 8) matrix."""
+    merged = np.zeros((np.size(cands), lea.le_len // 8), np.uint8)
+    lea.extract_candidates(lea.candidate_columns(cands, hs), merged)
+    return merged
 
 
 def test_geometry_validation():

@@ -1,9 +1,11 @@
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import col, decode_stage3, encode_stage1, encode_stage3, same_sketch
+from hypothesis import example, given, settings, strategies as st
+from oracles import and_of_rows, col, decode_stage3, encode_stage1, encode_stage3, same_sketch
 
 from superpoint import learray, node as node_module, wire
 from superpoint.estimators import DetectorParams
@@ -325,6 +327,78 @@ def test_stage3_payload_is_the_reference_encoding(le_len, w):
     rows = [len(block) // (4 + le_len // 8) for block in chunks[1:]]
     step = node.lea.block_rows
     assert rows == [min(step, w - lo) for lo in range(0, w, step)]
+
+
+#: a fate at or past u_hat: the candidate's AND never dies
+LIVES = 5
+
+
+def _fated_node(u_hat, le_len, fates, seed):
+    """A node whose grid holds, for candidate j, the rows 0..fates[j] - 1
+    equal to one random nonzero cell, row fates[j] its complement (zero
+    for row 0), and random later rows; columns may collide, and the
+    reference sees the collisions too."""
+    params = DetectorParams(theta=64, le_len=le_len, u_hat=u_hat, v_hat=4096)
+    node = ObservationNode(6, params, CFG, master_seed=seed)
+    rng = np.random.default_rng(seed)
+    candidates = rng.choice(2**32, len(fates), replace=False).astype(np.uint32)
+    cols = [node.hs.col_arr(candidates, i, 4096) for i in range(u_hat)]
+    for j, fate in enumerate(fates):
+        # one to three bits, so a live AND may show in one word only
+        cell = np.zeros(le_len // 8, np.uint8)
+        for bit in rng.integers(0, le_len, rng.integers(1, 4)).tolist():
+            cell[bit >> 3] |= 1 << (bit & 7)
+        for i in range(u_hat):
+            row = node.lea.cells[i]
+            if i < fate:
+                row[cols[i][j]] = cell
+            elif i == fate:
+                row[cols[i][j]] = ~cell if i else 0
+            else:
+                row[cols[i][j]] = rng.integers(0, 256, le_len // 8, dtype=np.uint8)
+    return node, candidates
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    u_hat=st.sampled_from([1, 2, 3, 5]),
+    le_len=st.sampled_from([8, 64, 1024]),
+    block_rows=st.sampled_from([1, 3, 64]),
+    fates=st.lists(st.integers(0, LIVES), max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+# every candidate dies after the second row, or only at the last, or all live
+@example(u_hat=5, le_len=1024, block_rows=3, fates=[1] * 10, seed=1)
+@example(u_hat=5, le_len=64, block_rows=3, fates=[4] * 10, seed=2)
+@example(u_hat=5, le_len=8, block_rows=3, fates=[LIVES] * 10, seed=3)
+@example(u_hat=3, le_len=1024, block_rows=64, fates=[], seed=4)
+def test_stage3_payload_is_the_and_of_every_row(u_hat, le_len, block_rows, fates, seed):
+    # the joined stream is the reference encoding of the AND of all u_hat
+    # gathered rows, while only candidates still alive after two rows
+    # cost a gather of rows 2..u_hat - 1
+    node, candidates = _fated_node(u_hat, le_len, fates, seed)
+    gathered = []
+    take = np.take
+
+    def counting_take(a, indices, *args, **kwargs):
+        if a.base is node.lea.cells:
+            gathered.append(np.size(indices))
+        return take(a, indices, *args, **kwargs)
+
+    with (
+        mock.patch.object(learray, "_GATHER_BYTES", block_rows * (le_len // 8)),
+        mock.patch.object(np, "take", counting_take),
+    ):
+        chunks = list(node.stage3_payload(candidates))
+    want = and_of_rows(node.lea, candidates, node.hs)
+    assert b"".join(chunks) == encode_stage3(6, 0, candidates, want, le_len)
+    w = len(fates)
+    assert len(chunks) == 1 + -(-w // block_rows)
+    if u_hat <= 2:
+        assert sum(gathered) == u_hat * w
+    else:
+        live = int(and_of_rows(node.lea, candidates, node.hs, rows=2).any(axis=1).sum())
+        assert sum(gathered) == 2 * w + (u_hat - 2) * live
 
 
 def test_stage3_payload_is_gathered_in_place():
