@@ -7,11 +7,11 @@ Subcommands:
 Config files are plain `key = value` lines with `#` comments. Keys for
 `run` (the fields of RunConfig): r, l, s, u_hat, v_hat, le_len, theta,
 seed, nodes (one trace file per node, or 1 to read every file),
-window_seconds, trace_dir, out, oracle, ftr_gate. Keys for `gen`:
-planted ("addr:card;addr:card", dotted-quad or integer addresses),
-planted_count/planted_min_card/planted_max_card (random planting),
-background_hosts, zipf_s, max_background_card, duplication, theta,
-straddle, nodes, partition, weights, seed, format.
+window_seconds, trace_dir, out, oracle, ftr_gate. Keys for `gen` (the
+fields of GenConfig): planted ("addr:card;addr:card", dotted-quad or
+integer addresses), planted_count/planted_min_card/planted_max_card
+(random planting), background_hosts, zipf_s, max_background_card,
+duplication, theta, nodes, partition, weights, seed, format.
 """
 
 from __future__ import annotations
@@ -47,21 +47,6 @@ from .node import (
 )
 from .recube import RECubeConfig
 
-def load_config(path: str) -> dict:
-    """Parse a `key = value` config file."""
-    values: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-            key, _, text = line.partition("=")
-            values[key.strip()] = text.strip()
-    return values
-
-
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace("(", "").replace(")", "").split(",") if tok.strip())
 
@@ -78,11 +63,6 @@ def _parse(key: str, parser, text: str):
         return parser(text)
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: {exc}") from None
-
-
-def _get(values: dict, key: str, parser, default):
-    """values[key] parsed as by `_parse`, or default when the key is absent."""
-    return _parse(key, parser, values[key]) if key in values else default
 
 
 @dataclasses.dataclass
@@ -102,61 +82,17 @@ class RunConfig:
     oracle: bool = False
     ftr_gate: float = 100.0
 
-    @classmethod
-    def from_file(cls, path: str | None, overrides: dict) -> "RunConfig":
-        values = load_config(path) if path else {}
-        keys = {field.name for field in dataclasses.fields(cls)}
-        cfg = cls()
-        parsers = {
-            "l": _parse_int_tuple,
-            "s": _parse_int_tuple,
-            "trace_dir": str,
-            "out": str,
-            "oracle": _parse_bool,
-            "ftr_gate": float,
-        }
-        for key, text in values.items():
-            if key not in keys:
-                raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, _parse(key, parsers.get(key, int), text))
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(cfg, key, value)
-        return cfg
+    PARSERS = {
+        "l": _parse_int_tuple,
+        "s": _parse_int_tuple,
+        "trace_dir": str,
+        "out": str,
+        "oracle": _parse_bool,
+        "ftr_gate": float,
+    }
 
 
-def parse_trace_spec(values: dict, seed: int | None = None) -> TraceSpec:
-    """The trace spec a `gen` config describes; `seed` (the spec's own
-    `seed` when None) also draws the randomly planted hosts."""
-    planted = _get(values, "planted", _parse_planted, [])
-    theta = _get(values, "theta", int, RunConfig.theta)
-    if "planted_count" in values:
-        count = _parse("planted_count", int, values["planted_count"])
-        low = _get(values, "planted_min_card", int, 2 * theta)
-        high = _get(values, "planted_max_card", int, 16 * theta)
-        if seed is None:
-            seed = _get(values, "seed", int, 1)
-        rng = np.random.default_rng(seed ^ 0x9E37)
-        addresses: set[int] = set(a for a, _ in planted)
-        target = len(planted) + count
-        while len(planted) < target:
-            addr = int(rng.integers(0, 2**32))
-            if addr in addresses:
-                continue
-            addresses.add(addr)
-            planted.append((addr, int(rng.integers(low, high + 1))))
-    return TraceSpec(
-        planted=tuple(planted),
-        background_hosts=_get(values, "background_hosts", int, 0),
-        zipf_s=_get(values, "zipf_s", float, 1.2),
-        max_background_card=_get(values, "max_background_card", int, theta // 2),
-        duplication=_get(values, "duplication", int, 1),
-        theta=theta,
-        straddle=_get(values, "straddle", _parse_bool, False),
-    )
-
-
-def _parse_planted(text: str) -> list[tuple[int, int]]:
+def _parse_planted(text: str) -> tuple[tuple[int, int], ...]:
     """(address, cardinality) of each "addr:card" entry of a `;` list."""
     planted = []
     for entry in text.split(";"):
@@ -164,37 +100,97 @@ def _parse_planted(text: str) -> list[tuple[int, int]]:
             addr_text, _, card_text = entry.strip().partition(":")
             addr = parse_dotted(addr_text.strip()) if "." in addr_text else int(addr_text, 0)
             planted.append((addr, int(card_text)))
-    return planted
+    return tuple(planted)
 
 
-#: keys a `gen` trace-spec file may set
-_GEN_KEYS = (
-    "planted", "planted_count", "planted_min_card", "planted_max_card",
-    "background_hosts", "zipf_s", "max_background_card", "duplication", "theta",
-    "straddle", "nodes", "partition", "weights", "seed", "format",
-)
+@dataclasses.dataclass
+class GenConfig:
+    planted: tuple[tuple[int, int], ...] = ()
+    planted_count: int = 0
+    planted_min_card: int | None = None  # None: 2 * theta
+    planted_max_card: int | None = None  # None: 16 * theta
+    background_hosts: int = 0
+    zipf_s: float = 1.2
+    max_background_card: int | None = None  # None: theta // 2
+    duplication: int = 1
+    theta: int = RunConfig.theta
+    nodes: int = 1
+    partition: str = "round_robin"
+    weights: list[float] | None = None
+    seed: int = 1
+    format: str = "bin"
+
+    PARSERS = {
+        "planted": _parse_planted,
+        "zipf_s": float,
+        "partition": str,
+        "weights": lambda text: [float(tok) for tok in text.split(",")],
+        "format": str,
+    }
+
+    def trace_spec(self) -> TraceSpec:
+        """The trace spec: the explicit planted hosts, then planted_count
+        more drawn at random from the seed."""
+        low = 2 * self.theta if self.planted_min_card is None else self.planted_min_card
+        high = 16 * self.theta if self.planted_max_card is None else self.planted_max_card
+        if self.planted_count > 0 and low > high:
+            raise ValueError(f"config key 'planted_min_card': {low} exceeds planted_max_card {high}")
+        if self.seed < 0:
+            raise ValueError(f"config key 'seed': must be >= 0, got {self.seed}")
+        planted = list(self.planted)
+        addresses = set(a for a, _ in planted)
+        rng = np.random.default_rng(self.seed ^ 0x9E37)
+        while len(planted) < len(self.planted) + self.planted_count:
+            addr = int(rng.integers(0, 2**32))
+            if addr in addresses:
+                continue
+            addresses.add(addr)
+            planted.append((addr, int(rng.integers(low, high + 1))))
+        return TraceSpec(
+            planted=tuple(planted),
+            background_hosts=self.background_hosts,
+            zipf_s=self.zipf_s,
+            max_background_card=self.max_background_card,
+            duplication=self.duplication,
+            theta=self.theta,
+        )
+
+
+def read_config(cls, path: str | None, args: argparse.Namespace):
+    """A `cls` config: its defaults, then the `key = value` lines of the
+    file at `path` (none when None), then every flag of `args` that is
+    named for a field and given. Each key must be a field of `cls`; its
+    value is parsed by `cls.PARSERS[key]`, or as an int."""
+    fields = [field.name for field in dataclasses.fields(cls)]
+    cfg = cls()
+    with open(path) if path else contextlib.nullcontext([]) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+            key, text = (part.strip() for part in line.split("=", 1))
+            if key not in fields:
+                raise ValueError(f"unknown config key {key!r}")
+            setattr(cfg, key, _parse(key, cls.PARSERS.get(key, int), text))
+    for key in fields:
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
+    return cfg
 
 
 def cmd_gen(args) -> int:
-    values = load_config(args.spec)
-    for key in values:
-        if key not in _GEN_KEYS:
-            raise ValueError(f"unknown trace-spec key {key!r}")
-    seed = args.seed if args.seed is not None else _get(values, "seed", int, 1)
-    spec = parse_trace_spec(values, seed)
-    n = args.nodes if args.nodes is not None else _get(values, "nodes", int, 1)
-    mode = args.partition or values.get("partition", "round_robin")
-    weights = _get(values, "weights", lambda text: [float(tok) for tok in text.split(",")], None)
-    fmt = args.format or values.get("format", "bin")
-    if fmt not in ("bin", "csv"):
-        raise ValueError(f"format must be bin or csv, got {fmt!r}")
-
-    trace = generate_trace(spec, seed)
-    parts = partition_stream(trace, n, mode=mode, seed=seed, weights=weights)
+    cfg = read_config(GenConfig, args.spec, args)
+    if cfg.format not in ("bin", "csv"):
+        raise ValueError(f"format must be bin or csv, got {cfg.format!r}")
+    spec = cfg.trace_spec()
+    trace = generate_trace(spec, cfg.seed)
+    parts = partition_stream(trace, cfg.nodes, mode=cfg.partition, seed=cfg.seed, weights=cfg.weights)
     os.makedirs(args.out, exist_ok=True)
-    write = write_trace_csv if fmt == "csv" else write_trace_binary
+    write = write_trace_csv if cfg.format == "csv" else write_trace_binary
     for i, part in enumerate(parts):
-        path = os.path.join(args.out, f"node_{i:03d}.{fmt}")
+        path = os.path.join(args.out, f"node_{i:03d}.{cfg.format}")
         write(path, part)
         print(f"wrote {path} ({len(part)} pairs)")
     print(f"total pairs: {len(trace)}")
@@ -289,15 +285,7 @@ def _window_records(report, metrics, truth_set, malformed: int):
 
 
 def cmd_run(args) -> int:
-    overrides = {
-        "trace_dir": args.trace_dir,
-        "nodes": args.nodes,
-        "theta": args.theta,
-        "seed": args.seed,
-        "out": args.out,
-        "oracle": args.oracle or None,
-    }
-    cfg = RunConfig.from_file(args.config, overrides)
+    cfg = read_config(RunConfig, args.config, args)
     cube_cfg = RECubeConfig(r=cfg.r, l=cfg.l, s=cfg.s)  # raises with the violated inequality
     params = DetectorParams(theta=cfg.theta, le_len=cfg.le_len, u_hat=cfg.u_hat, v_hat=cfg.v_hat)
     if not 1 <= cfg.window_seconds <= 0xFFFFFFFF:
@@ -367,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--theta", type=int)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out", help="write line-delimited JSON report records here")
-    p_run.add_argument("--oracle", action="store_true", help="score against exact truth")
+    # default None, so that an absent flag leaves a file's `oracle = true`
+    p_run.add_argument("--oracle", action="store_true", default=None, help="score against exact truth")
     p_run.set_defaults(func=cmd_run)
     return parser
 

@@ -76,18 +76,17 @@ class TraceSpec:
     planted           -- (source address, exact cardinality) pairs
     background_hosts  -- number of Zipf-tailed background sources
     zipf_s            -- rank-frequency exponent of background cardinalities
-    max_background_card -- cap on background cardinalities; clamped to
-                           theta/2 unless straddle is set
+    max_background_card -- cap on background cardinalities, used as
+                           given; theta/2 when None
     duplication       -- each distinct pair appears this many times
     """
 
     planted: tuple[tuple[int, int], ...] = ()
     background_hosts: int = 0
     zipf_s: float = 1.2
-    max_background_card: int = 512
+    max_background_card: int | None = None
     duplication: int = 1
     theta: int = 1024
-    straddle: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "planted", tuple(map(tuple, self.planted)))
@@ -106,9 +105,9 @@ class TraceSpec:
 
     @property
     def background_cap(self) -> int:
-        if self.straddle:
-            return self.max_background_card
-        return min(self.max_background_card, self.theta // 2)
+        if self.max_background_card is None:
+            return self.theta // 2
+        return self.max_background_card
 
 
 def _opposite_hosts(sources: np.ndarray, cards: np.ndarray, seed: int) -> Trace:

@@ -65,14 +65,9 @@ class HashSuite:
         self._seed_rand = mix64(_TAG_RAND, self.master_seed)
         self._seed_rebit = mix64(_TAG_REBIT, self.master_seed)
         self._seed_lebit = mix64(_TAG_LEBIT, self.master_seed)
-        self._col_seeds: dict[int, int] = {}
 
     def _col_seed(self, row: int) -> int:
-        seed = self._col_seeds.get(row)
-        if seed is None:
-            seed = mix64(_TAG_COL + row, self.master_seed)
-            self._col_seeds[row] = seed
-        return seed
+        return mix64(_TAG_COL + row, self.master_seed)
 
     def rand32_arr(self, b: np.ndarray) -> np.ndarray:
         return (mix64_arr(b, self._seed_rand) & np.uint64(0xFFFFFFFF)).astype(

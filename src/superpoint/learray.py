@@ -15,7 +15,7 @@ u_hat: an all-zero AND stays zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .hashing import HashSuite
 _GATHER_BYTES = 1 << 18
 
 
-@dataclass(frozen=True)
-class CandidateEstimate:
+class CandidateEstimate(NamedTuple):
     address: int
     estimate: float
     saturated: bool
@@ -92,15 +91,12 @@ class LEArray:
         if self.u_hat > 2:
             words = scratch.view(np.uint64) if scratch.shape[1] % 8 == 0 else scratch
             live = np.flatnonzero(words.max(axis=1))
-            if live.size < scratch.shape[0]:
-                rest = scratch[live]
-                for i in range(2, self.u_hat):
-                    rest &= np.take(self.cells[i], cols[i][live], axis=0)
-                merged[live] = rest
-                return
+            rest = scratch[live]
             for i in range(2, self.u_hat):
-                scratch &= np.take(self.cells[i], cols[i], axis=0)
-        merged[...] = scratch
+                rest &= np.take(self.cells[i], cols[i][live], axis=0)
+            merged[live] = rest
+        else:
+            merged[...] = scratch
 
 
 def popcounts(sketches: np.ndarray) -> np.ndarray:
@@ -130,4 +126,4 @@ def estimate_candidates(
     keep = np.flatnonzero(saturated | (estimates > theta))
     keep = keep[np.lexsort((addresses[keep], -estimates[keep]))]
     columns = (addresses[keep].tolist(), estimates[keep].tolist(), saturated[keep].tolist())
-    return [CandidateEstimate(*row) for row in zip(*columns)]
+    return list(map(CandidateEstimate._make, zip(*columns)))

@@ -163,16 +163,13 @@ class RECube:
         self, a: np.ndarray, b: np.ndarray, tau: float, hs: HashSuite
     ) -> None:
         """Fold a batch of (source, opposite) pairs into the cube."""
-        if a.size == 0:
+        # lsb(hb) >= tau  <=>  hb is divisible by 2^ceil(tau); hb == 0
+        # (sentinel lsb 32) qualifies for any tau <= 32 and none above.
+        mask_bits = int(np.ceil(tau)) if tau > 0 else 0
+        if a.size == 0 or mask_bits > 32:
             return
         hb = hs.rand32_arr(b)
-        # lsb(hb) >= tau  <=>  hb is divisible by 2^ceil(tau); hb == 0
-        # (sentinel lsb 32) qualifies for any tau <= 32.
-        mask_bits = int(np.ceil(tau)) if tau > 0 else 0
-        if mask_bits > 32:
-            qualifying = hb == 0
-        else:
-            qualifying = (hb & np.uint32((1 << mask_bits) - 1)) == 0
+        qualifying = (hb & np.uint32((1 << mask_bits) - 1)) == 0
         if not qualifying.any():
             return
         order, groups = bit_groups(hs.re_bit_arr(b[qualifying]))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,10 +12,10 @@ import pytest
 import superpoint
 from superpoint import node
 from superpoint.cli import (
+    GenConfig,
     RunConfig,
-    load_config,
     main,
-    parse_trace_spec,
+    read_config,
 )
 from superpoint.harness import TraceSpec, generate_trace, partition_stream
 from superpoint.node import (
@@ -35,6 +36,9 @@ def _write(path, text):
 # -- config parsing -------------------------------------------------------------
 
 
+NO_FLAGS = argparse.Namespace()
+
+
 def test_load_config_parses_keys_and_comments(tmp_path):
     path = _write(
         tmp_path / "c.conf",
@@ -44,58 +48,64 @@ def test_load_config_parses_keys_and_comments(tmp_path):
         "\n"
         "oracle = true\n",
     )
-    values = load_config(path)
-    assert values == {"theta": "512", "l": "14,14,14", "oracle": "true"}
+    cfg = read_config(RunConfig, path, NO_FLAGS)
+    assert cfg == RunConfig(theta=512, l=(14, 14, 14), oracle=True)
     bad = _write(tmp_path / "bad.conf", "theta 512\n")
     with pytest.raises(ValueError, match="key = value"):
-        load_config(bad)
+        read_config(RunConfig, bad, NO_FLAGS)
+
+
+def _gen_config(tmp_path, text: str) -> GenConfig:
+    return read_config(GenConfig, _write(tmp_path / "g.conf", text), NO_FLAGS)
 
 
 def test_run_config_overrides_and_unknown_key(tmp_path):
     path = _write(tmp_path / "c.conf", "theta = 512\nnodes = 2\n")
-    cfg = RunConfig.from_file(path, {"nodes": 5, "theta": None})
+    cfg = read_config(RunConfig, path, argparse.Namespace(nodes=5, theta=None))
     assert cfg.theta == 512
     assert cfg.nodes == 5
     # mode and g were keys once: the naive protocol and the cube cell width;
-    # from_file and __class__ are attributes of RunConfig, not fields
-    for key in ("bogus_key", "mode", "g", "from_file", "__class__"):
+    # PARSERS and __class__ are attributes of RunConfig, not fields
+    for key in ("bogus_key", "mode", "g", "PARSERS", "__class__"):
         bad = _write(tmp_path / "bad.conf", f"{key} = 1\n")
         with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
-            RunConfig.from_file(bad, {})
+            read_config(RunConfig, bad, NO_FLAGS)
     bad = _write(tmp_path / "bad.conf", "nodes = abc\n")
     with pytest.raises(ValueError, match="config key 'nodes': invalid literal"):
-        RunConfig.from_file(bad, {})
+        read_config(RunConfig, bad, NO_FLAGS)
 
 
 def test_run_config_booleans_are_strict(tmp_path, capsys):
     for text, want in (("ON", True), ("yes", True), ("1", True), ("No", False), ("off", False)):
         path = _write(tmp_path / "c.conf", f"oracle = {text}\n")
-        assert RunConfig.from_file(path, {}).oracle is want
+        assert read_config(RunConfig, path, NO_FLAGS).oracle is want
     # a misspelled boolean must not silently read as false
     conf = _write(tmp_path / "run.conf", RUN_CONF.replace("oracle = true", "oracle = ture"))
     assert main(["run", "--config", conf, "--trace-dir", str(tmp_path)]) == 2
     assert "config key 'oracle'" in capsys.readouterr().err
-    spec = _write(tmp_path / "trace.conf", GEN_SPEC + "straddle = ture\n")
+    # gen has no boolean key: straddle, its one boolean, gave way to an
+    # explicit max_background_card, used as given above theta/2
+    spec = _write(tmp_path / "trace.conf", GEN_SPEC + "straddle = true\n")
     assert main(["gen", "--spec", spec, "--out", str(tmp_path / "traces")]) == 2
-    assert "config key 'straddle'" in capsys.readouterr().err
-    assert parse_trace_spec({"straddle": "TRUE"}).straddle is True
+    assert "error: unknown config key 'straddle'" in capsys.readouterr().err
+    assert _gen_config(tmp_path, "theta = 100\n").trace_spec().background_cap == 50
+    cfg = _gen_config(tmp_path, "theta = 100\nmax_background_card = 512\n")
+    assert cfg.trace_spec().background_cap == 512
 
 
-def test_parse_trace_spec_explicit_and_random():
-    spec = parse_trace_spec(
-        {"planted": "10.0.0.1:2048; 77:4096", "background_hosts": "10"}
-    )
+def test_parse_trace_spec_explicit_and_random(tmp_path):
+    spec = _gen_config(
+        tmp_path, "planted = 10.0.0.1:2048; 77:4096\nbackground_hosts = 10\n"
+    ).trace_spec()
     assert spec.planted == ((0x0A000001, 2048), (77, 4096))
     assert spec.background_hosts == 10
 
-    random_spec = parse_trace_spec(
-        {"planted_count": "5", "theta": "256", "seed": "3"}
-    )
+    random_spec = _gen_config(tmp_path, "planted_count = 5\ntheta = 256\nseed = 3\n").trace_spec()
     assert len(random_spec.planted) == 5
     for _, card in random_spec.planted:
         assert 2 * 256 <= card <= 16 * 256
     # deterministic per seed
-    again = parse_trace_spec({"planted_count": "5", "theta": "256", "seed": "3"})
+    again = _gen_config(tmp_path, "planted_count = 5\ntheta = 256\nseed = 3\n").trace_spec()
     assert again.planted == random_spec.planted
 
 
@@ -167,7 +177,7 @@ def test_gen_rejects_unknown_key(tmp_path, capsys):
     # a misspelled key must not silently fall back to its default
     spec = _write(tmp_path / "trace.conf", GEN_SPEC + "backgroud_hosts = 5000\n")
     assert main(["gen", "--spec", spec, "--out", str(tmp_path / "traces")]) == 2
-    assert "'backgroud_hosts'" in capsys.readouterr().err
+    assert "error: unknown config key 'backgroud_hosts'" in capsys.readouterr().err
     assert not (tmp_path / "traces").exists()
 
 
@@ -196,6 +206,9 @@ def test_gen_reports_bad_input_without_traceback(tmp_path, capsys, extra, out, f
         "seed = 1.5",
         "zipf_s = steep",
         "planted_count = many",
+        pytest.param("seed = -1", id="seed-negative"),
+        # above the default planted_max_card, 16 * theta = 4096
+        "planted_min_card = 5000\nplanted_count = 1",
     ],
     ids=lambda line: line.split(" =")[0],
 )
@@ -204,6 +217,13 @@ def test_gen_names_the_key_of_a_value_that_does_not_parse(tmp_path, capsys, line
     assert main(["gen", "--spec", spec, "--out", str(tmp_path / "traces")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config key '{line.split(' =')[0]}': ")
+    assert not (tmp_path / "traces").exists()
+
+
+def test_gen_names_the_key_of_a_negative_seed_flag(tmp_path, capsys):
+    spec = _write(tmp_path / "trace.conf", GEN_SPEC)
+    assert main(["gen", "--spec", spec, "--out", str(tmp_path / "traces"), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: config key 'seed': ")
     assert not (tmp_path / "traces").exists()
 
 

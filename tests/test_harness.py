@@ -94,12 +94,11 @@ def test_spec_validation():
 
 
 def test_background_cap_clamped_to_half_theta():
-    assert TraceSpec(theta=1024, max_background_card=512).background_cap == 512
-    assert TraceSpec(theta=100, max_background_card=512).background_cap == 50
-    assert (
-        TraceSpec(theta=100, max_background_card=512, straddle=True).background_cap
-        == 512
-    )
+    # theta/2 by default; an explicit cap is used as given, even above it
+    assert TraceSpec(theta=1024).background_cap == 512
+    assert TraceSpec(theta=100).background_cap == 50
+    assert TraceSpec(theta=100, max_background_card=8).background_cap == 8
+    assert TraceSpec(theta=100, max_background_card=512).background_cap == 512
 
 
 def test_generate_is_deterministic():

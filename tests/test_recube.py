@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 from oracles import (
     GOLDEN_ADDRESS,
@@ -174,6 +175,26 @@ def test_update_pairs_matches_scalar_replay():
     total_bits = sum(int(bits != 0) for bits in oracle.values())
     nonzero = sum(int(np.count_nonzero(row)) for row in cube.rows)
     assert nonzero == total_bits
+
+
+@pytest.mark.parametrize("log2_theta", [35, 36])
+def test_update_pairs_zero_hash_qualifies_up_to_tau_32(monkeypatch, log2_theta):
+    # a zero 32-bit hash has lsb 32: it qualifies at tau = 32, and at
+    # tau = 33 no hash does
+    monkeypatch.setattr(HS, "rand32_arr", lambda b: np.zeros(b.size, np.uint32))
+    monkeypatch.setattr(oracles, "rand32", lambda hs, b: 0)
+    tau = compute_tau(2**log2_theta)
+    a, b = np.array([5, 9, 77], np.uint32), np.array([1, 2, 3], np.uint32)
+    cube = RECube(SMALL)
+    cube.update_pairs(a, b, tau, HS)
+
+    oracle = RECube(SMALL)
+    for av, bv in zip(a.tolist(), b.tolist()):
+        k, js = derive_indices(av, SMALL)
+        for row, j in zip(oracle.rows, js):
+            row[k, j] |= re_slot(HS, bv, tau)
+    assert same_sketch(cube, oracle)
+    assert cube.cells.any() == (log2_theta == 35)
 
 
 def test_update_empty_batch_is_noop():
