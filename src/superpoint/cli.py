@@ -20,10 +20,12 @@ import argparse
 import contextlib
 import dataclasses
 import glob
+import itertools
 import json
 import os
 import sys
 import tempfile
+import threading
 
 import numpy as np
 
@@ -284,6 +286,61 @@ def _window_records(report, metrics, truth_set, malformed: int):
         yield record
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _scan_nodes(nodes, files, spans, window_id: int, window_seconds: int, keep: bool):
+    """Start window `window_id` at every node and fold in its records from
+    the node's `window_spans` spans. Return each node's list of record
+    batches, kept only when `keep` is set (the oracle's), in node order.
+
+    Nodes are independent until stage 1, and their scans are numpy calls
+    that release the GIL, so they run on min(nodes, usable CPUs) threads
+    that take node indexes from one counter. The calling thread takes node
+    0 and is one of them: a window whose scans all ran elsewhere leaves the
+    main heap cold, and `run_window`'s cube-sized temporaries then
+    page-fault. Every thread is joined before this returns; a thread stops
+    at its first error, and the error of the lowest failing node id is
+    raised."""
+    pairs = [[] for _ in nodes]
+    errors = [None] * len(nodes)
+    # node 0 is the calling thread's; next() of a count is one step under the GIL
+    counter = itertools.count(1)
+
+    def scan(i: int) -> None:
+        try:
+            while i < len(nodes):
+                nodes[i].reset_window(window_id)
+                for path in files[i]:
+                    for part in window_pairs(*spans[path], window_id, window_seconds):
+                        nodes[i].scan_window(part)
+                        if keep:
+                            pairs[i].append(part)
+                i = next(counter)
+        except Exception as exc:
+            errors[i] = exc
+
+    threads = [
+        threading.Thread(target=lambda: scan(next(counter)))
+        for _ in range(min(len(nodes), _usable_cpus()) - 1)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        scan(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return pairs
+
+
 def cmd_run(args) -> int:
     cfg = read_config(RunConfig, args.config, args)
     cube_cfg = RECubeConfig(r=cfg.r, l=cfg.l, s=cfg.s)  # raises with the violated inequality
@@ -302,18 +359,11 @@ def cmd_run(args) -> int:
         spans, malformed = window_spans(sum(files, []), cfg.window_seconds, tmp)
         window_ids = sorted(set().union(*(windows for _, windows in spans.values()))) or [0]
         for window_id in window_ids:
-            pairs = []  # the window's records, kept for the oracle only
-            for node, paths in zip(nodes, files):
-                node.reset_window(window_id)
-                for path in paths:
-                    for part in window_pairs(*spans[path], window_id, cfg.window_seconds):
-                        node.scan_window(part)
-                        if cfg.oracle:
-                            pairs.append(part)
+            pairs = _scan_nodes(nodes, files, spans, window_id, cfg.window_seconds, cfg.oracle)
             report = run_window(nodes)
             truth_set = metrics = None
             if cfg.oracle:
-                truth_set = true_super_points(pairs, cfg.theta)
+                truth_set = true_super_points(sum(pairs, []), cfg.theta)
                 metrics = oracle_evaluate(truth_set, {sp.address for sp in report.super_points})
                 if metrics is not None:
                     worst_ftr = max(worst_ftr, metrics.ftr)

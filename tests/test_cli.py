@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import superpoint
-from superpoint import node
+from superpoint import cli, node
 from superpoint.cli import (
     GenConfig,
     RunConfig,
@@ -385,15 +388,15 @@ DENSE_RUN_CONF = (
 RUN_FLAGS = {"read": [], "nodes1": ["--nodes", "1"]}
 
 
+DENSE_DIGESTS = {
+    "read": "d7125699ffdbc6046a2135ae50f0c584df9dd75afc4a6219597d0a6fd91995e4",
+    "nodes1": "ea1a5554aab212e038ad3b13a7a46147a45d2a005bf454b73cc6cf30249de99b",
+}
+
+
 @pytest.mark.parametrize(
     "name, digest",
-    [
-        pytest.param(name, digest, id=f"{name}-{digest}")
-        for name, digest in (
-            ("read", "d7125699ffdbc6046a2135ae50f0c584df9dd75afc4a6219597d0a6fd91995e4"),
-            ("nodes1", "ea1a5554aab212e038ad3b13a7a46147a45d2a005bf454b73cc6cf30249de99b"),
-        )
-    ],
+    [pytest.param(name, digest, id=f"{name}-{digest}") for name, digest in DENSE_DIGESTS.items()],
 )
 def test_run_report_golden_digest(tmp_path, capsys, name, digest):
     # ~2000 candidates, ~850 super points, ~170 of them saturated: the
@@ -500,8 +503,6 @@ def test_run_parses_each_csv_line_once(tmp_path, capsys, monkeypatch):
 def test_run_writes_each_window_when_it_is_done(tmp_path, capsys, monkeypatch):
     # the report file holds every earlier window's records, and no more,
     # when the next window's protocol starts
-    from superpoint import cli
-
     lines_seen = []
     run_window = cli.run_window
 
@@ -517,6 +518,93 @@ def test_run_writes_each_window_when_it_is_done(tmp_path, capsys, monkeypatch):
     assert len(starts) == 4
     assert lines_seen == starts
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_run_output_does_not_depend_on_thread_count(tmp_path, capsys, monkeypatch, cpus):
+    # the nodes scan on min(nodes, usable CPUs) threads, the calling
+    # thread one of them, so one node or one CPU starts no thread
+    started = []
+    real_thread = threading.Thread
+
+    def thread(*args, **kwargs):
+        assert allowed, "a thread was started"
+        started.append(real_thread(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(threading, "Thread", thread)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    spec = _write(tmp_path / "trace.conf", DENSE_SPEC)
+    assert main(["gen", "--spec", spec, "--out", str(tmp_path / "dense")]) == 0
+    for fmt in ("bin", "csv"):
+        _write_timestamped_traces(tmp_path / fmt, fmt)
+    for name, flags in RUN_FLAGS.items():
+        allowed = name == "read" and cpus > 1
+        started.clear()
+        digest = _run_digest(tmp_path, DENSE_RUN_CONF, tmp_path / "dense", *flags)
+        assert digest == DENSE_DIGESTS[name]
+        for fmt in ("bin", "csv"):
+            digest = _run_digest(tmp_path, MULTI_WINDOW_RUN_CONF, tmp_path / fmt, *flags)
+            assert digest == MULTI_WINDOW_DIGESTS[name], fmt
+        # one dense window and four windows of each format
+        assert len(started) == 9 * (min(3, cpus) - 1 if allowed else 0)
+    capsys.readouterr()
+
+
+def test_scan_nodes_starts_each_node_once_per_window(monkeypatch):
+    # more threads than cores and a short switch interval: a node index
+    # that two threads took, or none, shows in its window list
+    class Node:
+        def __init__(self):
+            self.windows = []
+
+        def reset_window(self, window_id):
+            self.windows.append(window_id)
+
+    nodes = [Node() for _ in range(256)]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for window_id in range(20):
+            pairs = cli._scan_nodes(nodes, [[] for _ in nodes], {}, window_id, 300, True)
+            assert pairs == [[] for _ in nodes]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(n.windows == list(range(20)) for n in nodes)
+
+
+@pytest.mark.parametrize(
+    "failing", [(1,), (1, 2), (0, 2)], ids=["node1", "nodes1-2", "nodes0-2"]
+)
+def test_run_reports_the_lowest_failing_node_and_joins_every_thread(
+    tmp_path, capsys, monkeypatch, failing
+):
+    # The lowest failing node fails after the others, so its error is not
+    # simply the first one; the other nodes are still scanning when it fails.
+    scan = node.ObservationNode.scan_window
+
+    def scan_or_fail(self, trace):
+        if self.node_id not in failing:
+            time.sleep(0.2)
+            return scan(self, trace)
+        time.sleep(0.1 if self.node_id == min(failing) else 0)
+        raise ValueError(f"node {self.node_id} cannot scan")
+
+    monkeypatch.setattr(node.ObservationNode, "scan_window", scan_or_fail)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    run_tmp = tmp_path / "run_tmp"
+    run_tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(run_tmp))
+    # CSV traces, so that the run's temporary directory holds binary copies
+    _write_timestamped_traces(tmp_path / "traces", "csv")
+    conf = _write(tmp_path / "run.conf", MULTI_WINDOW_RUN_CONF)
+    threads = threading.active_count()
+    rc = main(["run", "--config", conf, "--trace-dir", str(tmp_path / "traces")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: node {min(failing)} cannot scan\n"
+    assert threading.active_count() == threads
+    assert list(run_tmp.iterdir()) == []
 
 
 def _three_window_run(tmp_path, tail=b""):
@@ -572,6 +660,18 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def _run_probe(script, *args):
+    """Run a Python `script` with `args` in a subprocess that loads this
+    checkout's superpoint."""
+    src = str(Path(superpoint.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # one BLAS thread, so an address-space cap measures the run, not the thread pool
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
 def _run_peak_rss_mb(tmp_path, pairs):
     trace_dir = tmp_path / f"pairs_{pairs}"
     trace_dir.mkdir()
@@ -582,14 +682,7 @@ def _run_peak_rss_mb(tmp_path, pairs):
     # theta is high enough that no cell of the cube becomes a candidate
     conf = _write(tmp_path / "run.conf", DENSE_RUN_CONF.replace("theta = 128", "theta = 1048576")
                   .replace("nodes = 3", "nodes = 1"))
-    src = str(Path(superpoint.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    # one BLAS thread, so the address-space cap measures the run, not the thread pool
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    probe = subprocess.run(
-        [sys.executable, "-c", _RSS_PROBE, "run", "--config", conf, "--trace-dir", str(trace_dir)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    probe = _run_probe(_RSS_PROBE, "run", "--config", conf, "--trace-dir", str(trace_dir))
     code, maxrss_kb = probe.stdout.split()[-2:]
     assert code == "0", probe.stdout + probe.stderr
     return int(maxrss_kb) / 1024
@@ -600,3 +693,42 @@ def test_run_ingest_memory_does_not_grow_with_trace(tmp_path):
     small = _run_peak_rss_mb(tmp_path, 750_000)
     large = _run_peak_rss_mb(tmp_path, 3_000_000)
     assert large - small < 40, (small, large)
+
+
+# Counts the minor page faults of each run_window call, with three scan
+# threads however many CPUs the machine has.
+_FAULT_PROBE = """
+import resource, sys
+from superpoint import cli
+
+faults = []
+run_window = cli.run_window
+
+def counted(nodes):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    report = run_window(nodes)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return report
+
+cli.run_window = counted
+cli._usable_cpus = lambda: 3
+print(cli.main(sys.argv[1:]), *faults)
+"""
+
+
+def test_run_window_does_not_page_fault_after_concurrent_scans(tmp_path):
+    # The calling thread scans a node too, so run_window's cube-sized
+    # temporaries come from a heap the scans warmed: 6 faults when this
+    # test was written. With every scan on another thread, they are fresh
+    # mappings: about 1000.
+    trace_dir = tmp_path / "traces"
+    trace_dir.mkdir()
+    rng = np.random.default_rng(7)
+    for i in range(3):
+        a, b = rng.integers(0, 2**32, (2, 200_000), dtype=np.uint32)
+        write_trace_binary(trace_dir / f"node_{i:03d}.bin", Trace(a, b))
+    conf = _write(tmp_path / "run.conf", "nodes = 3\n")  # the default geometry
+    probe = _run_probe(_FAULT_PROBE, "run", "--config", conf, "--trace-dir", str(trace_dir))
+    code, *faults = probe.stdout.splitlines()[-1].split()
+    assert code == "0", probe.stdout + probe.stderr
+    assert len(faults) == 1 and int(faults[0]) < 100, faults
