@@ -293,10 +293,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _scan_nodes(nodes, files, spans, window_id: int, window_seconds: int, keep: bool):
+def _scan_nodes(nodes, files, spans, window_id: int, window_seconds: int) -> None:
     """Start window `window_id` at every node and fold in its records from
-    the node's `window_spans` spans. Return each node's list of record
-    batches, kept only when `keep` is set (the oracle's), in node order.
+    the node's `window_spans` spans.
 
     Nodes are independent until stage 1, and their scans are numpy calls
     that release the GIL, so they run on min(nodes, usable CPUs) threads
@@ -306,7 +305,6 @@ def _scan_nodes(nodes, files, spans, window_id: int, window_seconds: int, keep: 
     page-fault. Every thread is joined before this returns; a thread stops
     at its first error, and the error of the lowest failing node id is
     raised."""
-    pairs = [[] for _ in nodes]
     errors = [None] * len(nodes)
     # node 0 is the calling thread's; next() of a count is one step under the GIL
     counter = itertools.count(1)
@@ -318,8 +316,6 @@ def _scan_nodes(nodes, files, spans, window_id: int, window_seconds: int, keep: 
                 for path in files[i]:
                     for part in window_pairs(*spans[path], window_id, window_seconds):
                         nodes[i].scan_window(part)
-                        if keep:
-                            pairs[i].append(part)
                 i = next(counter)
         except Exception as exc:
             errors[i] = exc
@@ -338,7 +334,6 @@ def _scan_nodes(nodes, files, spans, window_id: int, window_seconds: int, keep: 
     for exc in errors:
         if exc is not None:
             raise exc
-    return pairs
 
 
 def cmd_run(args) -> int:
@@ -359,11 +354,16 @@ def cmd_run(args) -> int:
         spans, malformed = window_spans(sum(files, []), cfg.window_seconds, tmp)
         window_ids = sorted(set().union(*(windows for _, windows in spans.values()))) or [0]
         for window_id in window_ids:
-            pairs = _scan_nodes(nodes, files, spans, window_id, cfg.window_seconds, cfg.oracle)
+            _scan_nodes(nodes, files, spans, window_id, cfg.window_seconds)
             report = run_window(nodes)
             truth_set = metrics = None
             if cfg.oracle:
-                truth_set = true_super_points(sum(pairs, []), cfg.theta)
+                pairs = [
+                    part
+                    for path in sum(files, [])
+                    for part in window_pairs(*spans[path], window_id, cfg.window_seconds)
+                ]
+                truth_set = true_super_points(pairs, cfg.theta)
                 metrics = oracle_evaluate(truth_set, {sp.address for sp in report.super_points})
                 if metrics is not None:
                     worst_ftr = max(worst_ftr, metrics.ftr)

@@ -41,15 +41,13 @@ class WindowReport:
         return len(self.candidates)
 
     @property
-    def per_node_fractions(self) -> list[float]:
-        return [
+    def transmitted_fraction(self) -> float:
+        """The mean over the nodes of the bytes each sent, as a fraction of
+        one node's sketches."""
+        return float(np.mean([
             (s1 + s2 + s3) / self.master_structure_bytes
             for s1, s2, s3 in zip(self.stage1_bytes, self.stage2_bytes, self.stage3_bytes)
-        ]
-
-    @property
-    def transmitted_fraction(self) -> float:
-        return float(np.mean(self.per_node_fractions))
+        ]))
 
 
 def _check_nodes(nodes: list[ObservationNode]) -> None:

@@ -97,7 +97,8 @@ def le_std_dev_hosts(load_factor: float, le_len: int) -> float:
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Scalar knobs shared by every node in a run."""
+    """Scalar knobs shared by every node in a run, and the one check of
+    the LE grid's geometry."""
 
     theta: int
     le_len: int
@@ -105,12 +106,13 @@ class DetectorParams:
     v_hat: int
 
     def __post_init__(self):
-        if self.theta < RE_WIDTH:
-            raise ValueError(f"theta must be >= {RE_WIDTH}, got {self.theta}")
+        compute_tau(self.theta)  # raises for theta < RE_WIDTH
         for name in ("le_len", "v_hat"):
             value = getattr(self, name)
             if value <= 0 or value & (value - 1):
                 raise ValueError(f"{name} must be a power of two, got {value}")
+        if self.le_len < 8:
+            raise ValueError(f"le_len must be at least 8 bits, got {self.le_len}")
         if self.u_hat < 1:
             raise ValueError(f"u_hat must be >= 1, got {self.u_hat}")
 

@@ -5,8 +5,8 @@ Every node in a run derives the same family of hash functions from it,
 which is the precondition for merging sketches across nodes: the same
 opposite host must map to the same bit everywhere.
 
-The mixer is a splitmix64-style finalizer. The scan loops hash numpy
-uint64 arrays with mix64_arr; the scalar mix64 derives the per-role
+The mixer is a splitmix64-style finalizer over numpy uint64 arrays,
+mix64_arr. It hashes the scanned hosts and also derives the per-role
 seeds from the master seed.
 """
 
@@ -26,16 +26,8 @@ _TAG_LEBIT = 0x4C454249  # host -> bit position in a linear estimator
 _TAG_COL = 0x434F4C00  # source address -> column, one seed per row
 
 
-def mix64(x: int, seed: int = 0) -> int:
-    """Scalar keyed 64-bit mixer."""
-    z = (x * _GOLDEN + seed) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
 def mix64_arr(x: np.ndarray, seed: int) -> np.ndarray:
-    """Vector keyed 64-bit mixer; same outputs as :func:`mix64`."""
+    """Keyed 64-bit mixer, applied to each value of `x`."""
     z = x.astype(np.uint64, copy=True)
     z *= np.uint64(_GOLDEN)
     z += np.uint64(seed)
@@ -62,12 +54,13 @@ class HashSuite:
 
     def __init__(self, master_seed: int):
         self.master_seed = master_seed & _MASK64
-        self._seed_rand = mix64(_TAG_RAND, self.master_seed)
-        self._seed_rebit = mix64(_TAG_REBIT, self.master_seed)
-        self._seed_lebit = mix64(_TAG_LEBIT, self.master_seed)
+        tags = np.array([_TAG_RAND, _TAG_REBIT, _TAG_LEBIT], np.uint64)
+        self._seed_rand, self._seed_rebit, self._seed_lebit = mix64_arr(
+            tags, self.master_seed
+        ).tolist()
 
     def _col_seed(self, row: int) -> int:
-        return mix64(_TAG_COL + row, self.master_seed)
+        return mix64_arr(np.array([_TAG_COL + row], np.uint64), self.master_seed).item()
 
     def rand32_arr(self, b: np.ndarray) -> np.ndarray:
         return (mix64_arr(b, self._seed_rand) & np.uint64(0xFFFFFFFF)).astype(

@@ -36,21 +36,11 @@ class LEArray:
     """Dense grid of bit vectors, packed 8 bits per byte (LSB first)."""
 
     def __init__(self, u_hat: int, v_hat: int, le_len: int):
-        if u_hat < 1:
-            raise ValueError(f"u_hat must be >= 1, got {u_hat}")
-        for name, value in (("v_hat", v_hat), ("le_len", le_len)):
-            if value <= 0 or value & (value - 1):
-                raise ValueError(f"{name} must be a power of two, got {value}")
-        if le_len < 8:
-            raise ValueError(f"le_len must be at least 8 bits, got {le_len}")
+        """An empty grid; the geometry is as checked by DetectorParams."""
         self.u_hat = u_hat
         self.v_hat = v_hat
         self.le_len = le_len
         self.cells = np.zeros((u_hat, v_hat, le_len // 8), dtype=np.uint8)
-
-    @property
-    def nbytes(self) -> int:
-        return self.cells.size
 
     def update_pairs(self, a: np.ndarray, b: np.ndarray, hs: HashSuite) -> None:
         """Fold a batch of (source, opposite) pairs into the grid."""
@@ -88,21 +78,22 @@ class LEArray:
         scratch = np.take(self.cells[0], cols[0], axis=0)
         if self.u_hat > 1:
             scratch &= np.take(self.cells[1], cols[1], axis=0)
-        if self.u_hat > 2:
-            words = scratch.view(np.uint64) if scratch.shape[1] % 8 == 0 else scratch
-            live = np.flatnonzero(words.max(axis=1))
-            rest = scratch[live]
-            for i in range(2, self.u_hat):
-                rest &= np.take(self.cells[i], cols[i][live], axis=0)
-            merged[live] = rest
-        else:
-            merged[...] = scratch
+        live = np.flatnonzero(_words(scratch).max(axis=1))
+        rest = scratch[live]
+        for i in range(2, self.u_hat):
+            rest &= np.take(self.cells[i], cols[i][live], axis=0)
+        merged[live] = rest
+
+
+def _words(sketches: np.ndarray) -> np.ndarray:
+    """A C-contiguous (w, le_len // 8) uint8 matrix as uint64 words where
+    its rows are whole words, else as it is."""
+    return sketches.view(np.uint64) if sketches.shape[1] % 8 == 0 else sketches
 
 
 def popcounts(sketches: np.ndarray) -> np.ndarray:
     """The set bits of each row of a C-contiguous (w, le_len // 8) uint8 matrix."""
-    words = sketches.view(np.uint64) if sketches.shape[1] % 8 == 0 else sketches
-    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(_words(sketches)).sum(axis=1, dtype=np.int64)
 
 
 def estimate_candidates(

@@ -120,12 +120,14 @@ def _parse_csv(lines: list[bytes]) -> tuple[Trace, int]:
         if not line.strip():
             continue
         try:
-            fields = line.decode().strip().split(",")
-            t = int(fields[2]) if len(fields) > 2 else 0
+            a, b, *rest = line.decode().strip().split(",")
+            if len(rest) > 1:
+                raise ValueError("more than three fields")
+            t = int(rest[0]) if rest else 0
             if not 0 <= t <= 0xFFFFFFFF:
                 raise ValueError("timestamp out of uint32 range")
-            pair = socket.inet_aton(fields[0]) + socket.inet_aton(fields[1])
-        except (IndexError, ValueError, OSError):
+            pair = socket.inet_aton(a) + socket.inet_aton(b)
+        except (ValueError, OSError):
             malformed += 1
             continue
         addresses += pair

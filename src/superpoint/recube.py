@@ -118,23 +118,14 @@ def derive_indices_arr(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Plane index k and per-row cell indexes j of each source address:
     k is the low r bits, row i reads l[i] left-part bits from offset s[i],
-    wrapping past the top of the left part back to bit 0."""
-    a64 = a.astype(np.uint64)
-    k = (a64 & np.uint64((1 << cfg.r) - 1)).astype(np.int64)
-    lp = a64 >> np.uint64(cfg.r)
+    wrapping past the top of the left part back to bit 0. Each row is the
+    left part rotated right by s[i] within its n = 32 - r bits; as the
+    left part is below 2^31, no shift overflows int64."""
+    a64 = a.astype(np.int64)
+    k = a64 & ((1 << cfg.r) - 1)
+    lp = a64 >> cfg.r
     n = cfg.left_bits
-    js = []
-    for si, li in zip(cfg.s, cfg.l):
-        if si + li <= n:
-            j = (lp >> np.uint64(si)) & np.uint64((1 << li) - 1)
-        else:
-            low_width = n - si
-            high_width = li - low_width
-            low = (lp >> np.uint64(si)) & np.uint64((1 << low_width) - 1)
-            high = lp & np.uint64((1 << high_width) - 1)
-            j = low | (high << np.uint64(low_width))
-        js.append(j.astype(np.int64))
-    return k, js
+    return k, [((lp >> si) | (lp << (n - si))) & ((1 << li) - 1) for si, li in zip(cfg.s, cfg.l)]
 
 
 class RECube:
@@ -179,18 +170,6 @@ class RECube:
         base = k * self.cells.shape[1]
         for off, j in zip(self._offsets, js):
             or_bit_groups(flat, base + (off + j), groups)
-
-    @classmethod
-    def from_cell_bytes(cls, config: RECubeConfig, data) -> "RECube":
-        """Read-only cube viewing `data` (any bytes-like object), no copy."""
-        if len(data) != config.nbytes:
-            raise ValueError(
-                f"expected {config.nbytes} cell bytes, got {len(data)}"
-            )
-        cells = np.frombuffer(data, np.uint8).reshape(1 << config.r, -1)
-        # a writable buffer (bytearray) must not be changed through the cube
-        cells.flags.writeable = False
-        return cls(config, cells)
 
 
 def rec_merge_outer(cubes: Sequence[RECube]) -> RECube:

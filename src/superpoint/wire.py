@@ -98,8 +98,10 @@ def decode_stage1(data: bytes) -> tuple[PayloadHeader, RECube]:
     widths_offsets = _unpack(f"<{2 * u}B", data, HEADER_LEN + 2)
     cfg = RECubeConfig(r=r, l=widths_offsets[:u], s=widths_offsets[u:])
     _check_size(data, stage1_size(cfg))
-    cube = RECube.from_cell_bytes(cfg, memoryview(data)[-cfg.nbytes :])
-    return header, cube
+    cells = np.frombuffer(data, np.uint8, offset=len(data) - cfg.nbytes)
+    # a writable buffer (bytearray) must not be changed through the cube
+    cells.flags.writeable = False
+    return header, RECube(cfg, cells.reshape(1 << r, -1))
 
 
 # -- stage 2: candidate broadcast ----------------------------------------
@@ -130,10 +132,6 @@ def decode_stage2(data) -> tuple[PayloadHeader, np.ndarray]:
 
 #: the common header, then w and le_len
 STAGE3_HEADER_LEN = HEADER_LEN + 8
-
-
-def stage3_size(w: int, le_len: int) -> int:
-    return STAGE3_HEADER_LEN + w * (4 + le_len // 8)
 
 
 @functools.cache

@@ -17,7 +17,7 @@ import numpy as np
 
 from superpoint import wire
 from superpoint.estimators import CANDIDATE_BITS
-from superpoint.hashing import HashSuite, mix64
+from superpoint.hashing import HashSuite
 from superpoint.learray import LEArray
 from superpoint.node import Trace
 from superpoint.recube import RECube, RECubeConfig, rec_merge_outer, recover_candidates
@@ -32,6 +32,16 @@ def lsb(x: int) -> int:
 
 
 # -- the hash family, one value at a time --------------------------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def mix64(x: int, seed: int = 0) -> int:
+    """The keyed 64-bit mixer of one value (splitmix64's finalizer)."""
+    z = (x * 0x9E3779B97F4A7C15 + seed) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def rand32(hs: HashSuite, b: int) -> int:
@@ -129,6 +139,12 @@ def decode_stage3(data) -> tuple[wire.PayloadHeader, np.ndarray, np.ndarray]:
     return header, candidates, sketches
 
 
+def stage3_size(w: int, le_len: int) -> int:
+    """Bytes of a stage-3 payload: its header, then w records of a 4-byte
+    address and an le_len-bit sketch."""
+    return wire.STAGE3_HEADER_LEN + w * (4 + le_len // 8)
+
+
 def expected_comms(cfg: RECubeConfig, params, w: int) -> dict:
     """Per-node byte accounting for a given geometry and candidate count.
 
@@ -137,7 +153,7 @@ def expected_comms(cfg: RECubeConfig, params, w: int) -> dict:
     """
     stage1 = wire.stage1_size(cfg)
     stage2 = wire.stage2_size(w)
-    stage3 = wire.stage3_size(w, params.le_len)
+    stage3 = stage3_size(w, params.le_len)
     master = cfg.nbytes + params.lea_bytes
     total = stage1 + stage2 + stage3
     return {

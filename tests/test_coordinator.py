@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import and_of_rows, encode_stage1, encode_stage3, expected_comms
+from oracles import and_of_rows, encode_stage1, encode_stage3, expected_comms, stage3_size
 
 from superpoint import wire
 from superpoint.coordinator import run_window
@@ -89,10 +89,10 @@ def test_byte_accounting_matches_wire_sizes():
     w = report.candidates_count
     assert report.stage1_bytes == [wire.stage1_size(CFG)] * 3
     assert report.stage2_bytes == [wire.stage2_size(w)] * 3
-    assert report.stage3_bytes == [wire.stage3_size(w, PARAMS.le_len)] * 3
+    assert report.stage3_bytes == [stage3_size(w, PARAMS.le_len)] * 3
     assert report.master_structure_bytes == CFG.nbytes + PARAMS.lea_bytes
     expected_fraction = (
-        wire.stage1_size(CFG) + wire.stage2_size(w) + wire.stage3_size(w, PARAMS.le_len)
+        wire.stage1_size(CFG) + wire.stage2_size(w) + stage3_size(w, PARAMS.le_len)
     ) / report.master_structure_bytes
     assert report.transmitted_fraction == pytest.approx(expected_fraction)
     arithmetic = expected_comms(CFG, PARAMS, w)
@@ -107,7 +107,7 @@ def test_zero_candidate_window():
     assert np.array_equal(report.candidates, [])
     assert report.super_points == []
     assert report.stage2_bytes == [wire.stage2_size(0)] * 2
-    assert report.stage3_bytes == [wire.stage3_size(0, PARAMS.le_len)] * 2
+    assert report.stage3_bytes == [stage3_size(0, PARAMS.le_len)] * 2
 
 
 def test_read_is_bounded_by_one_node_over_the_union():

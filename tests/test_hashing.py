@@ -1,7 +1,7 @@
 import numpy as np
-from oracles import col, le_bit, rand32, re_bit
+from oracles import col, le_bit, mix64, rand32, re_bit
 
-from superpoint.hashing import HashSuite, mix64, mix64_arr
+from superpoint.hashing import HashSuite, mix64_arr
 
 XS = np.arange(200, dtype=np.uint64)
 
@@ -17,6 +17,16 @@ def test_scalar_vector_agreement():
         assert [col(hs, int(v), row, 16) for v in values] == list(
             hs.col_arr(values, row, 16)
         )
+
+
+def test_role_seeds_are_the_scalar_mixer_of_their_tags():
+    for master in (0, 0xDEADBEEF, 2**64 - 1):
+        hs = HashSuite(master)
+        seeds = (hs._seed_rand, hs._seed_rebit, hs._seed_lebit)
+        assert seeds == tuple(mix64(tag, master) for tag in (0x52414E44, 0x52454249, 0x4C454249))
+        assert all(type(seed) is int for seed in seeds)
+        for row in range(5):
+            assert hs._col_seed(row) == mix64(0x434F4C00 + row, master)
 
 
 def test_same_seed_same_outputs():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import bits_of, check_theorem1_instance, col, le_sketch
 
-from superpoint.estimators import linear_count
+from superpoint.estimators import DetectorParams, linear_count
 from superpoint.hashing import HashSuite
 from superpoint.learray import LEArray, estimate_candidates, popcounts
 
@@ -19,14 +19,18 @@ def extract(lea: LEArray, cands, hs: HashSuite) -> np.ndarray:
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError):
-        LEArray(0, 8, 64)
-    with pytest.raises(ValueError):
-        LEArray(2, 7, 64)
-    with pytest.raises(ValueError):
-        LEArray(2, 8, 48)
-    with pytest.raises(ValueError):
-        LEArray(2, 8, 4)  # below one byte
+    # DetectorParams is the one check of the grid's geometry
+    DetectorParams(theta=64, le_len=8, u_hat=1, v_hat=1)
+    for u_hat, v_hat, le_len in [
+        (0, 8, 64),
+        (2, 7, 64),
+        (2, 8, 48),
+        (2, 8, 4),  # below one byte
+        (2, 8, 0),
+        (2, 0, 64),
+    ]:
+        with pytest.raises(ValueError):
+            DetectorParams(theta=64, le_len=le_len, u_hat=u_hat, v_hat=v_hat)
 
 
 def test_update_touches_one_cell_per_row():

