@@ -20,12 +20,10 @@ import argparse
 import contextlib
 import dataclasses
 import glob
-import itertools
 import json
 import os
 import sys
 import tempfile
-import threading
 
 import numpy as np
 
@@ -47,6 +45,7 @@ from .node import (
     write_trace_binary,
     write_trace_csv,
 )
+from .parallel import run_indexed
 from .recube import RECubeConfig
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -286,54 +285,24 @@ def _window_records(report, metrics, truth_set, malformed: int):
         yield record
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set, where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _scan_nodes(nodes, files, spans, window_id: int, window_seconds: int) -> None:
     """Start window `window_id` at every node and fold in its records from
     the node's `window_spans` spans.
 
-    Nodes are independent until stage 1, and their scans are numpy calls
-    that release the GIL, so they run on min(nodes, usable CPUs) threads
-    that take node indexes from one counter. The calling thread takes node
-    0 and is one of them: a window whose scans all ran elsewhere leaves the
-    main heap cold, and `run_window`'s cube-sized temporaries then
-    page-fault. Every thread is joined before this returns; a thread stops
-    at its first error, and the error of the lowest failing node id is
-    raised."""
-    errors = [None] * len(nodes)
-    # node 0 is the calling thread's; next() of a count is one step under the GIL
-    counter = itertools.count(1)
+    Nodes are independent until stage 1, so they scan on the threads of
+    `parallel.run_indexed`, one node index at a time, and the error of the
+    lowest failing node id is raised after every thread is joined. The
+    calling thread scans node 0: a window whose scans all ran elsewhere
+    leaves the main heap cold, and `run_window`'s cube-sized temporaries
+    then page-fault."""
 
     def scan(i: int) -> None:
-        try:
-            while i < len(nodes):
-                nodes[i].reset_window(window_id)
-                for path in files[i]:
-                    for part in window_pairs(*spans[path], window_id, window_seconds):
-                        nodes[i].scan_window(part)
-                i = next(counter)
-        except Exception as exc:
-            errors[i] = exc
+        nodes[i].reset_window(window_id)
+        for path in files[i]:
+            for part in window_pairs(*spans[path], window_id, window_seconds):
+                nodes[i].scan_window(part)
 
-    threads = [
-        threading.Thread(target=lambda: scan(next(counter)))
-        for _ in range(min(len(nodes), _usable_cpus()) - 1)
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        scan(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    run_indexed(len(nodes), scan)
 
 
 def cmd_run(args) -> int:

@@ -2,9 +2,11 @@
 
 Stage 1 collects every node's cube and ORs them; candidates are recovered
 from the merged cube. Stage 2 broadcasts the candidate list. Stage 3
-pulls one inner-merged estimator per candidate per node, block by block
-from every node in lockstep, ORs each block across the nodes, keeps the
-merged sketches' popcounts, and reports the candidates whose estimate
+collects one inner-merged estimator per candidate per node, block by
+block: the blocks are independent, so threads split them, and each
+thread builds its block at every node, ORs it across the nodes, keeps
+the merged sketches' popcounts and drops each node's block as soon as it
+is ORed. Then the coordinator reports the candidates whose estimate
 exceeds the threshold.
 
 The transport is in-process, but every stage moves through the byte-exact
@@ -13,12 +15,14 @@ wire encodings, so the counted sizes are what a socket would carry.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .learray import CandidateEstimate, estimate_candidates, popcounts
 from .node import ObservationNode
+from .parallel import run_indexed
 from .recube import rec_merge_outer, recover_candidates
 from . import wire
 
@@ -87,10 +91,13 @@ def _decoded(node: ObservationNode, stage: int, decode, *args):
 def run_window(nodes: list[ObservationNode]) -> WindowReport:
     """Drive the three-stage protocol across already-scanned nodes.
 
-    A payload for another window, node or cube geometry, a stage-3 stream
-    whose le_len, w or candidates differ from what was asked, and a stream
-    that is malformed, ends early or runs long raise ValueError naming the
-    node and the stage.
+    A payload for another window, node or cube geometry, a stage-3
+    payload whose le_len, w, block count or candidates differ from what
+    was asked, and a malformed payload raise ValueError naming the node
+    and the stage. The stage-3 block counts are checked before any block
+    is built; a block is checked as it arrives, and when blocks fail, the
+    error raised is that of the lowest failing block, from its first
+    failing node, once every thread is joined.
     """
     _check_nodes(nodes)
     window_id = nodes[0].window_id
@@ -111,42 +118,47 @@ def run_window(nodes: list[ObservationNode]) -> WindowReport:
     stage2_payload = wire.encode_stage2(window_id, candidates)
     _, broadcast = wire.decode_stage2(stage2_payload)
 
-    # Stage 3: every node streams its header, then its records block by
-    # block; each block is ORed across the nodes into one scratch block,
-    # and only the merged sketches' popcounts are kept.
+    # Stage 3: every node answers with its header and one builder per
+    # block of records. Blocks are independent, so the threads of
+    # run_indexed each take the next block index, build that block at
+    # every node in node order, OR it into the thread's own scratch block
+    # and keep only the merged sketches' popcounts.
     w = len(candidates)
-    streams = [node.stage3_payload(broadcast) for node in nodes]
-    stage3_bytes = []
-    for node, stream in zip(nodes, streams):
-        header = next(stream, b"")
+    step = nodes[0].lea.block_rows
+    n_blocks = -(-w // step)
+    payloads = [node.stage3_payload(broadcast) for node in nodes]
+    for node, (header, builders) in zip(nodes, payloads):
         got_w, got_le_len = _received(node, 3, window_id, wire.decode_stage3_header, header)
         _check(node, 3, "le_len", got_le_len, le_len)
         _check(node, 3, "w", got_w, w)
-        stage3_bytes.append(len(header))
-    step = nodes[0].lea.block_rows
-    merged = np.empty((min(step, w), le_len // 8), np.uint8)
+        if len(builders) != n_blocks:
+            raise ValueError(
+                f"node {node.node_id}: stage-3 payload has {len(builders)} blocks, expected {n_blocks}"
+            )
     set_bits = np.empty(w, np.int64)
-    for lo in range(0, w, step):
-        want = candidates[lo : lo + step]
-        block_merged = merged[: want.size]
-        for k, (node, stream) in enumerate(zip(nodes, streams)):
-            block = next(stream, None)
-            if block is None:
-                raise ValueError(f"node {node.node_id}: stage-3 stream ended after {lo} of {w} records")
+    block_bytes = np.zeros((n_blocks, len(nodes)), np.int64)
+    scratch = threading.local()
+
+    def merge_block(i: int) -> None:
+        want = candidates[i * step : (i + 1) * step]
+        if not hasattr(scratch, "merged"):
+            scratch.merged = np.empty((min(step, w), le_len // 8), np.uint8)
+        merged = scratch.merged[: want.size]
+        for k, (node, (_, builders)) in enumerate(zip(nodes, payloads)):
+            block = builders[i]()
             got, les = _decoded(node, 3, wire.decode_stage3_block, block, le_len)
             if not np.array_equal(got, want):
                 raise ValueError(f"node {node.node_id}: stage-3 candidates differ from the broadcast")
             if k:
-                np.bitwise_or(block_merged, les, out=block_merged)
+                np.bitwise_or(merged, les, out=merged)
             else:
-                block_merged[:] = les
-            stage3_bytes[k] += len(block)
-        set_bits[lo : lo + step] = popcounts(block_merged)
-    # every stream must end with its w records; pull from each, as zip()
-    # would drop the extra block of one stream when a later one ends
-    for node, stream in zip(nodes, streams):
-        if next(stream, None) is not None:
-            raise ValueError(f"node {node.node_id}: stage-3 stream runs past its {w} records")
+                merged[:] = les
+            block_bytes[i, k] = len(block)
+            del block, got, les  # before the next node's block is built
+        set_bits[i * step : (i + 1) * step] = popcounts(merged)
+
+    run_indexed(n_blocks, merge_block)
+    stage3_bytes = [len(header) + int(n) for (header, _), n in zip(payloads, block_bytes.sum(axis=0))]
 
     return WindowReport(
         window_id=window_id,

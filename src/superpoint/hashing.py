@@ -58,9 +58,16 @@ class HashSuite:
         self._seed_rand, self._seed_rebit, self._seed_lebit = mix64_arr(
             tags, self.master_seed
         ).tolist()
+        self._col_seeds: dict[int, int] = {}
 
     def _col_seed(self, row: int) -> int:
-        return mix64_arr(np.array([_TAG_COL + row], np.uint64), self.master_seed).item()
+        # derived on first use, then kept: two threads that race here
+        # write the same integer
+        seed = self._col_seeds.get(row)
+        if seed is None:
+            seed = mix64_arr(np.array([_TAG_COL + row], np.uint64), self.master_seed).item()
+            self._col_seeds[row] = seed
+        return seed
 
     def rand32_arr(self, b: np.ndarray) -> np.ndarray:
         return (mix64_arr(b, self._seed_rand) & np.uint64(0xFFFFFFFF)).astype(

@@ -6,11 +6,12 @@ cells. At the end of a window a candidate's per-node sketch is the AND
 of its row cells (collision bits rarely survive all rows), and the
 global sketch is the OR of the per-node ANDs. A node gathers its
 per-candidate sketches block by block, ANDing rows in a contiguous
-scratch and copying the result into the zeroed records of the stage-3
-block it sends, and the coordinator keeps only each merged sketch's
-popcount. A candidate whose AND is all zero after its first two rows, as
-the cube's phantom candidates mostly are, costs two row gathers, not
-u_hat: an all-zero AND stays zero.
+matrix and then copying it into the records of a new stage-3 block, so
+a block and the gather's temporaries are never alive together; the
+coordinator keeps only each merged sketch's popcount. A candidate whose
+AND is all zero after its first two rows, as the cube's phantom
+candidates mostly are, costs two row gathers, not u_hat: an all-zero
+AND stays zero.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ import numpy as np
 from .estimators import bit_groups, linear_count, or_bit_groups
 from .hashing import HashSuite
 
-#: bytes of candidate sketches gathered and ANDed per block
-_GATHER_BYTES = 1 << 18
+#: bytes of candidate sketches gathered and ANDed per block: stage 3
+#: holds about three blocks per thread, and its threads pay for each
+#: numpy call that hands the GIL over, so fewer, larger blocks run faster
+_GATHER_BYTES = 1 << 19
 
 
 class CandidateEstimate(NamedTuple):
@@ -58,8 +61,8 @@ class LEArray:
 
     @property
     def block_rows(self) -> int:
-        """Candidates per gather block: a cache-sized block of rows, so the
-        ANDs stay in cache and no temporary grows with the candidate count."""
+        """Candidates per gather block: a fixed-size block of rows, so no
+        temporary grows with the candidate count."""
         return max(1, _GATHER_BYTES // (self.le_len // 8))
 
     def candidate_columns(self, cands, hs: HashSuite) -> list[np.ndarray]:
@@ -67,22 +70,23 @@ class LEArray:
         cands = np.asarray(cands, dtype=np.uint32)
         return [hs.col_arr(cands, i, self.v_hat) for i in range(self.u_hat)]
 
-    def extract_candidates(self, cols: list[np.ndarray], merged: np.ndarray) -> None:
-        """Write the inner merge (AND) of the row cells at cols[i][j], i < u_hat,
-        into row j of `merged`, a zero (len(cols[0]), le_len // 8) uint8
-        matrix; a strided view, such as a new block's records, will do.
+    def extract_candidates(self, cols: list[np.ndarray]) -> np.ndarray:
+        """The inner merge (AND) of the row cells at cols[i][j], i < u_hat,
+        as row j of a new C-contiguous (len(cols[0]), le_len // 8) uint8
+        matrix.
 
         Rows 0 and 1 are gathered for every candidate, rows 2.. only for
-        those whose AND of the first two is not all zero: the others' rows
-        of `merged` are left zero."""
-        scratch = np.take(self.cells[0], cols[0], axis=0)
+        those whose AND of the first two is not all zero: the others' AND
+        is zero already."""
+        merged = np.take(self.cells[0], cols[0], axis=0)
         if self.u_hat > 1:
-            scratch &= np.take(self.cells[1], cols[1], axis=0)
-        live = np.flatnonzero(_words(scratch).max(axis=1))
-        rest = scratch[live]
+            merged &= np.take(self.cells[1], cols[1], axis=0)
+        live = np.flatnonzero(_words(merged).max(axis=1))
+        rest = merged[live]
         for i in range(2, self.u_hat):
             rest &= np.take(self.cells[i], cols[i][live], axis=0)
         merged[live] = rest
+        return merged
 
 
 def _words(sketches: np.ndarray) -> np.ndarray:

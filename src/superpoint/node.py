@@ -2,23 +2,25 @@
 
 A node ingests its partition of the pair stream for one window, then
 answers the three protocol stages: ship the cube, receive the candidate
-list, ship the inner-merged per-candidate estimators.
+list, ship the inner-merged per-candidate estimators as a header and
+independent blocks, which any thread may build.
 
 Trace formats: binary records of 12 bytes {a u32 BE, b u32 BE, ts u32 BE},
 or CSV lines "a_dotted,b_dotted[,ts]". Both are read in batches of at
-most BATCH_RECORDS records; malformed records are skipped and counted,
-never fatal.
+most BATCH_RECORDS records; malformed records, such as a CSV address
+field that holds whitespace, are skipped and counted, never fatal.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -112,7 +114,9 @@ def read_trace(path, start: int = 0, stop: int | None = None):
 
 
 def _parse_csv(lines: list[bytes]) -> tuple[Trace, int]:
-    """Parse CSV lines; blank lines are skipped, malformed ones counted."""
+    """Parse CSV lines; blank lines are skipped, malformed ones counted. A
+    line's leading and trailing whitespace is stripped; an address field
+    that holds whitespace is malformed."""
     addresses = bytearray()  # a then b of each record, 4 big-endian bytes each
     ts: list[int] = []
     malformed = 0
@@ -126,6 +130,9 @@ def _parse_csv(lines: list[bytes]) -> tuple[Trace, int]:
             t = int(rest[0]) if rest else 0
             if not 0 <= t <= 0xFFFFFFFF:
                 raise ValueError("timestamp out of uint32 range")
+            # inet_aton stops at whitespace, so "1.2.3.4 junk" would read as 1.2.3.4
+            if a.split() != [a] or b.split() != [b]:
+                raise ValueError("whitespace in an address field")
             pair = socket.inet_aton(a) + socket.inet_aton(b)
         except (ValueError, OSError):
             malformed += 1
@@ -221,20 +228,28 @@ class ObservationNode:
         """A read-only view of the payload that holds the cube: the next scan changes it."""
         return memoryview(self._stage1).toreadonly()
 
-    def stage3_payload(self, candidates) -> Iterator[bytes | bytearray]:
-        """Yield the stage-3 payload, the inner-merged estimator of each
-        candidate in the given order, as a stream of chunks: its header,
-        then blocks of at most `lea.block_rows` records, each a new buffer
-        the gather fills in place. Joined, the chunks are the whole payload."""
+    def stage3_payload(self, candidates) -> tuple[bytes, list[Callable[[], bytearray]]]:
+        """The stage-3 payload, the inner-merged estimator of each candidate
+        in the given order: its header, and one builder per block of at most
+        `lea.block_rows` records. Each builder returns a new block that the
+        gather fills in place; the builders share no state, so any thread
+        may call them in any order. The header, then the blocks in order,
+        are the whole payload."""
         candidates = np.asarray(candidates, dtype=np.uint32)
         le_len = self.params.le_len
-        yield wire.stage3_header(self.node_id, self.window_id, candidates.size, le_len)
-        cols = self.lea.candidate_columns(candidates, self.hs)  # hashed once per stream
+        header = wire.stage3_header(self.node_id, self.window_id, candidates.size, le_len)
+        cols = self.lea.candidate_columns(candidates, self.hs)  # hashed once per payload
         step = self.lea.block_rows
-        for lo in range(0, candidates.size, step):
-            block, sketches = wire.stage3_block(candidates[lo : lo + step], le_len)
-            self.lea.extract_candidates([col[lo : lo + step] for col in cols], sketches)
-            yield block
+
+        def build(lo: int) -> bytearray:
+            # the block is made once its sketches are: a block and the
+            # gather's temporaries are never alive together
+            sketches = self.lea.extract_candidates([col[lo : lo + step] for col in cols])
+            block, records = wire.stage3_block(candidates[lo : lo + step], le_len)
+            records[:] = sketches
+            return block
+
+        return header, [functools.partial(build, lo) for lo in range(0, candidates.size, step)]
 
     def master_structure_bytes(self) -> int:
         return self.cube_config.nbytes + self.params.lea_bytes

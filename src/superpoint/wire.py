@@ -4,8 +4,8 @@ Everything is fixed little-endian so payloads are bit-identical across
 platforms. Common header: magic "READ", version, stage, node id, window
 id. Stage 1 carries the merged-ready rough-estimator cube, stage 2 the
 candidate broadcast, stage 3 the per-candidate linear estimators. A
-stage-3 payload moves as a stream of chunks: its header, then blocks of
-whole records.
+stage-3 payload moves as chunks: its header, then blocks of whole
+records.
 """
 
 from __future__ import annotations

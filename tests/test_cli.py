@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import superpoint
-from superpoint import cli, node
+from superpoint import cli, node, parallel
 from superpoint.cli import (
     GenConfig,
     RunConfig,
@@ -523,7 +523,8 @@ def test_run_writes_each_window_when_it_is_done(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_run_output_does_not_depend_on_thread_count(tmp_path, capsys, monkeypatch, cpus):
     # the nodes scan on min(nodes, usable CPUs) threads, the calling
-    # thread one of them, so one node or one CPU starts no thread
+    # thread one of them, so one node or one CPU starts no thread; stage 3
+    # is one block in each of these runs, so it starts none
     started = []
     real_thread = threading.Thread
 
@@ -533,7 +534,7 @@ def test_run_output_does_not_depend_on_thread_count(tmp_path, capsys, monkeypatc
         return started[-1]
 
     monkeypatch.setattr(threading, "Thread", thread)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     spec = _write(tmp_path / "trace.conf", DENSE_SPEC)
     assert main(["gen", "--spec", spec, "--out", str(tmp_path / "dense")]) == 0
     for fmt in ("bin", "csv"):
@@ -562,7 +563,7 @@ def test_scan_nodes_starts_each_node_once_per_window(monkeypatch):
             self.windows.append(window_id)
 
     nodes = [Node() for _ in range(256)]
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 16)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 16)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -591,7 +592,7 @@ def test_run_reports_the_lowest_failing_node_and_joins_every_thread(
         raise ValueError(f"node {self.node_id} cannot scan")
 
     monkeypatch.setattr(node.ObservationNode, "scan_window", scan_or_fail)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
     run_tmp = tmp_path / "run_tmp"
     run_tmp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(run_tmp))
@@ -698,7 +699,7 @@ def test_run_ingest_memory_does_not_grow_with_trace(tmp_path):
 # threads however many CPUs the machine has.
 _FAULT_PROBE = """
 import resource, sys
-from superpoint import cli
+from superpoint import cli, parallel
 
 faults = []
 run_window = cli.run_window
@@ -710,7 +711,7 @@ def counted(nodes):
     return report
 
 cli.run_window = counted
-cli._usable_cpus = lambda: 3
+parallel.usable_cpus = lambda: 3
 print(cli.main(sys.argv[1:]), *faults)
 """
 

@@ -1,10 +1,13 @@
+import functools
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import and_of_rows, encode_stage1, encode_stage3, expected_comms, stage3_size
 
-from superpoint import wire
+from superpoint import learray, parallel, wire
 from superpoint.coordinator import run_window
 from superpoint.estimators import DetectorParams
 from superpoint.harness import TraceSpec, generate_trace, partition_stream
@@ -132,28 +135,49 @@ def test_read_is_bounded_by_one_node_over_the_union():
     assert read.stage3_bytes[0] < PARAMS.lea_bytes
 
 
-def test_stage3_memory_is_a_few_blocks_not_w_sketches():
-    # a dense 3-node window, w above 2000 at |C| = 2^14: the nodes and the
-    # coordinator hold a few blocks of stage 3 at a time, never a
-    # (w, |C|/8) matrix; one per node and a merged copy read about 4 payloads
+def _dense_window(planted_count):
+    """Three nodes that scanned a dense window of `planted_count` hosts of
+    112 peers each at theta = 32 and |C| = 2^14, and the planted hosts."""
     cfg = RECubeConfig(r=4, l=(12, 12, 12), s=(0, 9, 18))
     params = DetectorParams(theta=32, le_len=2**14, u_hat=3, v_hat=256)
     rng = np.random.default_rng(40)
-    planted = tuple((int(a), 112) for a in rng.choice(2**32, 400, replace=False))
+    planted = tuple((int(a), 112) for a in rng.choice(2**32, planted_count, replace=False))
     trace = generate_trace(TraceSpec(planted=planted, theta=32), 40)
-    nodes = _scanned_nodes(trace, 3, params=params, cfg=cfg, seed=9)
+    return _scanned_nodes(trace, 3, params=params, cfg=cfg, seed=9), {a for a, _ in planted}
+
+
+def _traced_run_window(nodes):
+    """run_window(nodes) and the peak of the memory it traced."""
     tracemalloc.start()
     try:
         report = run_window(nodes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return report, peak
+
+
+def test_stage3_memory_is_a_few_blocks_not_w_sketches(monkeypatch):
+    # a dense 3-node window, w above 2000, on two threads: each holds its
+    # scratch block, one node's block or the gather's temporaries, and
+    # nobody a (w, |C|/8) matrix
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    nodes, planted = _dense_window(400)
+    report, peak = _traced_run_window(nodes)
     assert report.candidates_count > 2000
     assert peak < report.stage3_bytes[0], peak / report.stage3_bytes[0]
     # the same estimates as from the OR of whole (w, |C|/8) matrices
     merged = np.bitwise_or.reduce([and_of_rows(n.lea, report.candidates, n.hs) for n in nodes])
     assert report.super_points == estimate_candidates(report.candidates, popcounts(merged), 2**14, 32)
-    assert {e.address for e in report.super_points} >= {a for a, _ in planted}
+    assert {e.address for e in report.super_points} >= planted
+    # about twice the candidates: the peak grows by what is kept per
+    # candidate (its address, popcount and each node's u_hat columns,
+    # about 90 bytes here), not by a 2048-byte sketch
+    more, _ = _dense_window(550)
+    more_report, more_peak = _traced_run_window(more)
+    assert more_report.candidates_count > 1.8 * report.candidates_count
+    growth = (more_peak - peak) / (more_report.candidates_count - report.candidates_count)
+    assert growth < 128, growth
 
 
 def test_expected_comms_default_geometry():
@@ -190,17 +214,24 @@ def _stage1_from(node, window_id=None, node_id=None, cube=None):
 
 
 def _chunks(payload: bytes, le_len: int, rows: int) -> list[bytes]:
-    """A whole stage-3 payload as the stream a node sends: the header, then
+    """A whole stage-3 payload as the chunks a node sends: the header, then
     blocks of `rows` records."""
     size = rows * (4 + le_len // 8)
     body = payload[wire.STAGE3_HEADER_LEN :]
     return [payload[: wire.STAGE3_HEADER_LEN]] + [body[i : i + size] for i in range(0, len(body), size)]
 
 
+def _answer(chunks: list) -> tuple:
+    """The (header, block builders) a stage3_payload returns for these
+    chunks; no chunk at all is an empty header."""
+    header, *blocks = chunks or [b""]
+    return header, [functools.partial(bytes, block) for block in blocks]
+
+
 def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None, edit=None):
     """A fake stage3_payload: the reference encoding of what the node would
-    send, with the given fields changed, as a stream; `edit` changes the
-    list of chunks."""
+    send, with the given fields changed; `edit` changes the list of chunks,
+    the header and then the blocks."""
 
     def payload(candidates):
         candidates = np.asarray(candidates, np.uint32)
@@ -217,7 +248,7 @@ def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None, 
             le_len or node.params.le_len,
         )
         chunks = _chunks(whole, le_len or node.params.le_len, node.lea.block_rows)
-        return iter(chunks if edit is None else edit(chunks))
+        return _answer(chunks if edit is None else edit(chunks))
 
     return payload
 
@@ -239,13 +270,13 @@ def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None, 
         # a block's records, against its slice of the broadcast
         pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: [c[0], c[1][: 4 + 128], *c[2:]]), "stage-3 candidates differ", id="stage3-short-block"),
         pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: [c[0], c[1][:-1], *c[2:]]), r"stage-3 block of \d+ bytes ends in a partial 132-byte record", id="stage3-partial-record"),
-        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c[:1]), r"stage-3 stream ended after 0 of \d+ records", id="stage3-ends-early"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c[:1]), "stage-3 payload has 0 blocks, expected 1", id="stage3-ends-early"),
         pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: []), "stage-3 payload truncated: 0 bytes", id="stage3-no-header"),
-        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c + c[1:]), r"stage-3 stream runs past its \d+ records", id="stage3-extra-block"),
-        # node 0 runs long while the later nodes end on time: zip() would
-        # drop the block it had already pulled from node 0
-        pytest.param(0, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c + c[1:]), r"stage-3 stream runs past its \d+ records", id="stage3-first-runs-long"),
-        pytest.param(2, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c[:1]), r"stage-3 stream ended after 0 of \d+ records", id="stage3-last-ends-early"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c + c[1:]), "stage-3 payload has 2 blocks, expected 1", id="stage3-extra-block"),
+        # the block counts are checked before any block is built, at the
+        # first node as at the last
+        pytest.param(0, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c + c[1:]), "stage-3 payload has 2 blocks, expected 1", id="stage3-first-runs-long"),
+        pytest.param(2, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c[:1]), "stage-3 payload has 0 blocks, expected 1", id="stage3-last-ends-early"),
     ],
 )
 def test_coordinator_rejects_mismatched_payloads(target, stage, fake, fragment):
@@ -262,17 +293,90 @@ def test_stage3_merge_does_not_write_through_payloads():
     nodes = _scanned_nodes(trace, 3)
     expected = run_window(nodes)
     sent = []
+
+    def received(chunk):
+        # a writable buffer, as a socket receive would hand over
+        chunk = bytearray(chunk)
+        sent.append((chunk, bytes(chunk)))
+        return chunk
+
     for node in nodes:
 
-        def stage3_payload(candidates, stream=node.stage3_payload):
-            # writable buffers, as a socket receive would hand over
-            for chunk in stream(candidates):
-                chunk = bytearray(chunk)
-                sent.append((chunk, bytes(chunk)))
-                yield chunk
+        def stage3_payload(candidates, payload=node.stage3_payload):
+            header, builders = payload(candidates)
+            return received(header), [lambda build=build: received(build()) for build in builders]
 
         node.stage3_payload = stage3_payload
     report = run_window(nodes)
     assert report.super_points == expected.super_points
     assert len(sent) == 3 * 2  # a header and one block each
     assert all(chunk == snapshot for chunk, snapshot in sent)
+
+
+def _pin_cpus(monkeypatch, cpus: int) -> list:
+    """Pin the usable CPUs to `cpus`; return the list of the threads started."""
+    started = []
+    real_thread = threading.Thread
+
+    def thread(*args, **kwargs):
+        started.append(real_thread(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", thread)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_stage3_report_does_not_depend_on_cpu_count(monkeypatch, cpus):
+    # ten blocks of 8 records: the threads split them, and every block is
+    # the OR of the same three node blocks on any of them
+    trace, planted = _demo_trace(5)
+    nodes = _scanned_nodes(trace, 3)
+    expected = run_window(nodes)
+    started = _pin_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(learray, "_GATHER_BYTES", 8 * (PARAMS.le_len // 8))
+    report = run_window(nodes)
+    blocks = -(-report.candidates_count // 8)
+    assert blocks >= 8
+    assert len(started) == min(blocks, cpus) - 1
+    assert np.array_equal(report.candidates, expected.candidates)
+    assert report.super_points == expected.super_points
+    assert planted <= {e.address for e in report.super_points}
+    for stage in ("stage1_bytes", "stage2_bytes", "stage3_bytes"):
+        assert getattr(report, stage) == getattr(expected, stage), stage
+    assert report.transmitted_fraction == expected.transmitted_fraction
+
+
+@pytest.mark.parametrize(
+    "failures, raised",
+    [
+        # (node, block, seconds before it fails)
+        pytest.param({1: (2, 0.0), 2: (2, 0.0)}, 1, id="one-block-nodes1-2"),
+        pytest.param({1: (2, 0.2), 2: (3, 0.0)}, 1, id="node1-fails-last"),
+        pytest.param({1: (3, 0.0), 2: (2, 0.2)}, 2, id="node2-lower-block"),
+    ],
+)
+def test_stage3_reports_the_lowest_failing_block_and_joins_every_thread(monkeypatch, failures, raised):
+    # a block's nodes are built in node order, so the lowest failing block
+    # raises the error of its first failing node, whichever fails first
+    trace, _ = _demo_trace(7)
+    nodes = _scanned_nodes(trace, 3)
+    _pin_cpus(monkeypatch, 3)
+    monkeypatch.setattr(learray, "_GATHER_BYTES", 2 * (PARAMS.le_len // 8))
+    for k, (bad, delay) in failures.items():
+
+        def stage3_payload(candidates, payload=nodes[k].stage3_payload, k=k, bad=bad, delay=delay):
+            header, builders = payload(candidates)
+
+            def fail():
+                time.sleep(delay)
+                raise ValueError(f"node {k} cannot build block {bad}")
+
+            return header, [fail if i == bad else build for i, build in enumerate(builders)]
+
+        nodes[k].stage3_payload = stage3_payload
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match=f"^node {raised} cannot build block {failures[raised][0]}$"):
+        run_window(nodes)
+    assert threading.active_count() == threads

@@ -1,6 +1,7 @@
 import numpy as np
 from oracles import col, le_bit, mix64, rand32, re_bit
 
+from superpoint import hashing
 from superpoint.hashing import HashSuite, mix64_arr
 
 XS = np.arange(200, dtype=np.uint64)
@@ -27,6 +28,24 @@ def test_role_seeds_are_the_scalar_mixer_of_their_tags():
         assert all(type(seed) is int for seed in seeds)
         for row in range(5):
             assert hs._col_seed(row) == mix64(0x434F4C00 + row, master)
+
+
+def test_col_arr_derives_each_row_seed_once(monkeypatch):
+    # a row's seed is one mix64_arr of one value on first use, and none after
+    hs = HashSuite(0xDEADBEEF)
+    calls = []
+
+    def counting(x, seed):
+        calls.append(np.size(x))
+        return mix64_arr(x, seed)
+
+    monkeypatch.setattr(hashing, "mix64_arr", counting)
+    first = [hs.col_arr(XS, row, 16) for row in range(3)]
+    assert calls == [1, XS.size] * 3
+    calls.clear()
+    again = [hs.col_arr(XS, row, 16) for row in range(3)]
+    assert calls == [XS.size] * 3
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 def test_same_seed_same_outputs():

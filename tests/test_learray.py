@@ -12,10 +12,8 @@ HS = HashSuite(0xBEEF)
 
 
 def extract(lea: LEArray, cands, hs: HashSuite) -> np.ndarray:
-    """`lea.extract_candidates` into a fresh (len(cands), le_len // 8) matrix."""
-    merged = np.zeros((np.size(cands), lea.le_len // 8), np.uint8)
-    lea.extract_candidates(lea.candidate_columns(cands, hs), merged)
-    return merged
+    """`lea.extract_candidates` of the candidates' columns."""
+    return lea.extract_candidates(lea.candidate_columns(cands, hs))
 
 
 def test_geometry_validation():

@@ -34,6 +34,17 @@ PARAMS = DetectorParams(theta=64, le_len=64, u_hat=2, v_hat=16)
 CFG = RECubeConfig(r=2, l=(6,) * 8, s=(0, 4, 8, 12, 16, 20, 24, 28))
 
 
+def _chunks(node, candidates) -> list:
+    """A node's stage-3 payload as it is sent: the header, then each block
+    built, in order."""
+    header, builders = node.stage3_payload(candidates)
+    return [header] + [build() for build in builders]
+
+
+def _payload(node, candidates) -> bytes:
+    return b"".join(_chunks(node, candidates))
+
+
 def _node(node_id=0, seed=42):
     node = ObservationNode(node_id, PARAMS, CFG, master_seed=seed)
     node.reset_window(0)
@@ -137,14 +148,21 @@ def test_csv_trace_skips_malformed_lines(tmp_path):
         "1.2.3.4,5.6.7.8,99999999999\n"
         "1.2.3.4,5.6.7.8,10,junk\n"  # more than three fields
         "10.0.0.6,10.0.0.7,4294967295\n"
+        # inet_aton reads each of these addresses as 1.2.3.4 or 5.6.7.8
+        "1.2.3.4 junk,5.6.7.8\n"
+        "1.2.3.4\tx,5.6.7.8,5\n"
+        "1.2.3.4 ,5.6.7.8\n"
+        "1.2.3.4,5.6.7.8 junk,5\n"
+        # the line's own leading and trailing whitespace is stripped
+        " \t10.0.0.8,10.0.0.9,7 \r\n"
     )
     with open(path, "ab") as fh:
         fh.write(b"\xff\xfe,1.2.3.4\n")  # not UTF-8
     got, malformed = _read_whole(path)
-    assert len(got) == 3
-    assert malformed == 6
-    assert got.a.tolist() == [parse_dotted(x) for x in ("10.0.0.1", "10.0.0.4", "10.0.0.6")]
-    assert got.ts.tolist() == [5, 0, 2**32 - 1]
+    assert len(got) == 4
+    assert malformed == 10
+    assert got.a.tolist() == [parse_dotted(x) for x in ("10.0.0.1", "10.0.0.4", "10.0.0.6", "10.0.0.8")]
+    assert got.ts.tolist() == [5, 0, 2**32 - 1, 7]
 
 
 @pytest.mark.parametrize("fmt", ["bin", "csv"])
@@ -232,7 +250,7 @@ def test_same_seed_nodes_build_identical_payloads():
     n1.scan_window(t)
     n2.scan_window(t)
     assert n1.stage1_payload() == n2.stage1_payload()
-    assert b"".join(n1.stage3_payload([1, 2, 3])) == b"".join(n2.stage3_payload([1, 2, 3]))
+    assert _payload(n1, [1, 2, 3]) == _payload(n2, [1, 2, 3])
 
 
 def test_different_seed_changes_sketches():
@@ -260,16 +278,16 @@ def test_stage1_payload_size_and_round_trip():
 def test_stage3_payload_sizes():
     node = _node()
     node.scan_window(_random_trace(500, 9))
-    empty = b"".join(node.stage3_payload([]))
+    empty = _payload(node, [])
     assert len(empty) == stage3_size(0, PARAMS.le_len) == 20
-    three = b"".join(node.stage3_payload([1, 2, 3]))
+    three = _payload(node, [1, 2, 3])
     assert len(three) == stage3_size(3, PARAMS.le_len)
 
 
 def test_stage3_unseen_candidate_is_zero_estimator():
     node = _node()
     node.scan_window(_random_trace(0, 0))
-    _, candidates, sketches = decode_stage3(b"".join(node.stage3_payload([12345])))
+    _, candidates, sketches = decode_stage3(_payload(node, [12345]))
     assert candidates.tolist() == [12345]
     assert not sketches.any()
 
@@ -300,7 +318,7 @@ def test_stage3_golden_digests(params, pairs, digest):
     node.reset_window(3)
     node.scan_window(Trace(a, b))
     candidates = pool[:40].tolist()[::-1] + [1, 2, 0xFFFFFFFF]
-    assert hashlib.sha256(b"".join(node.stage3_payload(candidates))).hexdigest() == digest
+    assert hashlib.sha256(_payload(node, candidates)).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -308,8 +326,9 @@ def test_stage3_golden_digests(params, pairs, digest):
     [
         (64, 0),
         (8, 300),
-        # more rows than one gather step holds, the last step partial
-        (4096, 2 * (learray._GATHER_BYTES // (4096 // 8)) + 7),
+        # more rows than one gather step holds (1024 at 4096 bits), the
+        # last step partial
+        (4096, 1031),
     ],
 )
 def test_stage3_payload_is_the_reference_encoding(le_len, w):
@@ -329,13 +348,14 @@ def test_stage3_payload_is_the_reference_encoding(le_len, w):
         row[:] = np.bitwise_and.reduce(cells)
     want = encode_stage3(4, 2, candidates, sketches, le_len)
     # the header, then blocks of whole records; a block stays valid after
-    # the next is made, so the joined stream is the payload
-    chunks = list(node.stage3_payload(candidates))
+    # the next is built, so the header and the blocks, joined, are the payload
+    chunks = _chunks(node, candidates)
     assert b"".join(chunks) == want
     assert len(chunks[0]) == wire.STAGE3_HEADER_LEN
     rows = [len(block) // (4 + le_len // 8) for block in chunks[1:]]
     step = node.lea.block_rows
     assert rows == [min(step, w - lo) for lo in range(0, w, step)]
+    assert le_len != 4096 or len(rows) > 1
 
 
 #: a fate at or past u_hat: the candidate's AND never dies
@@ -398,7 +418,7 @@ def test_stage3_payload_is_the_and_of_every_row(u_hat, le_len, block_rows, fates
         mock.patch.object(learray, "_GATHER_BYTES", block_rows * (le_len // 8)),
         mock.patch.object(np, "take", counting_take),
     ):
-        chunks = list(node.stage3_payload(candidates))
+        chunks = _chunks(node, candidates)
     want = and_of_rows(node.lea, candidates, node.hs)
     assert b"".join(chunks) == encode_stage3(6, 0, candidates, want, le_len)
     w = len(fates)
@@ -411,26 +431,26 @@ def test_stage3_payload_is_the_and_of_every_row(u_hat, le_len, block_rows, fates
 
 
 def test_stage3_payload_is_gathered_in_place():
-    # no (w, le_len / 8) matrix at the node: building and draining the
-    # stream peaks at a few blocks, whatever the payload's size
+    # no (w, le_len / 8) matrix at the node: building the blocks one by
+    # one, each dropped once it is counted, peaks at a few blocks, whatever
+    # the payload's size
     params = DetectorParams(theta=64, le_len=4096, u_hat=5, v_hat=1024)
     node = ObservationNode(0, params, CFG, master_seed=3)
     node.scan_window(_random_trace(20_000, 11))
-    w = 20_000
+    w = 40_000
     candidates = np.random.default_rng(12).integers(0, 2**32, w, dtype=np.uint32)
     block = node.lea.block_rows * (4 + 4096 // 8)
-    size = 0
     tracemalloc.start()
     try:
-        for chunk in node.stage3_payload(candidates):
-            size += len(chunk)
+        header, builders = node.stage3_payload(candidates)
+        size = len(header) + sum(len(build()) for build in builders)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert size == stage3_size(w, 4096) > 30 * block
-    # two blocks alive at a hand-over, the gather's temporary, and the
-    # candidates' u_hat columns (8 bytes each)
-    assert peak < 4 * block + 5 * 8 * w, peak / block
+    # the gathered sketches and a row's gather, then the sketches and
+    # their block, and the candidates' u_hat columns (8 bytes each)
+    assert peak < 3 * block + 5 * 8 * w, peak / block
 
 
 def test_new_node_answers_for_an_empty_window_0():
@@ -438,7 +458,7 @@ def test_new_node_answers_for_an_empty_window_0():
     header, cube = wire.decode_stage1(node.stage1_payload())
     assert header.window_id == 0
     assert not cube.cells.any()
-    header, candidates, sketches = decode_stage3(b"".join(node.stage3_payload([1])))
+    header, candidates, sketches = decode_stage3(_payload(node, [1]))
     assert header.window_id == 0
     assert candidates.tolist() == [1]
     assert not sketches.any()
