@@ -3,11 +3,12 @@
 Stage 1 collects every node's cube and ORs them; candidates are recovered
 from the merged cube. Stage 2 broadcasts the candidate list. Stage 3
 collects one inner-merged estimator per candidate per node, block by
-block: the blocks are independent, so threads split them, and each
-thread builds its block at every node, ORs it across the nodes, keeps
-the merged sketches' popcounts and drops each node's block as soon as it
-is ORed. Then the coordinator reports the candidates whose estimate
-exceeds the threshold.
+block: the coordinator cuts the candidates into fixed-size ranges and
+asks every node for each one. The blocks are independent, so threads
+split them, and each thread builds its block at every node, ORs it
+across the nodes, keeps the merged sketches' popcounts and drops each
+node's block as soon as it is ORed. Then the coordinator reports the
+candidates whose estimate exceeds the threshold.
 
 The transport is in-process, but every stage moves through the byte-exact
 wire encodings, so the counted sizes are what a socket would carry.
@@ -25,6 +26,11 @@ from .node import ObservationNode
 from .parallel import run_indexed
 from .recube import rec_merge_outer, recover_candidates
 from . import wire
+
+#: bytes of candidate sketches per stage-3 block: stage 3 holds about
+#: three blocks per thread, and its threads pay for each numpy call that
+#: hands the GIL over, so fewer, larger blocks run faster
+_BLOCK_BYTES = 1 << 19
 
 
 @dataclass
@@ -92,12 +98,12 @@ def run_window(nodes: list[ObservationNode]) -> WindowReport:
     """Drive the three-stage protocol across already-scanned nodes.
 
     A payload for another window, node or cube geometry, a stage-3
-    payload whose le_len, w, block count or candidates differ from what
-    was asked, and a malformed payload raise ValueError naming the node
-    and the stage. The stage-3 block counts are checked before any block
-    is built; a block is checked as it arrives, and when blocks fail, the
-    error raised is that of the lowest failing block, from its first
-    failing node, once every thread is joined.
+    payload whose le_len, w or candidates differ from what was asked, and
+    a malformed payload raise ValueError naming the node and the stage.
+    The stage-3 headers are checked before any block is built; a block is
+    checked as it arrives, and when blocks fail, the error raised is that
+    of the lowest failing block, from its first failing node, once every
+    thread is joined.
     """
     _check_nodes(nodes)
     window_id = nodes[0].window_id
@@ -118,36 +124,32 @@ def run_window(nodes: list[ObservationNode]) -> WindowReport:
     stage2_payload = wire.encode_stage2(window_id, candidates)
     _, broadcast = wire.decode_stage2(stage2_payload)
 
-    # Stage 3: every node answers with its header and one builder per
-    # block of records. Blocks are independent, so the threads of
-    # run_indexed each take the next block index, build that block at
-    # every node in node order, OR it into the thread's own scratch block
-    # and keep only the merged sketches' popcounts.
+    # Stage 3: every node answers with its header and a builder. Blocks
+    # of candidates are independent, so the threads of run_indexed each
+    # take the next block index, build that range at every node in node
+    # order, OR it into the thread's own scratch block and keep only the
+    # merged sketches' popcounts.
     w = len(candidates)
-    step = nodes[0].lea.block_rows
+    step = max(1, _BLOCK_BYTES // (le_len // 8))
     n_blocks = -(-w // step)
     payloads = [node.stage3_payload(broadcast) for node in nodes]
-    for node, (header, builders) in zip(nodes, payloads):
+    for node, (header, _) in zip(nodes, payloads):
         got_w, got_le_len = _received(node, 3, window_id, wire.decode_stage3_header, header)
         _check(node, 3, "le_len", got_le_len, le_len)
         _check(node, 3, "w", got_w, w)
-        if len(builders) != n_blocks:
-            raise ValueError(
-                f"node {node.node_id}: stage-3 payload has {len(builders)} blocks, expected {n_blocks}"
-            )
     set_bits = np.empty(w, np.int64)
     block_bytes = np.zeros((n_blocks, len(nodes)), np.int64)
     scratch = threading.local()
 
     def merge_block(i: int) -> None:
-        want = candidates[i * step : (i + 1) * step]
+        lo, hi = i * step, min(w, (i + 1) * step)
         if not hasattr(scratch, "merged"):
             scratch.merged = np.empty((min(step, w), le_len // 8), np.uint8)
-        merged = scratch.merged[: want.size]
-        for k, (node, (_, builders)) in enumerate(zip(nodes, payloads)):
-            block = builders[i]()
+        merged = scratch.merged[: hi - lo]
+        for k, (node, (_, build)) in enumerate(zip(nodes, payloads)):
+            block = build(lo, hi)
             got, les = _decoded(node, 3, wire.decode_stage3_block, block, le_len)
-            if not np.array_equal(got, want):
+            if not np.array_equal(got, candidates[lo:hi]):
                 raise ValueError(f"node {node.node_id}: stage-3 candidates differ from the broadcast")
             if k:
                 np.bitwise_or(merged, les, out=merged)
@@ -155,7 +157,7 @@ def run_window(nodes: list[ObservationNode]) -> WindowReport:
                 merged[:] = les
             block_bytes[i, k] = len(block)
             del block, got, les  # before the next node's block is built
-        set_bits[i * step : (i + 1) * step] = popcounts(merged)
+        set_bits[lo:hi] = popcounts(merged)
 
     run_indexed(n_blocks, merge_block)
     stage3_bytes = [len(header) + int(n) for (header, _), n in zip(payloads, block_bytes.sum(axis=0))]

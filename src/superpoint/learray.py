@@ -4,14 +4,12 @@ Each source address owns one cell per row (chosen by per-row column
 hashes); every opposite host sets the same bit position in each of those
 cells. At the end of a window a candidate's per-node sketch is the AND
 of its row cells (collision bits rarely survive all rows), and the
-global sketch is the OR of the per-node ANDs. A node gathers its
-per-candidate sketches block by block, ANDing rows in a contiguous
-matrix and then copying it into the records of a new stage-3 block, so
-a block and the gather's temporaries are never alive together; the
-coordinator keeps only each merged sketch's popcount. A candidate whose
-AND is all zero after its first two rows, as the cube's phantom
-candidates mostly are, costs two row gathers, not u_hat: an all-zero
-AND stays zero.
+global sketch is the OR of the per-node ANDs, which the coordinator
+takes. A node gathers the sketches of whichever range of candidates it
+is asked for, ANDing rows in a contiguous matrix. A candidate whose AND
+is all zero after its first two rows, as the cube's phantom candidates
+mostly are, costs two row gathers, not u_hat: an all-zero AND stays
+zero. Popcounts and the linear-count estimates finish the window.
 """
 
 from __future__ import annotations
@@ -22,11 +20,6 @@ import numpy as np
 
 from .estimators import bit_groups, linear_count, or_bit_groups
 from .hashing import HashSuite
-
-#: bytes of candidate sketches gathered and ANDed per block: stage 3
-#: holds about three blocks per thread, and its threads pay for each
-#: numpy call that hands the GIL over, so fewer, larger blocks run faster
-_GATHER_BYTES = 1 << 19
 
 
 class CandidateEstimate(NamedTuple):
@@ -58,12 +51,6 @@ class LEArray:
         for i in range(self.u_hat):
             col = hs.col_arr(a, i, self.v_hat)
             or_bit_groups(flat_cells[i], col * (self.le_len // 8) + byte_idx, groups)
-
-    @property
-    def block_rows(self) -> int:
-        """Candidates per gather block: a fixed-size block of rows, so no
-        temporary grows with the candidate count."""
-        return max(1, _GATHER_BYTES // (self.le_len // 8))
 
     def candidate_columns(self, cands, hs: HashSuite) -> list[np.ndarray]:
         """Each candidate's column in each of the u_hat rows."""

@@ -3,7 +3,8 @@
 A node ingests its partition of the pair stream for one window, then
 answers the three protocol stages: ship the cube, receive the candidate
 list, ship the inner-merged per-candidate estimators as a header and
-independent blocks, which any thread may build.
+a block for each range of candidates the coordinator asks for, which
+any thread may build.
 
 Trace formats: binary records of 12 bytes {a u32 BE, b u32 BE, ts u32 BE},
 or CSV lines "a_dotted,b_dotted[,ts]". Both are read in batches of at
@@ -14,7 +15,6 @@ field that holds whitespace, are skipped and counted, never fatal.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import os
 import socket
@@ -75,10 +75,16 @@ def dotted(address: int) -> str:
 
 
 def parse_dotted(text: str) -> int:
+    """The address of exactly four decimal octets 0-255, none with a
+    leading zero, and nothing around them; `inet_aton` would also take
+    `010.1.0.1` (octal), `10.1` and `10.1.0.1 junk`."""
     try:
-        return struct.unpack("!I", socket.inet_aton(text))[0]
-    except OSError:
-        raise ValueError(f"not a dotted-quad address: {text!r}") from None
+        octets = bytes(int(part) for part in text.split("."))
+    except ValueError:
+        octets = b""
+    if len(octets) != 4 or ".".join(map(str, octets)) != text:
+        raise ValueError(f"not a dotted-quad address: {text!r}")
+    return int.from_bytes(octets, "big")
 
 
 def write_trace_csv(path, trace: Trace) -> None:
@@ -228,28 +234,23 @@ class ObservationNode:
         """A read-only view of the payload that holds the cube: the next scan changes it."""
         return memoryview(self._stage1).toreadonly()
 
-    def stage3_payload(self, candidates) -> tuple[bytes, list[Callable[[], bytearray]]]:
+    def stage3_payload(self, candidates) -> tuple[bytes, Callable[[int, int], bytearray]]:
         """The stage-3 payload, the inner-merged estimator of each candidate
-        in the given order: its header, and one builder per block of at most
-        `lea.block_rows` records. Each builder returns a new block that the
-        gather fills in place; the builders share no state, so any thread
-        may call them in any order. The header, then the blocks in order,
-        are the whole payload."""
+        in the given order: its header, and a builder. build(lo, hi) returns
+        a new block of the records of candidates lo..hi-1; calls share no
+        state, so any thread may build any range. The header, then the
+        blocks of consecutive ranges from 0 to w, are the whole payload."""
         candidates = np.asarray(candidates, dtype=np.uint32)
-        le_len = self.params.le_len
-        header = wire.stage3_header(self.node_id, self.window_id, candidates.size, le_len)
+        header = wire.stage3_header(self.node_id, self.window_id, candidates.size, self.params.le_len)
         cols = self.lea.candidate_columns(candidates, self.hs)  # hashed once per payload
-        step = self.lea.block_rows
 
-        def build(lo: int) -> bytearray:
+        def build(lo: int, hi: int) -> bytearray:
             # the block is made once its sketches are: a block and the
             # gather's temporaries are never alive together
-            sketches = self.lea.extract_candidates([col[lo : lo + step] for col in cols])
-            block, records = wire.stage3_block(candidates[lo : lo + step], le_len)
-            records[:] = sketches
-            return block
+            sketches = self.lea.extract_candidates([col[lo:hi] for col in cols])
+            return wire.encode_stage3_block(candidates[lo:hi], sketches)
 
-        return header, [functools.partial(build, lo) for lo in range(0, candidates.size, step)]
+        return header, build
 
     def master_structure_bytes(self) -> int:
         return self.cube_config.nbytes + self.params.lea_bytes

@@ -5,7 +5,7 @@ platforms. Common header: magic "READ", version, stage, node id, window
 id. Stage 1 carries the merged-ready rough-estimator cube, stage 2 the
 candidate broadcast, stage 3 the per-candidate linear estimators. A
 stage-3 payload moves as chunks: its header, then blocks of whole
-records.
+records, one per range of candidates that the coordinator asks for.
 """
 
 from __future__ import annotations
@@ -146,16 +146,16 @@ def stage3_header(node_id: int, window_id: int, w: int, le_len: int) -> bytes:
     return _pack_header(STAGE_CANDIDATE_LES, node_id, window_id) + struct.pack("<II", w, le_len)
 
 
-def stage3_block(candidates, le_len: int) -> tuple[bytearray, np.ndarray]:
-    """A block of stage-3 records, one per candidate, with the candidate
-    column written, and the writable (len(candidates), le_len // 8) view
-    of its sketches, all zero, for the node to fill in place."""
-    candidates = np.asarray(candidates, dtype=np.uint32)
-    record = _stage3_records(le_len)
-    block = bytearray(candidates.size * record.itemsize)
+def encode_stage3_block(candidates, sketches: np.ndarray) -> bytearray:
+    """A block of stage-3 records: each candidate's address, then its
+    packed sketch, row i of the (len(candidates), le_len // 8) uint8
+    sketches."""
+    record = _stage3_records(8 * sketches.shape[1])
+    block = bytearray(len(candidates) * record.itemsize)
     records = np.frombuffer(block, record)
     records["c"] = candidates
-    return block, records["le"]
+    records["le"] = sketches
+    return block
 
 
 def decode_stage3_header(data) -> tuple[PayloadHeader, int, int]:

@@ -210,6 +210,10 @@ def test_gen_reports_bad_input_without_traceback(tmp_path, capsys, extra, out, f
         "zipf_s = steep",
         "planted_count = many",
         pytest.param("seed = -1", id="seed-negative"),
+        # inet_aton reads these as 8.1.0.1 (octal), 10.0.0.1 and 10.1.0.1
+        pytest.param("planted = 010.1.0.1:600", id="planted-leading-zero"),
+        pytest.param("planted = 10.1:600", id="planted-two-parts"),
+        pytest.param("planted = 10.1.0.1 junk:600", id="planted-trailing-text"),
         # above the default planted_max_card, 16 * theta = 4096
         "planted_min_card = 5000\nplanted_count = 1",
     ],

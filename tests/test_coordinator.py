@@ -1,4 +1,3 @@
-import functools
 import threading
 import time
 import tracemalloc
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import and_of_rows, encode_stage1, encode_stage3, expected_comms, stage3_size
 
-from superpoint import learray, parallel, wire
+from superpoint import coordinator, parallel, wire
 from superpoint.coordinator import run_window
 from superpoint.estimators import DetectorParams
 from superpoint.harness import TraceSpec, generate_trace, partition_stream
@@ -158,26 +157,33 @@ def _traced_run_window(nodes):
 
 
 def test_stage3_memory_is_a_few_blocks_not_w_sketches(monkeypatch):
-    # a dense 3-node window, w above 2000, on two threads: each holds its
-    # scratch block, one node's block or the gather's temporaries, and
-    # nobody a (w, |C|/8) matrix
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    # a dense 3-node window, w above 2000, ten blocks of 256 records, on
+    # 1, 2 and 3 threads: each thread holds its scratch block, one node's
+    # block or the gather's temporaries, and nobody a (w, |C|/8) matrix
     nodes, planted = _dense_window(400)
-    report, peak = _traced_run_window(nodes)
-    assert report.candidates_count > 2000
-    assert peak < report.stage3_bytes[0], peak / report.stage3_bytes[0]
-    # the same estimates as from the OR of whole (w, |C|/8) matrices
-    merged = np.bitwise_or.reduce([and_of_rows(n.lea, report.candidates, n.hs) for n in nodes])
-    assert report.super_points == estimate_candidates(report.candidates, popcounts(merged), 2**14, 32)
-    assert {e.address for e in report.super_points} >= planted
     # about twice the candidates: the peak grows by what is kept per
     # candidate (its address, popcount and each node's u_hat columns,
     # about 90 bytes here), not by a 2048-byte sketch
     more, _ = _dense_window(550)
-    more_report, more_peak = _traced_run_window(more)
-    assert more_report.candidates_count > 1.8 * report.candidates_count
-    growth = (more_peak - peak) / (more_report.candidates_count - report.candidates_count)
-    assert growth < 128, growth
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda n=cpus: n)
+        report, peak = _traced_run_window(nodes)
+        w = report.candidates_count
+        assert w > 2000
+        # about three blocks per thread, one block of slack, and what is
+        # kept per candidate
+        bound = (3 * cpus + 1) * coordinator._BLOCK_BYTES + 128 * w
+        assert peak < bound, (cpus, peak / coordinator._BLOCK_BYTES)
+        if cpus <= 2:
+            assert peak < report.stage3_bytes[0], (cpus, peak / report.stage3_bytes[0])
+        more_report, more_peak = _traced_run_window(more)
+        assert more_report.candidates_count > 1.8 * w
+        growth = (more_peak - peak) / (more_report.candidates_count - w)
+        assert growth < 128, (cpus, growth)
+    # the same estimates as from the OR of whole (w, |C|/8) matrices
+    merged = np.bitwise_or.reduce([and_of_rows(n.lea, report.candidates, n.hs) for n in nodes])
+    assert report.super_points == estimate_candidates(report.candidates, popcounts(merged), 2**14, 32)
+    assert {e.address for e in report.super_points} >= planted
 
 
 def test_expected_comms_default_geometry():
@@ -213,25 +219,11 @@ def _stage1_from(node, window_id=None, node_id=None, cube=None):
     )
 
 
-def _chunks(payload: bytes, le_len: int, rows: int) -> list[bytes]:
-    """A whole stage-3 payload as the chunks a node sends: the header, then
-    blocks of `rows` records."""
-    size = rows * (4 + le_len // 8)
-    body = payload[wire.STAGE3_HEADER_LEN :]
-    return [payload[: wire.STAGE3_HEADER_LEN]] + [body[i : i + size] for i in range(0, len(body), size)]
-
-
-def _answer(chunks: list) -> tuple:
-    """The (header, block builders) a stage3_payload returns for these
-    chunks; no chunk at all is an empty header."""
-    header, *blocks = chunks or [b""]
-    return header, [functools.partial(bytes, block) for block in blocks]
-
-
-def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None, edit=None):
+def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None, header=None, answer=None):
     """A fake stage3_payload: the reference encoding of what the node would
-    send, with the given fields changed; `edit` changes the list of chunks,
-    the header and then the blocks."""
+    send, with the given fields changed. `header` changes the header chunk;
+    answer(records, lo, hi) is the block asked for lo..hi, where
+    records(lo, hi) slices the reference records."""
 
     def payload(candidates):
         candidates = np.asarray(candidates, np.uint32)
@@ -247,8 +239,16 @@ def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None, 
             sketches,
             le_len or node.params.le_len,
         )
-        chunks = _chunks(whole, le_len or node.params.le_len, node.lea.block_rows)
-        return _answer(chunks if edit is None else edit(chunks))
+        head, body = whole[: wire.STAGE3_HEADER_LEN], whole[wire.STAGE3_HEADER_LEN :]
+        size = 4 + (le_len or node.params.le_len) // 8
+
+        def records(lo, hi):
+            return body[lo * size : hi * size]
+
+        def build(lo, hi):
+            return records(lo, hi) if answer is None else answer(records, lo, hi)
+
+        return head if header is None else header(head), build
 
     return payload
 
@@ -268,15 +268,9 @@ def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None, 
         pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c[:-1]), r"stage-3 w \d+ != \d+", id="stage3-missing"),
         pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, reorder=lambda c: c ^ np.uint32(1)), "stage-3 candidates differ", id="stage3-unknown"),
         # a block's records, against its slice of the broadcast
-        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: [c[0], c[1][: 4 + 128], *c[2:]]), "stage-3 candidates differ", id="stage3-short-block"),
-        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: [c[0], c[1][:-1], *c[2:]]), r"stage-3 block of \d+ bytes ends in a partial 132-byte record", id="stage3-partial-record"),
-        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c[:1]), "stage-3 payload has 0 blocks, expected 1", id="stage3-ends-early"),
-        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: []), "stage-3 payload truncated: 0 bytes", id="stage3-no-header"),
-        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c + c[1:]), "stage-3 payload has 2 blocks, expected 1", id="stage3-extra-block"),
-        # the block counts are checked before any block is built, at the
-        # first node as at the last
-        pytest.param(0, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c + c[1:]), "stage-3 payload has 2 blocks, expected 1", id="stage3-first-runs-long"),
-        pytest.param(2, "stage3_payload", lambda n: _stage3_from(n, edit=lambda c: c[:1]), "stage-3 payload has 0 blocks, expected 1", id="stage3-last-ends-early"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, answer=lambda r, lo, hi: r(lo, hi)[: 4 + 128]), "stage-3 candidates differ", id="stage3-short-block"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, answer=lambda r, lo, hi: r(lo, hi)[:-1]), r"stage-3 block of \d+ bytes ends in a partial 132-byte record", id="stage3-partial-record"),
+        pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, header=lambda h: b""), "stage-3 payload truncated: 0 bytes", id="stage3-no-header"),
     ],
 )
 def test_coordinator_rejects_mismatched_payloads(target, stage, fake, fragment):
@@ -303,8 +297,8 @@ def test_stage3_merge_does_not_write_through_payloads():
     for node in nodes:
 
         def stage3_payload(candidates, payload=node.stage3_payload):
-            header, builders = payload(candidates)
-            return received(header), [lambda build=build: received(build()) for build in builders]
+            header, build = payload(candidates)
+            return received(header), lambda lo, hi: received(build(lo, hi))
 
         node.stage3_payload = stage3_payload
     report = run_window(nodes)
@@ -327,25 +321,47 @@ def _pin_cpus(monkeypatch, cpus: int) -> list:
     return started
 
 
+def _pin_block_rows(monkeypatch, rows: int) -> None:
+    """Make a stage-3 block hold `rows` records of PARAMS' sketches."""
+    monkeypatch.setattr(coordinator, "_BLOCK_BYTES", rows * (PARAMS.le_len // 8))
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_stage3_report_does_not_depend_on_cpu_count(monkeypatch, cpus):
-    # ten blocks of 8 records: the threads split them, and every block is
-    # the OR of the same three node blocks on any of them
+    # blocks of 1, 3 and 8 records, at least eight of them: the threads
+    # split them, and every block is the OR of the same three node blocks
+    # on any of them
     trace, planted = _demo_trace(5)
     nodes = _scanned_nodes(trace, 3)
     expected = run_window(nodes)
     started = _pin_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(learray, "_GATHER_BYTES", 8 * (PARAMS.le_len // 8))
-    report = run_window(nodes)
-    blocks = -(-report.candidates_count // 8)
-    assert blocks >= 8
-    assert len(started) == min(blocks, cpus) - 1
-    assert np.array_equal(report.candidates, expected.candidates)
-    assert report.super_points == expected.super_points
-    assert planted <= {e.address for e in report.super_points}
-    for stage in ("stage1_bytes", "stage2_bytes", "stage3_bytes"):
-        assert getattr(report, stage) == getattr(expected, stage), stage
-    assert report.transmitted_fraction == expected.transmitted_fraction
+    for rows in (1, 3, 8):
+        _pin_block_rows(monkeypatch, rows)
+        started.clear()
+        report = run_window(nodes)
+        blocks = -(-report.candidates_count // rows)
+        assert blocks >= 8
+        assert len(started) == min(blocks, cpus) - 1
+        assert np.array_equal(report.candidates, expected.candidates)
+        assert report.super_points == expected.super_points, rows
+        assert planted <= {e.address for e in report.super_points}
+        for stage in ("stage1_bytes", "stage2_bytes", "stage3_bytes"):
+            assert getattr(report, stage) == getattr(expected, stage), (stage, rows)
+        assert report.transmitted_fraction == expected.transmitted_fraction
+
+
+def test_stage3_block_of_another_range_is_rejected(monkeypatch):
+    # blocks of 8 records, and node 1 answers each range shifted by one
+    # record, wrapping at the end: blocks of the right size that hold the
+    # wrong candidates
+    trace, _ = _demo_trace(5)
+    nodes = _scanned_nodes(trace, 3)
+    _pin_block_rows(monkeypatch, 8)
+    assert run_window(nodes).candidates_count > 16
+    shifted = lambda r, lo, hi: (r(lo + 1, hi + 1) + r(0, 1))[: len(r(lo, hi))]
+    nodes[1].stage3_payload = _stage3_from(nodes[1], answer=shifted)
+    with pytest.raises(ValueError, match="^node 1: stage-3 candidates differ from the broadcast$"):
+        run_window(nodes)
 
 
 @pytest.mark.parametrize(
@@ -363,17 +379,19 @@ def test_stage3_reports_the_lowest_failing_block_and_joins_every_thread(monkeypa
     trace, _ = _demo_trace(7)
     nodes = _scanned_nodes(trace, 3)
     _pin_cpus(monkeypatch, 3)
-    monkeypatch.setattr(learray, "_GATHER_BYTES", 2 * (PARAMS.le_len // 8))
+    _pin_block_rows(monkeypatch, 2)
     for k, (bad, delay) in failures.items():
 
         def stage3_payload(candidates, payload=nodes[k].stage3_payload, k=k, bad=bad, delay=delay):
-            header, builders = payload(candidates)
+            header, build = payload(candidates)
 
-            def fail():
-                time.sleep(delay)
-                raise ValueError(f"node {k} cannot build block {bad}")
+            def fail_or_build(lo, hi):
+                if lo == 2 * bad:
+                    time.sleep(delay)
+                    raise ValueError(f"node {k} cannot build block {bad}")
+                return build(lo, hi)
 
-            return header, [fail if i == bad else build for i, build in enumerate(builders)]
+            return header, fail_or_build
 
         nodes[k].stage3_payload = stage3_payload
     threads = threading.active_count()

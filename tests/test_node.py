@@ -15,7 +15,7 @@ from oracles import (
     stage3_size,
 )
 
-from superpoint import learray, node as node_module, wire
+from superpoint import node as node_module, wire
 from superpoint.estimators import DetectorParams
 from superpoint.node import (
     ObservationNode,
@@ -34,11 +34,17 @@ PARAMS = DetectorParams(theta=64, le_len=64, u_hat=2, v_hat=16)
 CFG = RECubeConfig(r=2, l=(6,) * 8, s=(0, 4, 8, 12, 16, 20, 24, 28))
 
 
-def _chunks(node, candidates) -> list:
-    """A node's stage-3 payload as it is sent: the header, then each block
-    built, in order."""
-    header, builders = node.stage3_payload(candidates)
-    return [header] + [build() for build in builders]
+def _bounds(w: int, cuts=()) -> list:
+    """0, the sorted cut points, then w: consecutive ranges that cover w candidates."""
+    return [0, *cuts, w]
+
+
+def _chunks(node, candidates, cuts=()) -> list:
+    """A node's stage-3 payload as it is sent: the header, then the block
+    of each range between consecutive bounds, in order."""
+    header, build = node.stage3_payload(candidates)
+    bounds = _bounds(len(candidates), cuts)
+    return [header] + [build(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _payload(node, candidates) -> bytes:
@@ -326,8 +332,8 @@ def test_stage3_golden_digests(params, pairs, digest):
     [
         (64, 0),
         (8, 300),
-        # more rows than one gather step holds (1024 at 4096 bits), the
-        # last step partial
+        # more records than one 512 KiB block holds (1024 at 4096 bits),
+        # the last block partial
         (4096, 1031),
     ],
 )
@@ -349,13 +355,13 @@ def test_stage3_payload_is_the_reference_encoding(le_len, w):
     want = encode_stage3(4, 2, candidates, sketches, le_len)
     # the header, then blocks of whole records; a block stays valid after
     # the next is built, so the header and the blocks, joined, are the payload
-    chunks = _chunks(node, candidates)
+    cuts = range(1024, w, 1024)
+    chunks = _chunks(node, candidates, cuts)
     assert b"".join(chunks) == want
     assert len(chunks[0]) == wire.STAGE3_HEADER_LEN
-    rows = [len(block) // (4 + le_len // 8) for block in chunks[1:]]
-    step = node.lea.block_rows
-    assert rows == [min(step, w - lo) for lo in range(0, w, step)]
-    assert le_len != 4096 or len(rows) > 1
+    bounds = _bounds(w, cuts)
+    assert [len(block) for block in chunks[1:]] == [(hi - lo) * (4 + le_len // 8) for lo, hi in zip(bounds, bounds[1:])]
+    assert le_len != 4096 or len(chunks) > 2
 
 
 #: a fate at or past u_hat: the candidate's AND never dies
@@ -390,22 +396,25 @@ def _fated_node(u_hat, le_len, fates, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    u_hat=st.sampled_from([1, 2, 3, 5]),
+    u_hat=st.integers(1, 5),
     le_len=st.sampled_from([8, 64, 1024]),
-    block_rows=st.sampled_from([1, 3, 64]),
     fates=st.lists(st.integers(0, LIVES), max_size=40),
+    cuts=st.lists(st.integers(0, 40), max_size=8),
     seed=st.integers(0, 2**32 - 1),
 )
 # every candidate dies after the second row, or only at the last, or all live
-@example(u_hat=5, le_len=1024, block_rows=3, fates=[1] * 10, seed=1)
-@example(u_hat=5, le_len=64, block_rows=3, fates=[4] * 10, seed=2)
-@example(u_hat=5, le_len=8, block_rows=3, fates=[LIVES] * 10, seed=3)
-@example(u_hat=3, le_len=1024, block_rows=64, fates=[], seed=4)
-def test_stage3_payload_is_the_and_of_every_row(u_hat, le_len, block_rows, fates, seed):
-    # the joined stream is the reference encoding of the AND of all u_hat
+@example(u_hat=5, le_len=1024, fates=[1] * 10, cuts=[3, 6, 9], seed=1)
+@example(u_hat=5, le_len=64, fates=[4] * 10, cuts=[3, 6, 9], seed=2)
+@example(u_hat=5, le_len=8, fates=[LIVES] * 10, cuts=[3, 6, 9], seed=3)
+@example(u_hat=3, le_len=1024, fates=[], cuts=[], seed=4)
+def test_stage3_payload_is_the_and_of_every_row(u_hat, le_len, fates, cuts, seed):
+    # the header joined with the blocks of any consecutive ranges (empty
+    # ones too) is the reference encoding of the AND of all u_hat
     # gathered rows, while only candidates still alive after two rows
     # cost a gather of rows 2..u_hat - 1
     node, candidates = _fated_node(u_hat, le_len, fates, seed)
+    w = len(fates)
+    cuts = sorted(min(cut, w) for cut in cuts)
     gathered = []
     take = np.take
 
@@ -414,15 +423,12 @@ def test_stage3_payload_is_the_and_of_every_row(u_hat, le_len, block_rows, fates
             gathered.append(np.size(indices))
         return take(a, indices, *args, **kwargs)
 
-    with (
-        mock.patch.object(learray, "_GATHER_BYTES", block_rows * (le_len // 8)),
-        mock.patch.object(np, "take", counting_take),
-    ):
-        chunks = _chunks(node, candidates)
+    with mock.patch.object(np, "take", counting_take):
+        chunks = _chunks(node, candidates, cuts)
     want = and_of_rows(node.lea, candidates, node.hs)
     assert b"".join(chunks) == encode_stage3(6, 0, candidates, want, le_len)
-    w = len(fates)
-    assert len(chunks) == 1 + -(-w // block_rows)
+    bounds = _bounds(w, cuts)
+    assert [len(block) for block in chunks[1:]] == [(hi - lo) * (4 + le_len // 8) for lo, hi in zip(bounds, bounds[1:])]
     if u_hat <= 2:
         assert sum(gathered) == u_hat * w
     else:
@@ -439,11 +445,12 @@ def test_stage3_payload_is_gathered_in_place():
     node.scan_window(_random_trace(20_000, 11))
     w = 40_000
     candidates = np.random.default_rng(12).integers(0, 2**32, w, dtype=np.uint32)
-    block = node.lea.block_rows * (4 + 4096 // 8)
+    rows = 1024  # a 512 KiB block of 4096-bit sketches
+    block = rows * (4 + 4096 // 8)
     tracemalloc.start()
     try:
-        header, builders = node.stage3_payload(candidates)
-        size = len(header) + sum(len(build()) for build in builders)
+        header, build = node.stage3_payload(candidates)
+        size = len(header) + sum(len(build(lo, min(w, lo + rows))) for lo in range(0, w, rows))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

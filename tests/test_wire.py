@@ -66,9 +66,7 @@ def test_stage3_round_trip_and_size():
         [[0b1010, 0, 0, 0, 0, 0, 0, 0], [0xFF] * 8], np.uint8
     )
     header = wire.stage3_header(5, 1, 2, le_len)
-    block, les = wire.stage3_block(candidates, le_len)
-    assert les.shape == (2, 8) and not les.any()
-    les[:] = sketches  # the view writes into the block's records
+    block = wire.encode_stage3_block(candidates, sketches)
     payload = header + block
     assert len(header) == wire.STAGE3_HEADER_LEN
     assert len(payload) == stage3_size(2, le_len) == 12 + 8 + 2 * (4 + 8)
@@ -81,15 +79,14 @@ def test_stage3_round_trip_and_size():
     assert got_candidates.tolist() == [10, 11]
     assert got_sketches.shape == (2, 8)
     assert np.array_equal(got_sketches, sketches)
-    empty, les = wire.stage3_block([], le_len)
-    assert les.shape == (0, 8)
+    empty = wire.encode_stage3_block([], np.zeros((0, 8), np.uint8))
+    assert empty == b""
     _, got_candidates, got_sketches = decode_stage3(wire.stage3_header(5, 1, 0, le_len) + empty)
     assert got_candidates.size == 0 and got_sketches.shape == (0, 8)
 
 
 def test_stage3_decode_is_read_only_view():
-    block, les = wire.stage3_block([1, 2], 64)
-    les[:] = np.arange(16, dtype=np.uint8).reshape(2, 8)
+    block = wire.encode_stage3_block([1, 2], np.arange(16, dtype=np.uint8).reshape(2, 8))
     before = bytes(block)
     candidates, decoded = wire.decode_stage3_block(block, 64)
     for view in (candidates, decoded):
