@@ -1,14 +1,15 @@
 """Global server: the three-stage window protocol and its accounting.
 
-Stage 1 collects every node's cube and ORs them; candidates are recovered
-from the merged cube. Stage 2 broadcasts the candidate list. Stage 3
-collects one inner-merged estimator per candidate per node, block by
-block: the coordinator cuts the candidates into fixed-size ranges and
-asks every node for each one. The blocks are independent, so threads
-split them, and each thread builds its block at every node, ORs it
-across the nodes, keeps the merged sketches' popcounts and drops each
-node's block as soon as it is ORed. Then the coordinator reports the
-candidates whose estimate exceeds the threshold.
+Stage 1 collects every node's cube, as a header and a read-only view of
+the node's own cells, and ORs them; candidates are recovered from the
+merged cube. Stage 2 broadcasts the candidate list. Stage 3 collects one
+inner-merged estimator per candidate per node, block by block: the
+coordinator cuts the candidates into fixed-size ranges and asks every
+node for each one. Up to one thread per four blocks splits them; each
+builds its block at every node, ORs it across the nodes, keeps the
+merged sketches' popcounts and drops each node's block once it is ORed.
+Then the coordinator reports the candidates whose estimate exceeds the
+threshold.
 
 The transport is in-process, but every stage moves through the byte-exact
 wire encodings, so the counted sizes are what a socket would carry.
@@ -78,9 +79,9 @@ def _check(node: ObservationNode, stage: int, name: str, got, want) -> None:
         raise ValueError(f"node {node.node_id}: stage-{stage} {name} {got} != {want}")
 
 
-def _received(node: ObservationNode, stage: int, window_id: int, decode, payload) -> list:
+def _received(node: ObservationNode, stage: int, window_id: int, decode, *chunks) -> list:
     """Decode a node's payload and check that it is that node's, for this window."""
-    header, *body = _decoded(node, stage, decode, payload)
+    header, *body = _decoded(node, stage, decode, *chunks)
     _check(node, stage, "window_id", header.window_id, window_id)
     _check(node, stage, "node_id", header.node_id, node.node_id)
     return body
@@ -110,12 +111,13 @@ def run_window(nodes: list[ObservationNode]) -> WindowReport:
     le_len = nodes[0].params.le_len
 
     # Stage 1: collect cubes, merge, recover candidates.
-    stage1_payloads = [node.stage1_payload() for node in nodes]
-    cubes = []
-    for node, payload in zip(nodes, stage1_payloads):
-        (cube,) = _received(node, 1, window_id, wire.decode_stage1, payload)
+    cubes, stage1_bytes = [], []
+    for node in nodes:
+        header, cells = node.stage1_payload()
+        (cube,) = _received(node, 1, window_id, wire.decode_stage1, header, cells)
         _check(node, 1, "geometry", cube.config, node.cube_config)
         cubes.append(cube)
+        stage1_bytes.append(len(header) + cube.cells.nbytes)
     merged_cube = rec_merge_outer(cubes)
     candidates = recover_candidates(merged_cube)
 
@@ -159,14 +161,16 @@ def run_window(nodes: list[ObservationNode]) -> WindowReport:
             del block, got, les  # before the next node's block is built
         set_bits[lo:hi] = popcounts(merged)
 
-    run_indexed(n_blocks, merge_block)
+    # a thread holds about three blocks: at four blocks or more per thread,
+    # stage 3 holds less than one node's payload on any number of CPUs
+    run_indexed(n_blocks, merge_block, max_threads=max(1, n_blocks // 4))
     stage3_bytes = [len(header) + int(n) for (header, _), n in zip(payloads, block_bytes.sum(axis=0))]
 
     return WindowReport(
         window_id=window_id,
         super_points=estimate_candidates(candidates, set_bits, le_len, nodes[0].params.theta),
         candidates=candidates,
-        stage1_bytes=[len(p) for p in stage1_payloads],
+        stage1_bytes=stage1_bytes,
         stage2_bytes=[len(stage2_payload)] * len(nodes),
         stage3_bytes=stage3_bytes,
         master_structure_bytes=nodes[0].master_structure_bytes(),

@@ -113,6 +113,8 @@ class DetectorParams:
                 raise ValueError(f"{name} must be a power of two, got {value}")
         if self.le_len < 8:
             raise ValueError(f"le_len must be at least 8 bits, got {self.le_len}")
+        if self.le_len > 1 << 31:  # the largest power of two a stage-3 header's u32 holds
+            raise ValueError(f"le_len must be at most 2^31 bits, got {self.le_len}")
         if self.u_hat < 1:
             raise ValueError(f"u_hat must be >= 1, got {self.u_hat}")
 

@@ -100,10 +100,8 @@ def estimate_candidates(
     zeros = nbits - np.asarray(set_bits, dtype=np.int64)
     # the scalar formula once per distinct zero count, so every estimate
     # is exactly the float linear_count gives
-    table = np.zeros(nbits + 1)
-    for n0 in np.flatnonzero(np.bincount(zeros, minlength=nbits + 1)).tolist():
-        table[n0] = linear_count(nbits, n0)[0]
-    estimates = table[zeros]
+    distinct, inverse = np.unique(zeros, return_inverse=True)
+    estimates = np.array([linear_count(nbits, n0)[0] for n0 in distinct.tolist()], float)[inverse]
     saturated = zeros == 0
     keep = np.flatnonzero(saturated | (estimates > theta))
     keep = keep[np.lexsort((addresses[keep], -estimates[keep]))]

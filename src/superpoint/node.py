@@ -1,10 +1,11 @@
 """Observation-node state machine and IP-pair trace I/O.
 
 A node ingests its partition of the pair stream for one window, then
-answers the three protocol stages: ship the cube, receive the candidate
-list, ship the inner-merged per-candidate estimators as a header and
-a block for each range of candidates the coordinator asks for, which
-any thread may build.
+answers the three protocol stages: ship the cube as a header and a
+read-only view of its own cells, receive the candidate list, ship the
+inner-merged per-candidate estimators as a header and a block for each
+range of candidates the coordinator asks for, which any thread may
+build.
 
 Trace formats: binary records of 12 bytes {a u32 BE, b u32 BE, ts u32 BE},
 or CSV lines "a_dotted,b_dotted[,ts]". Both are read in batches of at
@@ -213,7 +214,7 @@ class ObservationNode:
     def reset_window(self, window_id: int) -> None:
         self.window_id = window_id
         try:
-            self._stage1, self.rec = wire.stage1_buffer(self.node_id, window_id, self.cube_config)
+            self.rec = RECube(self.cube_config)
             self.lea = LEArray(self.params.u_hat, self.params.v_hat, self.params.le_len)
         except MemoryError:
             p = self.params
@@ -230,9 +231,10 @@ class ObservationNode:
         self.pairs_scanned += len(trace)
         return self.rec, self.lea
 
-    def stage1_payload(self) -> memoryview:
-        """A read-only view of the payload that holds the cube: the next scan changes it."""
-        return memoryview(self._stage1).toreadonly()
+    def stage1_payload(self) -> tuple[bytes, memoryview]:
+        """The header, then a read-only view of the cube's cells: the next scan changes it."""
+        header = wire.stage1_header(self.node_id, self.window_id, self.cube_config)
+        return header, memoryview(self.rec.cells.reshape(-1)).toreadonly()
 
     def stage3_payload(self, candidates) -> tuple[bytes, Callable[[int, int], bytearray]]:
         """The stage-3 payload, the inner-merged estimator of each candidate

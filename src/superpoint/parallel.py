@@ -21,11 +21,11 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_indexed(count: int, work: Callable[[int], None]) -> None:
-    """Call work(i) for each i in range(count) on min(count, usable CPUs)
-    threads that take indexes in order from one counter. The calling
-    thread is one of them and takes index 0, so one index or one CPU
-    starts no thread and runs every index in order on the calling thread.
+def run_indexed(count: int, work: Callable[[int], None], max_threads: int | None = None) -> None:
+    """Call work(i) for each i in range(count) on min(count, usable CPUs,
+    max_threads) threads that take indexes in order from one counter. The
+    calling thread is one of them and takes index 0, so a single thread
+    starts no other and runs every index in order on the calling thread.
 
     Every thread is joined before this returns. After the first error no
     thread takes another index, and the error of the lowest failing index
@@ -52,7 +52,8 @@ def run_indexed(count: int, work: Callable[[int], None]) -> None:
         if not errors:
             take(next(counter))
 
-    threads = [threading.Thread(target=worker) for _ in range(min(count, usable_cpus()) - 1)]
+    started = range(min(count, usable_cpus(), max_threads or count) - 1)
+    threads = [threading.Thread(target=worker) for _ in started]
     for thread in threads:
         thread.start()
     try:

@@ -4,8 +4,9 @@ Everything is fixed little-endian so payloads are bit-identical across
 platforms. Common header: magic "READ", version, stage, node id, window
 id. Stage 1 carries the merged-ready rough-estimator cube, stage 2 the
 candidate broadcast, stage 3 the per-candidate linear estimators. A
-stage-3 payload moves as chunks: its header, then blocks of whole
-records, one per range of candidates that the coordinator asks for.
+node's payload moves as chunks: its header, then at stage 1 the cells of
+its cube, at stage 3 blocks of whole records, one per range of
+candidates that the coordinator asks for.
 """
 
 from __future__ import annotations
@@ -72,36 +73,27 @@ def _check_size(data: bytes, expected: int) -> None:
 # -- stage 1: rough-estimator cube ---------------------------------------
 
 
-def stage1_size(cfg: RECubeConfig) -> int:
-    return HEADER_LEN + 2 + 2 * cfg.u + cfg.nbytes  # r, u, l and s, then the cells
-
-
-def _stage1_header(node_id: int, window_id: int, cfg: RECubeConfig) -> bytes:
-    """The bytes that precede the cube's cells."""
+def stage1_header(node_id: int, window_id: int, cfg: RECubeConfig) -> bytes:
+    """The first chunk of a stage-1 payload: the common header, then the
+    cube's geometry (r, u, then each row's width l and offset s)."""
     geom = struct.pack(f"<BB{cfg.u}B{cfg.u}B", cfg.r, cfg.u, *cfg.l, *cfg.s)
     return _pack_header(STAGE_CUBE, node_id, window_id) + geom
 
 
-def stage1_buffer(node_id: int, window_id: int, cfg: RECubeConfig) -> tuple[np.ndarray, RECube]:
-    """A stage-1 payload whose cells are those of the empty cube returned
-    with it: the payload holds the cube as it fills."""
-    header = _stage1_header(node_id, window_id, cfg)
-    buf = np.zeros(len(header) + cfg.nbytes, np.uint8)
-    buf[: len(header)] = np.frombuffer(header, np.uint8)
-    return buf, RECube(cfg, buf[len(header) :].reshape(1 << cfg.r, -1))
-
-
-def decode_stage1(data: bytes) -> tuple[PayloadHeader, RECube]:
-    """Decode a stage-1 payload; the cube is a read-only view of `data`."""
-    header = _unpack_header(data, STAGE_CUBE)
-    r, u = _unpack("<BB", data, HEADER_LEN)
-    widths_offsets = _unpack(f"<{2 * u}B", data, HEADER_LEN + 2)
+def decode_stage1(header, cells) -> tuple[PayloadHeader, RECube]:
+    """Decode a stage-1 payload from its header chunk and its cells chunk;
+    the cube is a read-only view of `cells`."""
+    head = _unpack_header(header, STAGE_CUBE)
+    r, u = _unpack("<BB", header, HEADER_LEN)
+    widths_offsets = _unpack(f"<{2 * u}B", header, HEADER_LEN + 2)
+    _check_size(header, HEADER_LEN + 2 + 2 * u)
     cfg = RECubeConfig(r=r, l=widths_offsets[:u], s=widths_offsets[u:])
-    _check_size(data, stage1_size(cfg))
-    cells = np.frombuffer(data, np.uint8, offset=len(data) - cfg.nbytes)
+    cells = np.frombuffer(cells, np.uint8)
+    if cells.size != cfg.nbytes:
+        raise ValueError(f"expected {cfg.nbytes} bytes of cells, got {cells.size}")
     # a writable buffer (bytearray) must not be changed through the cube
     cells.flags.writeable = False
-    return header, RECube(cfg, cells.reshape(1 << r, -1))
+    return head, RECube(cfg, cells.reshape(1 << r, -1))
 
 
 # -- stage 2: candidate broadcast ----------------------------------------

@@ -115,6 +115,27 @@ def encode_stage1(node_id: int, window_id: int, cube: RECube) -> bytes:
     return _header(wire.STAGE_CUBE, node_id, window_id) + geometry + cube.cells.tobytes()
 
 
+def stage1_chunks(data) -> tuple[memoryview, memoryview]:
+    """A whole stage-1 payload cut where its header chunk ends, as its u
+    (the byte after r) says: (header, cells), views of `data`."""
+    data = memoryview(data)
+    u = data[wire.HEADER_LEN + 1] if len(data) > wire.HEADER_LEN + 1 else 0
+    cut = wire.HEADER_LEN + 2 + 2 * u
+    return data[:cut], data[cut:]
+
+
+def decode_stage1(data) -> tuple[wire.PayloadHeader, RECube]:
+    """A whole stage-1 payload through the chunk decoder: (header, cube),
+    the cube a read-only view of `data`."""
+    return wire.decode_stage1(*stage1_chunks(data))
+
+
+def stage1_size(cfg: RECubeConfig) -> int:
+    """Bytes of a stage-1 payload: its header, r, u, each row's width and
+    offset, then the cells."""
+    return wire.HEADER_LEN + 2 + 2 * cfg.u + cfg.nbytes
+
+
 def encode_stage3(
     node_id: int, window_id: int, candidates, sketches: np.ndarray, le_len: int
 ) -> bytes:
@@ -151,7 +172,7 @@ def expected_comms(cfg: RECubeConfig, params, w: int) -> dict:
     Pure arithmetic mirror of what run_window measures; used to project
     the communication fraction at geometries too big to instantiate.
     """
-    stage1 = wire.stage1_size(cfg)
+    stage1 = stage1_size(cfg)
     stage2 = wire.stage2_size(w)
     stage3 = stage3_size(w, params.le_len)
     master = cfg.nbytes + params.lea_bytes

@@ -326,6 +326,16 @@ def test_run_reports_a_geometry_too_large_to_allocate(tmp_path, capsys):
     assert "u_hat=5, v_hat=1099511627776, le_len=16384" in err
 
 
+def test_run_rejects_an_le_len_the_wire_cannot_carry(tmp_path, capsys):
+    # a stage-3 header's le_len field is a u32; a grid of one 2^32-bit
+    # estimator would be allocated, and its header would fail to pack
+    write_trace_binary(tmp_path / "t.bin", Trace([], []))
+    conf = _write(tmp_path / "run.conf", "u_hat = 1\nv_hat = 1\nle_len = 4294967296\n")
+    rc = main(["run", "--config", conf, "--trace-dir", str(tmp_path)])
+    assert rc == 2
+    assert "le_len must be at most 2^31 bits" in capsys.readouterr().err
+
+
 def test_split_windows_matches_per_window_mask(tmp_path, monkeypatch):
     # each window's records, read from its spans in batches of 7, equal
     # one mask over the whole trace

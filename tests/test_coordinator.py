@@ -4,7 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import and_of_rows, encode_stage1, encode_stage3, expected_comms, stage3_size
+from oracles import (
+    and_of_rows,
+    encode_stage1,
+    encode_stage3,
+    expected_comms,
+    stage1_chunks,
+    stage1_size,
+    stage3_size,
+)
 
 from superpoint import coordinator, parallel, wire
 from superpoint.coordinator import run_window
@@ -89,12 +97,12 @@ def test_byte_accounting_matches_wire_sizes():
     trace, _ = _demo_trace(3)
     report = run_window(_scanned_nodes(trace, 3))
     w = report.candidates_count
-    assert report.stage1_bytes == [wire.stage1_size(CFG)] * 3
+    assert report.stage1_bytes == [stage1_size(CFG)] * 3
     assert report.stage2_bytes == [wire.stage2_size(w)] * 3
     assert report.stage3_bytes == [stage3_size(w, PARAMS.le_len)] * 3
     assert report.master_structure_bytes == CFG.nbytes + PARAMS.lea_bytes
     expected_fraction = (
-        wire.stage1_size(CFG) + wire.stage2_size(w) + stage3_size(w, PARAMS.le_len)
+        stage1_size(CFG) + wire.stage2_size(w) + stage3_size(w, PARAMS.le_len)
     ) / report.master_structure_bytes
     assert report.transmitted_fraction == pytest.approx(expected_fraction)
     arithmetic = expected_comms(CFG, PARAMS, w)
@@ -156,29 +164,39 @@ def _traced_run_window(nodes):
     return report, peak
 
 
+def _stage3_threads(blocks: int, cpus: int) -> int:
+    """The threads stage 3 runs its blocks on: one per four blocks, at
+    least one, at most one per CPU."""
+    return min(cpus, max(1, blocks // 4))
+
+
 def test_stage3_memory_is_a_few_blocks_not_w_sketches(monkeypatch):
     # a dense 3-node window, w above 2000, ten blocks of 256 records, on
-    # 1, 2 and 3 threads: each thread holds its scratch block, one node's
-    # block or the gather's temporaries, and nobody a (w, |C|/8) matrix
+    # 1 to 4 CPUs: each thread holds its scratch block, one node's block
+    # or the gather's temporaries, and nobody a (w, |C|/8) matrix
     nodes, planted = _dense_window(400)
-    # about twice the candidates: the peak grows by what is kept per
-    # candidate (its address, popcount and each node's u_hat columns,
-    # about 90 bytes here), not by a 2048-byte sketch
+    # about twice the candidates: less what each thread holds, the peak
+    # grows by what is kept per candidate (its address, popcount and each
+    # node's u_hat columns, about 90 bytes here), not by a 2048-byte sketch
     more, _ = _dense_window(550)
-    for cpus in (1, 2, 3):
+    block = coordinator._BLOCK_BYTES
+    blocks = lambda w: -(-w // (block // 2048))  # noqa: E731
+    for cpus in (1, 2, 3, 4):
         monkeypatch.setattr(parallel, "usable_cpus", lambda n=cpus: n)
         report, peak = _traced_run_window(nodes)
         w = report.candidates_count
         assert w > 2000
         # about three blocks per thread, one block of slack, and what is
-        # kept per candidate
-        bound = (3 * cpus + 1) * coordinator._BLOCK_BYTES + 128 * w
-        assert peak < bound, (cpus, peak / coordinator._BLOCK_BYTES)
-        if cpus <= 2:
-            assert peak < report.stage3_bytes[0], (cpus, peak / report.stage3_bytes[0])
+        # kept per candidate; and less than one node's payload, as the
+        # threads are at most one per four blocks
+        threads = _stage3_threads(blocks(w), cpus)
+        assert peak < (3 * threads + 1) * block + 128 * w, (cpus, peak / block)
+        assert peak < report.stage3_bytes[0], (cpus, peak / report.stage3_bytes[0])
         more_report, more_peak = _traced_run_window(more)
-        assert more_report.candidates_count > 1.8 * w
-        growth = (more_peak - peak) / (more_report.candidates_count - w)
+        more_w = more_report.candidates_count
+        assert more_w > 1.8 * w
+        held = 3 * (_stage3_threads(blocks(more_w), cpus) - threads) * block
+        growth = (more_peak - held - peak) / (more_w - w)
         assert growth < 128, (cpus, growth)
     # the same estimates as from the OR of whole (w, |C|/8) matrices
     merged = np.bitwise_or.reduce([and_of_rows(n.lea, report.candidates, n.hs) for n in nodes])
@@ -211,12 +229,21 @@ def test_window_id_and_scan_totals_propagate():
 # -- what the coordinator accepts from nodes -------------------------------------
 
 
-def _stage1_from(node, window_id=None, node_id=None, cube=None):
-    return lambda: encode_stage1(
-        node.node_id if node_id is None else node_id,
-        node.window_id if window_id is None else window_id,
-        node.rec if cube is None else cube,
-    )
+def _stage1_from(node, window_id=None, node_id=None, cube=None, cells=None):
+    """A fake stage1_payload: the reference encoding of what the node
+    would send, with the given fields changed, cut into its two chunks;
+    cells(chunk) changes the cells chunk."""
+
+    def payload():
+        whole = encode_stage1(
+            node.node_id if node_id is None else node_id,
+            node.window_id if window_id is None else window_id,
+            node.rec if cube is None else cube,
+        )
+        head, body = stage1_chunks(whole)
+        return head, body if cells is None else cells(body)
+
+    return payload
 
 
 def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None, header=None, answer=None):
@@ -260,6 +287,8 @@ def _stage3_from(node, window_id=None, node_id=None, le_len=None, reorder=None, 
         pytest.param(1, "stage1_payload", lambda n: _stage1_from(n, node_id=5), "stage-1 node_id 5 != 1", id="stage1-node"),
         # an r=3 cube in an r=2 run; a lone node's cube has no other to differ from
         pytest.param(0, "stage1_payload", lambda n: _stage1_from(n, cube=RECube(OTHER_CFG)), r"stage-1 geometry RECubeConfig\(r=3", id="stage1-geometry"),
+        # the cells of a cube of the header's geometry, one byte short
+        pytest.param(2, "stage1_payload", lambda n: _stage1_from(n, cells=lambda c: c[:-1]), "stage-1 expected 2048 bytes of cells, got 2047", id="stage1-cells-size"),
         pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, window_id=8), "stage-3 window_id 8 != 0", id="stage3-window"),
         pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, node_id=5), "stage-3 node_id 5 != 1", id="stage3-node"),
         pytest.param(1, "stage3_payload", lambda n: _stage3_from(n, le_len=512), "stage-3 le_len 512 != 1024", id="stage3-le-len"),
@@ -341,7 +370,7 @@ def test_stage3_report_does_not_depend_on_cpu_count(monkeypatch, cpus):
         report = run_window(nodes)
         blocks = -(-report.candidates_count // rows)
         assert blocks >= 8
-        assert len(started) == min(blocks, cpus) - 1
+        assert len(started) == _stage3_threads(blocks, cpus) - 1
         assert np.array_equal(report.candidates, expected.candidates)
         assert report.super_points == expected.super_points, rows
         assert planted <= {e.address for e in report.super_points}

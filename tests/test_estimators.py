@@ -314,3 +314,11 @@ def test_detector_params_validation():
         DetectorParams(theta=1024, le_len=100, u_hat=1, v_hat=4)
     with pytest.raises(ValueError):
         DetectorParams(theta=1024, le_len=64, u_hat=0, v_hat=4)
+
+
+def test_le_len_the_wire_cannot_carry_is_rejected():
+    # a stage-3 header carries le_len in a u32: 2^31 is the largest power
+    # of two it holds
+    assert DetectorParams(theta=1024, le_len=2**31, u_hat=1, v_hat=1).le_len == 2**31
+    with pytest.raises(ValueError, match=r"^le_len must be at most 2\^31 bits, got 4294967296$"):
+        DetectorParams(theta=1024, le_len=2**32, u_hat=1, v_hat=1)

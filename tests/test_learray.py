@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,23 @@ def test_estimate_candidates_flags_and_order():
     # plain Python values, as the JSON report needs
     assert all(type(r.address) is int and type(r.saturated) is bool for r in results)
     assert estimate_candidates(np.zeros(0, np.uint32), *_set_bits(1024), theta) == []
+
+
+@pytest.mark.parametrize("set_bits", [[], [0, 5, 2**24 - 1, 5, 2**24]], ids=["w0", "w5"])
+def test_estimate_memory_does_not_grow_with_le_len(set_bits):
+    # one estimate per distinct popcount, not a table of le_len + 1 floats
+    # (128 MiB at 2^24)
+    addresses = np.arange(len(set_bits), dtype=np.uint32)
+    tracemalloc.start()
+    try:
+        results = estimate_candidates(addresses, np.array(set_bits, np.int64), 2**24, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # a saturated sketch estimates as one with a single zero bit
+    want = [(2, False), (4, True), (1, False), (3, False)] if set_bits else []
+    assert [(r.address, r.saturated) for r in results] == want
 
 
 def test_estimate_ties_sorted_by_address():

@@ -12,6 +12,7 @@ from oracles import (
     encode_stage1,
     encode_stage3,
     same_sketch,
+    stage1_size,
     stage3_size,
 )
 
@@ -255,7 +256,8 @@ def test_same_seed_nodes_build_identical_payloads():
     n1, n2 = _node(node_id=1), _node(node_id=1)
     n1.scan_window(t)
     n2.scan_window(t)
-    assert n1.stage1_payload() == n2.stage1_payload()
+    (h1, c1), (h2, c2) = n1.stage1_payload(), n2.stage1_payload()
+    assert h1 + c1 == h2 + c2
     assert _payload(n1, [1, 2, 3]) == _payload(n2, [1, 2, 3])
 
 
@@ -271,14 +273,15 @@ def test_different_seed_changes_sketches():
 def test_stage1_payload_size_and_round_trip():
     node = _node(node_id=9)
     node.scan_window(_random_trace(500, 8))
-    payload = node.stage1_payload()
-    assert len(payload) == wire.stage1_size(CFG)
-    header, cube = wire.decode_stage1(payload)
+    head, cells = node.stage1_payload()
+    assert len(head) + cells.nbytes == stage1_size(CFG)
+    header, cube = wire.decode_stage1(head, cells)
     assert header.node_id == 9
     assert same_sketch(cube, node.rec)
-    # the payload is the cube's own buffer, read-only, with the reference bytes
-    assert payload.readonly and np.shares_memory(np.asarray(payload), node.rec.cells)
-    assert payload == encode_stage1(9, 0, node.rec)
+    # the cells chunk is the cube's own cells, read-only, and the chunks
+    # joined are the reference bytes
+    assert cells.readonly and np.shares_memory(np.asarray(cells), node.rec.cells)
+    assert head + cells == encode_stage1(9, 0, node.rec)
 
 
 def test_stage3_payload_sizes():
@@ -462,7 +465,7 @@ def test_stage3_payload_is_gathered_in_place():
 
 def test_new_node_answers_for_an_empty_window_0():
     node = ObservationNode(0, PARAMS, CFG, master_seed=1)
-    header, cube = wire.decode_stage1(node.stage1_payload())
+    header, cube = wire.decode_stage1(*node.stage1_payload())
     assert header.window_id == 0
     assert not cube.cells.any()
     header, candidates, sketches = decode_stage3(_payload(node, [1]))
@@ -479,7 +482,7 @@ def test_node_id_outside_the_wire_range_is_rejected(node_id):
 
 def test_largest_node_id_is_accepted():
     node = ObservationNode(0xFFFE, PARAMS, CFG, master_seed=1)
-    header, _ = wire.decode_stage1(node.stage1_payload())
+    header, _ = wire.decode_stage1(*node.stage1_payload())
     assert header.node_id == 0xFFFE
 
 

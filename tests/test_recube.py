@@ -7,6 +7,7 @@ from oracles import (
     GOLDEN_INDEXES,
     GOLDEN_PLANE,
     check_golden_example,
+    decode_stage1,
     derive_indices,
     dfs_recover_candidates,
     encode_stage1,
@@ -14,6 +15,7 @@ from oracles import (
     re_slot,
     reconstruct_left_part,
     same_sketch,
+    stage1_size,
 )
 
 from superpoint import recube, wire
@@ -352,7 +354,7 @@ def test_recover_reads_a_decoded_payload_view():
     # the cube of a stage-1 payload is an unaligned read-only view
     cube = _seeded_cube(SMALL, 10, 50, seed=3)
     payload = memoryview(b"\0" * 3 + encode_stage1(0, 0, cube))[3:]
-    _, view = wire.decode_stage1(payload)
+    _, view = decode_stage1(payload)
     assert not view.cells.flags.writeable
     assert np.array_equal(recover_candidates(view), recover_candidates(cube))
 
@@ -370,14 +372,14 @@ def test_cell_bytes_round_trip():
         HS,
     )
     raw = encode_stage1(0, 0, cube)
-    assert len(raw) == wire.stage1_size(SMALL)
-    _, decoded = wire.decode_stage1(raw)
+    assert len(raw) == stage1_size(SMALL)
+    _, decoded = decode_stage1(raw)
     assert same_sketch(decoded, cube)
     # a writable buffer does not make a writable cube
-    _, decoded = wire.decode_stage1(bytearray(raw))
+    _, decoded = decode_stage1(bytearray(raw))
     assert not decoded.cells.flags.writeable
     with pytest.raises(ValueError):
-        wire.decode_stage1(raw[:-1])
+        decode_stage1(raw[:-1])
 
 
 def test_cell_bytes_layout_is_plane_major():

@@ -5,7 +5,16 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import decode_stage3, encode_stage1, encode_stage3, same_sketch, stage3_size
+from oracles import (
+    decode_stage1,
+    decode_stage3,
+    encode_stage1,
+    encode_stage3,
+    same_sketch,
+    stage1_chunks,
+    stage1_size,
+    stage3_size,
+)
 
 from superpoint import wire
 from superpoint.hashing import HashSuite
@@ -36,16 +45,23 @@ def test_header_layout_golden_bytes():
 def test_stage1_round_trip_and_size():
     cube = _populated_cube()
     payload = encode_stage1(node_id=3, window_id=9, cube=cube)
-    assert len(payload) == wire.stage1_size(CFG)
+    assert len(payload) == stage1_size(CFG)
     assert len(payload) == 12 + 2 + 2 * CFG.u + CFG.nbytes
-    header, decoded = wire.decode_stage1(payload)
+    head = wire.stage1_header(3, 9, CFG)
+    assert head + cube.cells.tobytes() == payload
+    header, decoded = wire.decode_stage1(head, cube.cells)
     assert (header.stage, header.node_id, header.window_id) == (1, 3, 9)
     assert same_sketch(decoded, cube)
+    assert np.shares_memory(decoded.cells, cube.cells) and not decoded.cells.flags.writeable
+    # a writable buffer does not make a writable cube
+    _, decoded = wire.decode_stage1(head, bytearray(cube.cells.tobytes()))
+    assert same_sketch(decoded, cube) and not decoded.cells.flags.writeable
 
 
 def test_stage1_size_at_default_geometry():
     cfg = RECubeConfig(r=6, l=(14, 14, 14), s=(0, 10, 20))
-    assert wire.stage1_size(cfg) == 20 + 3 * 2**20
+    assert stage1_size(cfg) == 20 + 3 * 2**20
+    assert len(wire.stage1_header(0, 0, cfg)) == 20
 
 
 def test_stage2_round_trip_and_size():
@@ -114,25 +130,24 @@ def test_decode_rejects_corruption():
     cube = _populated_cube()
     payload = encode_stage1(0, 0, cube)
     with pytest.raises(ValueError):
-        wire.decode_stage1(b"JUNK" + payload[4:])
+        decode_stage1(b"JUNK" + payload[4:])
     with pytest.raises(ValueError):
-        wire.decode_stage1(bytes([99]) + payload[1:])  # bad magic
+        decode_stage1(bytes([99]) + payload[1:])  # bad magic
     with pytest.raises(ValueError):
-        wire.decode_stage1(payload[:8])  # truncated header
+        decode_stage1(payload[:8])  # truncated header
     with pytest.raises(ValueError):
-        wire.decode_stage1(payload[:-1])  # truncated cells
+        decode_stage1(payload[:-1])  # truncated cells
     with pytest.raises(ValueError):
         wire.decode_stage2(payload)  # wrong stage
     bad_version = payload[:4] + bytes([9]) + payload[5:]
     with pytest.raises(ValueError):
-        wire.decode_stage1(bad_version)
+        decode_stage1(bad_version)
 
 
 def test_payloads_are_deterministic():
-    first, second = wire.stage1_buffer(1, 2, CFG), wire.stage1_buffer(1, 2, CFG)
-    for _, cube in (first, second):
-        _populated_cube(cube)
-    assert np.array_equal(first[0], second[0])
+    first, second = _populated_cube(), _populated_cube()
+    assert wire.stage1_header(1, 2, CFG) == wire.stage1_header(1, 2, CFG)
+    assert np.array_equal(first.cells, second.cells)
 
 
 DEFAULT_CFG = RECubeConfig(r=6, l=(14, 14, 14), s=(0, 10, 20))
@@ -151,20 +166,20 @@ def _default_geometry_cube(cube):
 
 def test_stage1_golden_digests():
     # digests of the plane-major layout; any change to the cell order,
-    # the geometry header or the scan shows up here. The payload a cube
-    # fills in place is the reference encoder's bytes of that cube.
-    small, cube = wire.stage1_buffer(node_id=3, window_id=9, cfg=CFG)
-    _populated_cube(cube)
+    # the geometry header or the scan shows up here. The header chunk
+    # joined with a cube's cells is the reference encoder's bytes of it.
+    cube = _populated_cube()
+    small = wire.stage1_header(node_id=3, window_id=9, cfg=CFG) + cube.cells.tobytes()
     assert hashlib.sha256(small).hexdigest() == (
         "b1e89fc9a50db99b332e240134f81f6921605d073dd4bb3a17033c18d3679306"
     )
-    assert small.tobytes() == encode_stage1(3, 9, cube)
-    default, cube = wire.stage1_buffer(node_id=1, window_id=4, cfg=DEFAULT_CFG)
-    _default_geometry_cube(cube)
+    assert small == encode_stage1(3, 9, cube)
+    cube = _default_geometry_cube(RECube(DEFAULT_CFG))
+    default = wire.stage1_header(node_id=1, window_id=4, cfg=DEFAULT_CFG) + cube.cells.tobytes()
     assert hashlib.sha256(default).hexdigest() == (
         "7bba4c9b6a0fcd01a3ddc89674cd31a8ca7ace2fdd9c3c4cc6f3c66be5e1fee3"
     )
-    assert default.tobytes() == encode_stage1(1, 4, cube)
+    assert default == encode_stage1(1, 4, cube)
 
 
 def test_merge_does_not_write_through_decoded_payloads():
@@ -179,7 +194,7 @@ def test_merge_does_not_write_through_decoded_payloads():
         bytearray(encode_stage1(1, 1, second)),
     ]
     digests = [hashlib.sha256(p).digest() for p in payloads]
-    decoded = [wire.decode_stage1(p)[1] for p in payloads]
+    decoded = [decode_stage1(p)[1] for p in payloads]
     snapshots = [cube.cells.copy() for cube in decoded]
 
     merged = rec_merge_outer(decoded)
@@ -207,12 +222,27 @@ def _stage1_payload():
     return encode_stage1(0, 0, _populated_cube())
 
 
+def _stage1_with(header=lambda h: h, cells=lambda c: c):
+    """The two chunks of a valid stage-1 payload, each changed as given."""
+    head, body = map(bytes, stage1_chunks(_stage1_payload()))
+    return header(head), cells(body)
+
+
+def _decode_stage1_chunks(chunks):
+    return wire.decode_stage1(*chunks)
+
+
 @pytest.mark.parametrize(
     "decode, payload",
     [
-        pytest.param(wire.decode_stage1, lambda: _stage1_payload()[:13], id="stage1-geometry-cut"),
-        pytest.param(wire.decode_stage1, lambda: _stage1_payload()[:20], id="stage1-rows-cut"),
-        pytest.param(wire.decode_stage1, lambda: _stage1_payload() + b"\0", id="stage1-trailing"),
+        pytest.param(decode_stage1, lambda: _stage1_payload()[:13], id="stage1-geometry-cut"),
+        pytest.param(decode_stage1, lambda: _stage1_payload()[:20], id="stage1-rows-cut"),
+        pytest.param(decode_stage1, lambda: _stage1_payload() + b"\0", id="stage1-trailing"),
+        # the chunks the coordinator reads a stage-1 payload as, one of them a byte off
+        pytest.param(_decode_stage1_chunks, lambda: _stage1_with(header=lambda h: h[:-1]), id="stage1-header-short"),
+        pytest.param(_decode_stage1_chunks, lambda: _stage1_with(header=lambda h: h + b"\0"), id="stage1-header-long"),
+        pytest.param(_decode_stage1_chunks, lambda: _stage1_with(cells=lambda c: c[:-1]), id="stage1-cells-short"),
+        pytest.param(_decode_stage1_chunks, lambda: _stage1_with(cells=lambda c: c + b"\0"), id="stage1-cells-long"),
         pytest.param(wire.decode_stage2, lambda: wire.encode_stage2(0, [1, 2])[:14], id="stage2-count-cut"),
         pytest.param(wire.decode_stage2, lambda: wire.encode_stage2(0, [1, 2])[:-1], id="stage2-truncated"),
         pytest.param(wire.decode_stage2, lambda: wire.encode_stage2(0, [1, 2]) + b"\0", id="stage2-trailing"),
@@ -234,10 +264,12 @@ def test_decoders_raise_only_value_error(decode, payload):
 
 @functools.cache
 def _valid_payloads():
-    """A valid payload of each stage, empty ones included."""
+    """A valid payload of each stage, empty ones included, and each chunk
+    of the stage-1 payload."""
     sketches = np.arange(24, dtype=np.uint8).reshape(3, 8)
     return [
         _stage1_payload(),
+        *_stage1_with(),
         wire.encode_stage2(4, [3, 1, 0xFFFFFFFF]),
         wire.encode_stage2(4, []),
         encode_stage3(2, 4, [5, 6, 7], sketches, 64),
@@ -271,22 +303,26 @@ def _damaged_payloads(draw):
 @settings(max_examples=500, deadline=None)
 @given(payload=_damaged_payloads())
 def test_decoders_raise_only_value_error_on_fuzzed_payloads(payload):
-    # a stage-3 payload is also read as the coordinator reads it: the
-    # header chunk, then the rest as one block at the header's le_len
-    # (64 when the header does not decode)
+    # a stage-1 payload is read as its two chunks, one of them damaged; a
+    # stage-3 payload also as the coordinator reads it: the header chunk,
+    # then the rest as one block at the header's le_len (64 when the
+    # header does not decode)
+    stage1_header, stage1_cells = _stage1_with()
     head, rest = payload[: wire.STAGE3_HEADER_LEN], payload[wire.STAGE3_HEADER_LEN :]
     le_len = 64
     try:
         _, _, le_len = wire.decode_stage3_header(head)
     except ValueError:
         pass
-    for decode, data in (
-        (wire.decode_stage1, payload),
-        (wire.decode_stage2, payload),
-        (decode_stage3, payload),
-        (functools.partial(wire.decode_stage3_block, le_len=le_len), rest),
+    for decode, chunks in (
+        (wire.decode_stage1, (payload, stage1_cells)),
+        (wire.decode_stage1, (stage1_header, payload)),
+        (decode_stage1, (payload,)),
+        (wire.decode_stage2, (payload,)),
+        (decode_stage3, (payload,)),
+        (functools.partial(wire.decode_stage3_block, le_len=le_len), (rest,)),
     ):
         try:
-            decode(data)
+            decode(*chunks)
         except ValueError:
             pass
