@@ -45,7 +45,7 @@ from .node import (
     write_trace_binary,
     write_trace_csv,
 )
-from .parallel import run_indexed
+from .parallel import run_batches
 from .recube import RECubeConfig
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -290,19 +290,26 @@ def _scan_nodes(nodes, files, spans, window_id: int, window_seconds: int) -> Non
     the node's `window_spans` spans.
 
     Nodes are independent until stage 1, so they scan on the threads of
-    `parallel.run_indexed`, one node index at a time, and the error of the
-    lowest failing node id is raised after every thread is joined. The
-    calling thread scans node 0: a window whose scans all ran elsewhere
-    leaves the main heap cold, and `run_window`'s cube-sized temporaries
-    then page-fault."""
+    `parallel.run_batches`, and the unit of work is one `read_trace` batch
+    of one node: a node is held by one thread at a time, since its cube
+    and grid writes are read-modify-write ORs, but the ORs and the pair
+    count do not depend on which thread folds which batch. So three nodes
+    on two threads keep both busy to the last batch, and the error of the
+    lowest failing node id is raised after every thread is joined.
 
-    def scan(i: int) -> None:
+    The calling thread scans node 0 from its first batch to its last
+    before it helps with the others: a window whose scans mostly ran
+    elsewhere leaves the main heap cold or trimmed, and `run_window`'s
+    cube-sized temporaries then page-fault."""
+
+    def batches(i: int):
         nodes[i].reset_window(window_id)
         for path in files[i]:
             for part in window_pairs(*spans[path], window_id, window_seconds):
                 nodes[i].scan_window(part)
+                yield
 
-    run_indexed(len(nodes), scan)
+    run_batches(len(nodes), batches)
 
 
 def cmd_run(args) -> int:

@@ -1,17 +1,19 @@
 """One thread pool for the work that fans out over indexes: the nodes'
-scans and the stage-3 blocks.
+scans, one trace batch at a time, and the stage-3 blocks.
 
-Both are numpy calls that release the GIL, on data that no other index
-touches, so threads that take indexes from one counter share the work
-without a queue. The calling thread is one of them.
+An index's work is a sequence of steps, numpy calls that release the GIL
+on data that no other index touches. A thread holds an index for one step
+and then lets it go, so any thread may run an index's next step, but no
+index is ever inside a step on two threads at once. The calling thread is
+one of the threads.
 """
 
 from __future__ import annotations
 
-import itertools
+import collections
 import os
 import threading
-from typing import Callable
+from typing import Callable, Generator
 
 
 def usable_cpus() -> int:
@@ -21,45 +23,77 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_indexed(count: int, work: Callable[[int], None], max_threads: int | None = None) -> None:
-    """Call work(i) for each i in range(count) on min(count, usable CPUs,
-    max_threads) threads that take indexes in order from one counter. The
-    calling thread is one of them and takes index 0, so a single thread
-    starts no other and runs every index in order on the calling thread.
+def run_batches(
+    count: int, batches: Callable[[int], Generator], max_threads: int | None = None
+) -> None:
+    """Run the steps of batches(i), one `next` each, for each i in
+    range(count) on min(count, usable CPUs, max_threads) threads.
 
-    Every thread is joined before this returns. After the first error no
-    thread takes another index, and the error of the lowest failing index
-    is raised: indexes go out in order and every index taken is run, so
-    every index below a failed one has run, and which error is raised does
-    not depend on timing."""
+    The calling thread runs every step of index 0 first, then helps. The
+    other threads, and then the calling thread too, take the next step of
+    whichever index no thread holds, round robin, so the indexes end at
+    about the same time. One thread runs index 0, then the others' steps
+    round robin, and starts no other thread.
+
+    Every thread is joined before this returns. Once index k fails, no
+    index above k takes another step, while every index below k runs to
+    its end, so the error of the lowest failing index, which is raised,
+    does not depend on timing."""
+    steps = [batches(i) for i in range(count)]
+    lock = threading.Lock()
     errors: dict[int, Exception] = {}
-    # index 0 is the calling thread's; next() of a count is one step under the GIL
-    counter = itertools.count(1)
+    free = collections.deque(range(1, count))  # index 0 is the calling thread's
 
-    def take(i: int) -> None:
-        # every index taken is run; none is taken once an index has failed
-        while i < count:
-            try:
-                work(i)
-            except Exception as exc:
+    def step(i: int) -> bool:
+        """Run index i's next step; False once it has no more or has failed."""
+        try:
+            next(steps[i])
+        except StopIteration:
+            return False
+        except Exception as exc:
+            with lock:
                 errors[i] = exc
-                return
-            if errors:
-                return
-            i = next(counter)
+            return False
+        return True
 
-    def worker() -> None:
-        if not errors:
-            take(next(counter))
+    def take() -> int | None:
+        with lock:
+            while free:
+                i = free.popleft()
+                if i < min(errors, default=count):
+                    return i
+        return None
+
+    def help_out() -> None:
+        while (i := take()) is not None:
+            if step(i):
+                with lock:
+                    free.append(i)
 
     started = range(min(count, usable_cpus(), max_threads or count) - 1)
-    threads = [threading.Thread(target=worker) for _ in started]
+    threads = [threading.Thread(target=help_out) for _ in started]
     for thread in threads:
         thread.start()
     try:
-        take(0)
+        # the scans need index 0 whole on the calling thread: cli._scan_nodes
+        while count and step(0):
+            pass
+        help_out()
     finally:
         for thread in threads:
             thread.join()
+        for gen in steps:
+            gen.close()
     if errors:
         raise errors[min(errors)]
+
+
+def run_indexed(count: int, work: Callable[[int], None], max_threads: int | None = None) -> None:
+    """Call work(i) once for each i in range(count): `run_batches` with one
+    step per index, so the calling thread takes index 0, the other threads
+    take the rest in order, and no index above a failed one starts."""
+
+    def once(i: int):
+        yield work(i)
+
+    run_batches(count, once, max_threads)

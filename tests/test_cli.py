@@ -534,11 +534,13 @@ def test_run_writes_each_window_when_it_is_done(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
 def test_run_output_does_not_depend_on_thread_count(tmp_path, capsys, monkeypatch, cpus):
     # the nodes scan on min(nodes, usable CPUs) threads, the calling
     # thread one of them, so one node or one CPU starts no thread; stage 3
-    # is one block in each of these runs, so it starts none
+    # is one block in each of these runs, so it starts none. At the
+    # default batch size every node is one or two batches; at 64 records
+    # it is dozens, which the threads interleave.
     started = []
     real_thread = threading.Thread
 
@@ -553,17 +555,62 @@ def test_run_output_does_not_depend_on_thread_count(tmp_path, capsys, monkeypatc
     assert main(["gen", "--spec", spec, "--out", str(tmp_path / "dense")]) == 0
     for fmt in ("bin", "csv"):
         _write_timestamped_traces(tmp_path / fmt, fmt)
-    for name, flags in RUN_FLAGS.items():
-        allowed = name == "read" and cpus > 1
-        started.clear()
-        digest = _run_digest(tmp_path, DENSE_RUN_CONF, tmp_path / "dense", *flags)
-        assert digest == DENSE_DIGESTS[name]
-        for fmt in ("bin", "csv"):
-            digest = _run_digest(tmp_path, MULTI_WINDOW_RUN_CONF, tmp_path / fmt, *flags)
-            assert digest == MULTI_WINDOW_DIGESTS[name], fmt
-        # one dense window and four windows of each format
-        assert len(started) == 9 * (min(3, cpus) - 1 if allowed else 0)
+    for batch in (node.BATCH_RECORDS, 64):
+        monkeypatch.setattr(node, "BATCH_RECORDS", batch)
+        for name, flags in RUN_FLAGS.items():
+            allowed = name == "read" and cpus > 1
+            started.clear()
+            digest = _run_digest(tmp_path, DENSE_RUN_CONF, tmp_path / "dense", *flags)
+            assert digest == DENSE_DIGESTS[name], batch
+            for fmt in ("bin", "csv"):
+                digest = _run_digest(tmp_path, MULTI_WINDOW_RUN_CONF, tmp_path / fmt, *flags)
+                assert digest == MULTI_WINDOW_DIGESTS[name], (batch, fmt)
+            # one dense window and four windows of each format
+            assert len(started) == 9 * (min(3, cpus) - 1 if allowed else 0)
     capsys.readouterr()
+
+
+def test_scan_nodes_scans_node_0_first_and_no_node_on_two_threads(tmp_path, capsys, monkeypatch):
+    # 3 nodes of 20 batches on 2 threads: the calling thread scans node 0
+    # whole, the other thread takes nodes 1 and 2 in turn, and once node 0
+    # is done both share what is left. The sleep, which releases the GIL
+    # as a scan does, makes each batch take about as long on either thread.
+    events = []
+    scan = node.ObservationNode.scan_window
+
+    def traced(self, trace):
+        events.append((threading.get_ident(), self.node_id, "enter"))
+        time.sleep(0.002)
+        scan(self, trace)
+        events.append((threading.get_ident(), self.node_id, "exit"))
+
+    monkeypatch.setattr(node.ObservationNode, "scan_window", traced)
+    monkeypatch.setattr(node, "BATCH_RECORDS", 64)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    trace_dir = tmp_path / "traces"
+    trace_dir.mkdir()
+    rng = np.random.default_rng(4)
+    for i in range(3):
+        a, b = rng.integers(0, 2**32, (2, 20 * 64), dtype=np.uint32)
+        write_trace_binary(trace_dir / f"node_{i:03d}.bin", Trace(a, b))
+    _run_digest(tmp_path, DENSE_RUN_CONF, trace_dir)
+    capsys.readouterr()
+
+    inside = {}
+    for ident, node_id, what in events:
+        if what == "enter":
+            assert node_id not in inside, f"node {node_id} on two threads"
+            inside[node_id] = ident
+        else:
+            assert inside.pop(node_id) == ident
+    caller = threading.get_ident()
+    mine = [node_id for ident, node_id, what in events if ident == caller and what == "enter"]
+    assert mine[:20] == [0] * 20 and 0 not in mine[20:]
+    assert set(mine[20:]) & {1, 2}
+    # the other thread took turns at nodes 1 and 2 while node 0 scanned
+    node0_done = max(k for k, (_, node_id, _) in enumerate(events) if node_id == 0)
+    assert {node_id for _, node_id, what in events[:node0_done]} == {0, 1, 2}
+    assert sum(what == "enter" for _, _, what in events) == 60
 
 
 def test_scan_nodes_starts_each_node_once_per_window(monkeypatch):
@@ -589,23 +636,33 @@ def test_scan_nodes_starts_each_node_once_per_window(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "failing", [(1,), (1, 2), (0, 2)], ids=["node1", "nodes1-2", "nodes0-2"]
+    "failing, late",
+    [((1,), False), ((1, 2), False), ((0, 2), False), ((1, 2), True)],
+    ids=["node1", "nodes1-2", "nodes0-2", "nodes1-2-late-batch"],
 )
 def test_run_reports_the_lowest_failing_node_and_joins_every_thread(
-    tmp_path, capsys, monkeypatch, failing
+    tmp_path, capsys, monkeypatch, failing, late
 ):
     # The lowest failing node fails after the others, so its error is not
     # simply the first one; the other nodes are still scanning when it fails.
+    # With `late`, nodes are many batches each and the lowest fails on its
+    # tenth, long after node 2 failed on its first: only nodes below a
+    # failed one scanning to their end finds it.
     scan = node.ObservationNode.scan_window
+    calls = {i: 0 for i in range(3)}
 
     def scan_or_fail(self, trace):
-        if self.node_id not in failing:
-            time.sleep(0.2)
+        calls[self.node_id] += 1
+        lowest = self.node_id == min(failing)
+        if self.node_id not in failing or (late and lowest and calls[self.node_id] < 10):
+            time.sleep(0.005 if late else 0.2)
             return scan(self, trace)
-        time.sleep(0.1 if self.node_id == min(failing) else 0)
+        time.sleep(0.1 if lowest and not late else 0)
         raise ValueError(f"node {self.node_id} cannot scan")
 
     monkeypatch.setattr(node.ObservationNode, "scan_window", scan_or_fail)
+    if late:
+        monkeypatch.setattr(node, "BATCH_RECORDS", 16)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
     run_tmp = tmp_path / "run_tmp"
     run_tmp.mkdir()
@@ -709,8 +766,8 @@ def test_run_ingest_memory_does_not_grow_with_trace(tmp_path):
     assert large - small < 40, (small, large)
 
 
-# Counts the minor page faults of each run_window call, with three scan
-# threads however many CPUs the machine has.
+# Counts the minor page faults of each run_window call, with as many scan
+# threads as the first argument's CPUs, however many the machine has.
 _FAULT_PROBE = """
 import resource, sys
 from superpoint import cli, parallel
@@ -725,24 +782,29 @@ def counted(nodes):
     return report
 
 cli.run_window = counted
-parallel.usable_cpus = lambda: 3
-print(cli.main(sys.argv[1:]), *faults)
+parallel.usable_cpus = lambda: int(sys.argv[1])
+print(cli.main(sys.argv[2:]), *faults)
 """
 
 
 def test_run_window_does_not_page_fault_after_concurrent_scans(tmp_path):
-    # The calling thread scans a node too, so run_window's cube-sized
-    # temporaries come from a heap the scans warmed: 6 faults when this
-    # test was written. With every scan on another thread, they are fresh
-    # mappings: about 1000.
+    # The calling thread scans node 0 whole before it helps with the other
+    # nodes' batches, so run_window's cube-sized temporaries come from a
+    # heap the scans warmed: 5 or 6 faults at 300k pairs per node (5
+    # batches) on 2 or 3 threads. With every scan on another thread, they
+    # are fresh mappings: about 1000. With the calling thread taking
+    # batches of every node in turn, the main heap's top is trimmed in
+    # about half the runs on 2 threads, which then read about 1100; so
+    # the 2-thread run, where the calling thread helps, is repeated.
     trace_dir = tmp_path / "traces"
     trace_dir.mkdir()
     rng = np.random.default_rng(7)
     for i in range(3):
-        a, b = rng.integers(0, 2**32, (2, 200_000), dtype=np.uint32)
+        a, b = rng.integers(0, 2**32, (2, 300_000), dtype=np.uint32)
         write_trace_binary(trace_dir / f"node_{i:03d}.bin", Trace(a, b))
     conf = _write(tmp_path / "run.conf", "nodes = 3\n")  # the default geometry
-    probe = _run_probe(_FAULT_PROBE, "run", "--config", conf, "--trace-dir", str(trace_dir))
-    code, *faults = probe.stdout.splitlines()[-1].split()
-    assert code == "0", probe.stdout + probe.stderr
-    assert len(faults) == 1 and int(faults[0]) < 100, faults
+    for cpus in [3] + [2] * 5:
+        probe = _run_probe(_FAULT_PROBE, str(cpus), "run", "--config", conf, "--trace-dir", str(trace_dir))
+        code, *faults = probe.stdout.splitlines()[-1].split()
+        assert code == "0", probe.stdout + probe.stderr
+        assert len(faults) == 1 and int(faults[0]) < 100, (cpus, faults)
