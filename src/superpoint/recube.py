@@ -190,12 +190,14 @@ def rec_merge_outer(cubes: Sequence[RECube]) -> RECube:
 
 def _candidate_cells(rec: RECube) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per row: plane k, index j and bits of each cell with >= 3 set bits,
-    sorted by (k, j). Only the non-zero 64-bit words of the cube are
-    expanded to cells, which is much cheaper than a per-cell scan."""
+    sorted by (k, j). A 64-bit word holding such a cell has >= 3 set bits
+    itself, so only the words whose popcount reaches CANDIDATE_BITS are
+    expanded to their 8 cells: the work and the temporaries scale with the
+    candidate cells, not with the cube's non-zero words."""
     flat = rec.cells.reshape(-1)
     # a valid geometry has a multiple of 8 cells: r >= 1 and every l >= 2
-    nonzero = np.flatnonzero(flat.view(np.uint64))
-    pos = (nonzero[:, None] * 8 + np.arange(8)).reshape(-1)
+    words = np.flatnonzero(np.bitwise_count(flat.view(np.uint64)) >= CANDIDATE_BITS)
+    pos = (words[:, None] * 8 + np.arange(8)).reshape(-1)
     pos = pos[np.bitwise_count(flat[pos]) >= CANDIDATE_BITS]
     k, col = np.divmod(pos, rec.cells.shape[1])
     row = np.searchsorted(rec._offsets, col, side="right") - 1
@@ -237,30 +239,42 @@ def recover_candidates(rec: RECube) -> np.ndarray:
 
     Cells with >= 3 set bits are merge-joined row by row on (plane,
     overlap bits), keeping chains whose ANDed cells still have >= 3 set
-    bits; this rejects tuples assembled from unrelated hosts. Chains that
-    close the wraparound back to row 0 are deposited into addresses, and
-    an address that does not re-derive to its chain's indexes is dropped.
+    bits; this rejects tuples assembled from unrelated hosts. The rows
+    form a ring, and chains that close it back to the walk's first row
+    are deposited into addresses; an address that does not re-derive to
+    its chain's indexes is dropped.
+
+    The walk starts at row u-1 when the wraparound overlap is wider than
+    the overlap of rows 0 and 1, so that its first join, the one that
+    keeps the most chains, matches on more bits; otherwise it starts at
+    row 0. Every overlap is matched and every row ANDed whatever the start,
+    so the chains are the same; only the wraparound may be 0 bits wide,
+    and neither walk joins over it before the last row.
     """
     cfg = rec.config
+    u = cfg.u
+    start = u - 1 if cfg.overlaps[-1] > cfg.overlaps[0] else 0
+    walk = [(start + t) % u for t in range(u)]
     rows = _candidate_cells(rec)
-    k, j0, bits = rows[0]
-    js = [j0]
-    for i in range(1, cfg.u):
+    k, j_first, bits = rows[start]
+    js = [j_first]
+    for prev, i in zip(walk, walk[1:]):
         if k.size == 0:
             return np.zeros(0, np.uint32)
-        o = cfg.overlaps[i - 1]
+        o = cfg.overlaps[prev]
         k_next, j_next, bits_next = rows[i]
-        left_key = (k << o) | (js[-1] >> (cfg.l[i - 1] - o))
+        left_key = (k << o) | (js[-1] >> (cfg.l[prev] - o))
         right_key = (k_next << o) | (j_next & ((1 << o) - 1))
-        if i == cfg.u - 1:
-            # the last row also closes the wraparound back to row 0, in
+        if i == walk[-1]:
+            # the last row also closes the ring back to the first row, in
             # the same join, so open chains are never materialized
-            wrap = cfg.overlaps[-1]
-            left_key = (left_key << wrap) | (js[0] & ((1 << wrap) - 1))
-            right_key = (right_key << wrap) | (j_next >> (cfg.l[-1] - wrap))
+            c = cfg.overlaps[i]
+            left_key = (left_key << c) | (js[0] & ((1 << c) - 1))
+            right_key = (right_key << c) | (j_next >> (cfg.l[i] - c))
         left, right, bits = _join_step(left_key, right_key, bits, bits_next)
         k = k[left]
         js = [j[left] for j in js] + [j_next[right]]
+    js = js[u - start:] + js[: u - start]  # back in row order
 
     n = cfg.left_bits
     lp = np.zeros(k.size, np.int64)

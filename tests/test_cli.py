@@ -678,6 +678,32 @@ def test_run_reports_the_lowest_failing_node_and_joins_every_thread(
     assert list(run_tmp.iterdir()) == []
 
 
+_NUMPY_OOM = "Unable to allocate 128. MiB for an array with shape (16777216,) and data type int64"
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [(MemoryError(_NUMPY_OOM), _NUMPY_OOM), (MemoryError(), "out of memory")],
+    ids=["numpy", "bare"],
+)
+def test_run_reports_running_out_of_memory(tmp_path, capsys, monkeypatch, exc, message):
+    # as when candidate recovery cannot allocate a join: one error line,
+    # no traceback, and the run's binary copies are gone
+    def out_of_memory(nodes):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_window", out_of_memory)
+    run_tmp = tmp_path / "run_tmp"
+    run_tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(run_tmp))
+    _write_timestamped_traces(tmp_path / "traces", "csv")
+    conf = _write(tmp_path / "run.conf", MULTI_WINDOW_RUN_CONF)
+    rc = main(["run", "--config", conf, "--trace-dir", str(tmp_path / "traces")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(run_tmp.iterdir()) == []
+
+
 def _three_window_run(tmp_path, tail=b""):
     """Run 3 nodes over three 60 s windows with the oracle on; `tail` is
     appended to node 1's binary file. Returns the summary records."""
@@ -790,21 +816,25 @@ print(cli.main(sys.argv[2:]), *faults)
 def test_run_window_does_not_page_fault_after_concurrent_scans(tmp_path):
     # The calling thread scans node 0 whole before it helps with the other
     # nodes' batches, so run_window's cube-sized temporaries come from a
-    # heap the scans warmed: 5 or 6 faults at 300k pairs per node (5
+    # heap the scans warmed: 4 to 6 faults at 300k pairs per node (5
     # batches) on 2 or 3 threads. With every scan on another thread, they
     # are fresh mappings: about 1000. With the calling thread taking
     # batches of every node in turn, the main heap's top is trimmed in
     # about half the runs on 2 threads, which then read about 1100; so
     # the 2-thread run, where the calling thread helps, is repeated.
-    trace_dir = tmp_path / "traces"
-    trace_dir.mkdir()
-    rng = np.random.default_rng(7)
-    for i in range(3):
-        a, b = rng.integers(0, 2**32, (2, 300_000), dtype=np.uint32)
-        write_trace_binary(trace_dir / f"node_{i:03d}.bin", Trace(a, b))
+    # Nor do they grow with the traffic scanned: at 600k pairs per node, a
+    # cell scan that expanded every non-zero word of the cube read 360.
     conf = _write(tmp_path / "run.conf", "nodes = 3\n")  # the default geometry
-    for cpus in [3] + [2] * 5:
-        probe = _run_probe(_FAULT_PROBE, str(cpus), "run", "--config", conf, "--trace-dir", str(trace_dir))
-        code, *faults = probe.stdout.splitlines()[-1].split()
-        assert code == "0", probe.stdout + probe.stderr
-        assert len(faults) == 1 and int(faults[0]) < 100, (cpus, faults)
+    rng = np.random.default_rng(7)
+    for pairs, runs in ((300_000, [3] + [2] * 5), (600_000, [3, 2])):
+        trace_dir = tmp_path / f"traces_{pairs}"
+        trace_dir.mkdir()
+        for i in range(3):
+            a, b = rng.integers(0, 2**32, (2, pairs), dtype=np.uint32)
+            write_trace_binary(trace_dir / f"node_{i:03d}.bin", Trace(a, b))
+        del a, b
+        for cpus in runs:
+            probe = _run_probe(_FAULT_PROBE, str(cpus), "run", "--config", conf, "--trace-dir", str(trace_dir))
+            code, *faults = probe.stdout.splitlines()[-1].split()
+            assert code == "0", probe.stdout + probe.stderr
+            assert len(faults) == 1 and int(faults[0]) < 100, (pairs, cpus, faults)

@@ -175,29 +175,34 @@ def test_stage3_memory_is_a_few_blocks_not_w_sketches(monkeypatch):
     # 1 to 4 CPUs: each thread holds its scratch block, one node's block
     # or the gather's temporaries, and nobody a (w, |C|/8) matrix
     nodes, planted = _dense_window(400)
-    # about twice the candidates: less what each thread holds, the peak
-    # grows by what is kept per candidate (its address, popcount and each
-    # node's u_hat columns, about 90 bytes here), not by a 2048-byte sketch
+    # about twice the candidates: on one thread, the peak grows by what is
+    # kept per candidate (its address, popcount and each node's u_hat
+    # columns, about 90 bytes here), not by a 2048-byte sketch; on more,
+    # how many threads' blocks are alive at the peak depends on the
+    # scheduler, so the growth is taken from the one-thread pair only
     more, _ = _dense_window(550)
     block = coordinator._BLOCK_BYTES
     blocks = lambda w: -(-w // (block // 2048))  # noqa: E731
     for cpus in (1, 2, 3, 4):
         monkeypatch.setattr(parallel, "usable_cpus", lambda n=cpus: n)
-        report, peak = _traced_run_window(nodes)
-        w = report.candidates_count
-        assert w > 2000
-        # about three blocks per thread, one block of slack, and what is
-        # kept per candidate; and less than one node's payload, as the
-        # threads are at most one per four blocks
-        threads = _stage3_threads(blocks(w), cpus)
-        assert peak < (3 * threads + 1) * block + 128 * w, (cpus, peak / block)
-        assert peak < report.stage3_bytes[0], (cpus, peak / report.stage3_bytes[0])
-        more_report, more_peak = _traced_run_window(more)
-        more_w = more_report.candidates_count
+        peaks = []
+        for window in (nodes, more):
+            report, peak = _traced_run_window(window)
+            w = report.candidates_count
+            assert w > 2000
+            # about three blocks per thread, one block of slack, and what
+            # is kept per candidate; and less than one node's payload, as
+            # the threads are at most one per four blocks
+            threads = _stage3_threads(blocks(w), cpus)
+            assert peak < (3 * threads + 1) * block + 128 * w, (cpus, peak / block)
+            assert peak < report.stage3_bytes[0], (cpus, peak / report.stage3_bytes[0])
+            peaks.append((report, peak))
+        (report, peak), (more_report, more_peak) = peaks
+        w, more_w = report.candidates_count, more_report.candidates_count
         assert more_w > 1.8 * w
-        held = 3 * (_stage3_threads(blocks(more_w), cpus) - threads) * block
-        growth = (more_peak - held - peak) / (more_w - w)
-        assert growth < 128, (cpus, growth)
+        if cpus == 1:
+            growth = (more_peak - peak) / (more_w - w)
+            assert growth < 128, growth
     # the same estimates as from the OR of whole (w, |C|/8) matrices
     merged = np.bitwise_or.reduce([and_of_rows(n.lea, report.candidates, n.hs) for n in nodes])
     assert report.super_points == estimate_candidates(report.candidates, popcounts(merged), 2**14, 32)

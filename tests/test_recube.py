@@ -316,6 +316,8 @@ def test_recover_planted_host_monte_carlo():
 DEFAULT = RECubeConfig(r=6, l=(14, 14, 14), s=(0, 10, 20))
 # rows 0 and 2 overlap (bits 10..13) without being adjacent
 NON_ADJACENT = RECubeConfig(r=6, l=(14, 14, 14, 14), s=(0, 5, 10, 15))
+# the last row ends on the top left-part bit: the wraparound is 0 bits wide
+ZERO_WRAP = RECubeConfig(r=6, l=(14, 14, 14), s=(0, 6, 12))
 
 
 def _seeded_cube(cfg, sources, hosts_each, seed):
@@ -328,6 +330,8 @@ def _seeded_cube(cfg, sources, hosts_each, seed):
     return cube
 
 
+# SMALL and DEFAULT have a wraparound wider than the overlap of rows 0
+# and 1, so recovery walks them from row u-1; the others from row 0
 @pytest.mark.parametrize(
     "cfg, sources, hosts_each, min_w",
     [
@@ -336,6 +340,7 @@ def _seeded_cube(cfg, sources, hosts_each, seed):
         pytest.param(DEFAULT, 40, 500, 40, id="default-sparse"),
         pytest.param(DEFAULT, 3000, 24, 3000, id="default-dense"),
         pytest.param(NON_ADJACENT, 3000, 24, 3000, id="non-adjacent-overlap"),
+        pytest.param(ZERO_WRAP, 3000, 24, 3000, id="zero-wraparound"),
     ],
 )
 def test_recover_matches_dfs_oracle(cfg, sources, hosts_each, min_w, monkeypatch):
@@ -348,6 +353,26 @@ def test_recover_matches_dfs_oracle(cfg, sources, hosts_each, min_w, monkeypatch
     # a join materialized 7 matches at a time finds the same set
     monkeypatch.setattr(recube, "_JOIN_CHUNK", 7)
     assert np.array_equal(recover_candidates(cube), got)
+
+
+def test_recover_finds_cells_in_words_of_three_or_more_bits():
+    # a word of three 1-bit cells passes the word filter but holds no
+    # candidate cell; the cells of a true chain share their words with
+    # non-zero 1-bit cells, but for row 0's, whose word has just its 3
+    # bits: only the chain's address is recovered
+    cube = RECube(DEFAULT)
+    flat = cube.cells.reshape(-1)
+    address = 0x12345678
+    k, js = derive_indices(address, DEFAULT)
+    for i, j in enumerate(js):
+        pos = k * cube.cells.shape[1] + i * (1 << 14) + j
+        if i:
+            flat[pos - pos % 8 : pos - pos % 8 + 8] = 1 << np.arange(8)
+        flat[pos] = 0b0111_0000
+    decoy = ((k + 1) % 64) * cube.cells.shape[1]
+    flat[decoy : decoy + 3] = (0b001, 0b010, 0b100)
+    assert np.bitwise_count(flat[decoy : decoy + 8].view(np.uint64)) == [3]
+    assert recover_candidates(cube).tolist() == [address]
 
 
 def test_recover_reads_a_decoded_payload_view():
