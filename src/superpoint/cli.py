@@ -134,6 +134,10 @@ class GenConfig:
         more drawn at random from the seed."""
         low = 2 * self.theta if self.planted_min_card is None else self.planted_min_card
         high = 16 * self.theta if self.planted_max_card is None else self.planted_max_card
+        if self.planted_count < 0:
+            raise ValueError(f"config key 'planted_count': must be >= 0, got {self.planted_count}")
+        if self.planted_count > 0 and low < 1:
+            raise ValueError(f"config key 'planted_min_card': must be >= 1, got {low}")
         if self.planted_count > 0 and low > high:
             raise ValueError(f"config key 'planted_min_card': {low} exceeds planted_max_card {high}")
         if self.seed < 0:
@@ -293,14 +297,10 @@ def _scan_nodes(nodes, files, spans, window_id: int, window_seconds: int) -> Non
     `parallel.run_batches`, and the unit of work is one `read_trace` batch
     of one node: a node is held by one thread at a time, since its cube
     and grid writes are read-modify-write ORs, but the ORs and the pair
-    count do not depend on which thread folds which batch. So three nodes
-    on two threads keep both busy to the last batch, and the error of the
-    lowest failing node id is raised after every thread is joined.
-
-    The calling thread scans node 0 from its first batch to its last
-    before it helps with the others: a window whose scans mostly ran
-    elsewhere leaves the main heap cold or trimmed, and `run_window`'s
-    cube-sized temporaries then page-fault."""
+    count do not depend on which thread folds which batch. The threads
+    take the nodes' batches round robin, so three nodes on two threads
+    keep both busy to the last batch, and the error of the lowest failing
+    node id is raised after every thread is joined."""
 
     def batches(i: int):
         nodes[i].reset_window(window_id)

@@ -1,8 +1,9 @@
 """Global server: the three-stage window protocol and its accounting.
 
 Stage 1 collects every node's cube, as a header and a read-only view of
-the node's own cells, and ORs them; candidates are recovered from the
-merged cube. Stage 2 broadcasts the candidate list. Stage 3 collects one
+the node's own cells, and recovers the candidates of the cubes' OR,
+which it computes a fixed-size chunk at a time: no merged cube is built.
+Stage 2 broadcasts the candidate list. Stage 3 collects one
 inner-merged estimator per candidate per node, block by block: the
 coordinator cuts the candidates into fixed-size ranges and asks every
 node for each one. Up to one thread per four blocks splits them; each
@@ -25,7 +26,7 @@ import numpy as np
 from .learray import CandidateEstimate, estimate_candidates, popcounts
 from .node import ObservationNode
 from .parallel import run_indexed
-from .recube import rec_merge_outer, recover_candidates
+from .recube import recover_candidates
 from . import wire
 
 #: bytes of candidate sketches per stage-3 block: stage 3 holds about
@@ -110,7 +111,7 @@ def run_window(nodes: list[ObservationNode]) -> WindowReport:
     window_id = nodes[0].window_id
     le_len = nodes[0].params.le_len
 
-    # Stage 1: collect cubes, merge, recover candidates.
+    # Stage 1: collect cubes, recover the candidates of their OR.
     cubes, stage1_bytes = [], []
     for node in nodes:
         header, cells = node.stage1_payload()
@@ -118,8 +119,7 @@ def run_window(nodes: list[ObservationNode]) -> WindowReport:
         _check(node, 1, "geometry", cube.config, node.cube_config)
         cubes.append(cube)
         stage1_bytes.append(len(header) + cube.cells.nbytes)
-    merged_cube = rec_merge_outer(cubes)
-    candidates = recover_candidates(merged_cube)
+    candidates = recover_candidates(*cubes)
 
     # Stage 2: identical broadcast, counted once per node; every node
     # answers the candidates it decodes from it.

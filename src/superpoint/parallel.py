@@ -27,13 +27,12 @@ def run_batches(
     count: int, batches: Callable[[int], Generator], max_threads: int | None = None
 ) -> None:
     """Run the steps of batches(i), one `next` each, for each i in
-    range(count) on min(count, usable CPUs, max_threads) threads.
+    range(count) on min(count, usable CPUs, max_threads) threads, the
+    calling thread among them.
 
-    The calling thread runs every step of index 0 first, then helps. The
-    other threads, and then the calling thread too, take the next step of
-    whichever index no thread holds, round robin, so the indexes end at
-    about the same time. One thread runs index 0, then the others' steps
-    round robin, and starts no other thread.
+    Each thread takes the next step of whichever index no thread holds,
+    round robin, so the indexes end at about the same time; one thread
+    runs the steps in that order and starts no other thread.
 
     Every thread is joined before this returns. Once index k fails, no
     index above k takes another step, while every index below k runs to
@@ -42,7 +41,7 @@ def run_batches(
     steps = [batches(i) for i in range(count)]
     lock = threading.Lock()
     errors: dict[int, Exception] = {}
-    free = collections.deque(range(1, count))  # index 0 is the calling thread's
+    free = collections.deque(range(count))
 
     def step(i: int) -> bool:
         """Run index i's next step; False once it has no more or has failed."""
@@ -75,9 +74,6 @@ def run_batches(
     for thread in threads:
         thread.start()
     try:
-        # the scans need index 0 whole on the calling thread: cli._scan_nodes
-        while count and step(0):
-            pass
         help_out()
     finally:
         for thread in threads:
@@ -90,8 +86,8 @@ def run_batches(
 
 def run_indexed(count: int, work: Callable[[int], None], max_threads: int | None = None) -> None:
     """Call work(i) once for each i in range(count): `run_batches` with one
-    step per index, so the calling thread takes index 0, the other threads
-    take the rest in order, and no index above a failed one starts."""
+    step per index, so the threads take the indexes in order, and no index
+    above a failed one starts."""
 
     def once(i: int):
         yield work(i)

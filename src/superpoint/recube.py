@@ -13,7 +13,6 @@ bit windows are deposited back into a 32-bit address.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +21,11 @@ from .hashing import HashSuite
 
 #: most chain extensions one join step materializes at a time
 _JOIN_CHUNK = 1 << 16
+
+#: uint64 words of the node cubes that candidate recovery ORs at a time
+#: (256 KiB): smaller chunks pay numpy's per-call cost too often, larger
+#: ones page-fault in a fresh scratch every window
+_OR_WORDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -172,39 +176,40 @@ class RECube:
             or_bit_groups(flat, base + (off + j), groups)
 
 
-def rec_merge_outer(cubes: Sequence[RECube]) -> RECube:
-    """Cell-wise OR of cubes sharing one geometry, seeded from the first."""
+def _candidate_cells(*cubes: RECube) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per row: plane k, index j and bits of each cell of the cubes' OR
+    with >= 3 set bits, sorted by (k, j). The cubes are ORed _OR_WORDS
+    64-bit words at a time, in plane-major order, into one scratch; a word
+    holding such a cell has >= 3 set bits itself, so only the words whose
+    popcount reaches CANDIDATE_BITS are expanded to their 8 cells. Nothing
+    cube-sized is allocated, and the rest scales with the candidate cells."""
     if not cubes:
-        raise ValueError("cannot merge an empty sequence of cubes")
+        raise ValueError("cannot recover candidates from an empty sequence of cubes")
     first = cubes[0]
     for cube in cubes[1:]:
         if cube.config != first.config:
-            raise ValueError(
-                f"cube geometry mismatch: {cube.config} vs {first.config}"
-            )
-    merged = RECube(first.config, first.cells.copy())
-    for cube in cubes[1:]:
-        np.bitwise_or(merged.cells, cube.cells, out=merged.cells)
-    return merged
-
-
-def _candidate_cells(rec: RECube) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per row: plane k, index j and bits of each cell with >= 3 set bits,
-    sorted by (k, j). A 64-bit word holding such a cell has >= 3 set bits
-    itself, so only the words whose popcount reaches CANDIDATE_BITS are
-    expanded to their 8 cells: the work and the temporaries scale with the
-    candidate cells, not with the cube's non-zero words."""
-    flat = rec.cells.reshape(-1)
+            raise ValueError(f"cube geometry mismatch: {cube.config} vs {first.config}")
     # a valid geometry has a multiple of 8 cells: r >= 1 and every l >= 2
-    words = np.flatnonzero(np.bitwise_count(flat.view(np.uint64)) >= CANDIDATE_BITS)
-    pos = (words[:, None] * 8 + np.arange(8)).reshape(-1)
-    pos = pos[np.bitwise_count(flat[pos]) >= CANDIDATE_BITS]
-    k, col = np.divmod(pos, rec.cells.shape[1])
-    row = np.searchsorted(rec._offsets, col, side="right") - 1
+    words = [cube.cells.reshape(-1).view(np.uint64) for cube in cubes]
+    scratch = np.empty(min(_OR_WORDS, words[0].size), np.uint64)
+    pos, bits = [], []
+    for lo in range(0, words[0].size, _OR_WORDS):
+        chunk = scratch[: words[0].size - lo]
+        np.copyto(chunk, words[0][lo : lo + chunk.size])
+        for node_words in words[1:]:
+            np.bitwise_or(chunk, node_words[lo : lo + chunk.size], out=chunk)
+        hit = np.flatnonzero(np.bitwise_count(chunk) >= CANDIDATE_BITS)
+        hit_bytes = chunk[hit].view(np.uint8)
+        keep = np.flatnonzero(np.bitwise_count(hit_bytes) >= CANDIDATE_BITS)
+        pos.append((lo + hit[keep // 8]) * 8 + keep % 8)
+        bits.append(hit_bytes[keep])
+    pos, bits = np.concatenate(pos), np.concatenate(bits)
+    k, col = np.divmod(pos, first.cells.shape[1])
+    row = np.searchsorted(first._offsets, col, side="right") - 1
     cells = []
-    for i, off in enumerate(rec._offsets):
+    for i, off in enumerate(first._offsets):
         in_row = row == i
-        cells.append((k[in_row], col[in_row] - off, flat[pos[in_row]]))
+        cells.append((k[in_row], col[in_row] - off, bits[in_row]))
     return cells
 
 
@@ -234,8 +239,10 @@ def _join_step(left_key, right_key, left_bits, right_bits) -> tuple[np.ndarray, 
     return tuple(np.concatenate(parts) for parts in zip(*kept))
 
 
-def recover_candidates(rec: RECube) -> np.ndarray:
-    """Recover the sorted uint32 candidate addresses of a (merged) cube.
+def recover_candidates(*cubes: RECube) -> np.ndarray:
+    """Recover the sorted uint32 candidate addresses of the cell-wise OR of
+    `cubes`, the nodes' cubes; no cubes, or cubes of two geometries, raise
+    ValueError.
 
     Cells with >= 3 set bits are merge-joined row by row on (plane,
     overlap bits), keeping chains whose ANDed cells still have >= 3 set
@@ -251,11 +258,11 @@ def recover_candidates(rec: RECube) -> np.ndarray:
     so the chains are the same; only the wraparound may be 0 bits wide,
     and neither walk joins over it before the last row.
     """
-    cfg = rec.config
+    rows = _candidate_cells(*cubes)
+    cfg = cubes[0].config
     u = cfg.u
     start = u - 1 if cfg.overlaps[-1] > cfg.overlaps[0] else 0
     walk = [(start + t) % u for t in range(u)]
-    rows = _candidate_cells(rec)
     k, j_first, bits = rows[start]
     js = [j_first]
     for prev, i in zip(walk, walk[1:]):

@@ -20,7 +20,7 @@ from superpoint.estimators import CANDIDATE_BITS
 from superpoint.hashing import HashSuite
 from superpoint.learray import LEArray
 from superpoint.node import Trace
-from superpoint.recube import RECube, RECubeConfig, rec_merge_outer, recover_candidates
+from superpoint.recube import RECube, RECubeConfig, recover_candidates
 
 
 def lsb(x: int) -> int:
@@ -225,6 +225,16 @@ def reconstruct_left_part(js: Sequence[int], cfg: RECubeConfig) -> int | None:
     for pos, bit in enumerate(bits):
         lp |= bit << pos
     return lp
+
+
+def rec_merge_outer(cubes: Sequence[RECube]) -> RECube:
+    """Cell-wise OR of cubes sharing one geometry, as a new cube: the
+    merge that `recover_candidates` takes a chunk at a time."""
+    merged = RECube(cubes[0].config)
+    for cube in cubes:
+        assert cube.config == merged.config
+        merged.cells |= cube.cells
+    return merged
 
 
 def dfs_recover_candidates(rec: RECube) -> set[int]:
@@ -470,13 +480,17 @@ def check_merge_algebra(cases: int, seed: int = 0) -> int:
     cfg = RECubeConfig(r=2, l=(6,) * 8, s=(0, 4, 8, 12, 16, 20, 24, 28))
     hs = HashSuite(7)
     n_cube = max(1, cases - checked - max(1, cases // 100))
+    recovered = 0
     for _ in range(n_cube):
+        # sources drawn from a few hosts, so that the cubes' OR holds
+        # candidates for the coordinator's OR to agree on
+        sources = rng.integers(0, 2**32, 4, dtype=np.uint64).astype(np.uint32)
         cubes = []
         for _ in range(3):
             cube = RECube(cfg)
             m = int(rng.integers(1, 30))
             cube.update_pairs(
-                rng.integers(0, 2**32, m, dtype=np.uint64).astype(np.uint32),
+                rng.choice(sources, m),
                 rng.integers(0, 2**32, m, dtype=np.uint64).astype(np.uint32),
                 0.0,
                 hs,
@@ -489,7 +503,18 @@ def check_merge_algebra(cases: int, seed: int = 0) -> int:
             rec_merge_outer([x, rec_merge_outer([y, z])]),
         )
         assert same_sketch(rec_merge_outer([x, x]), x)
+        # the coordinator's OR: node order, a repeated node and a pre-ORed
+        # pair do not change the candidates
+        want = recover_candidates(rec_merge_outer(cubes))
+        for got in (
+            recover_candidates(z, x, y),
+            recover_candidates(x, y, z, y),
+            recover_candidates(rec_merge_outer([x, y]), z),
+        ):
+            assert np.array_equal(got, want), (got, want)
+        recovered += want.size > 0
         checked += 1
+    assert recovered, "no cube case held a candidate"
 
     while checked < cases:
         m = int(rng.integers(2, 200))

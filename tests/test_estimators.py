@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bits_of, le_sketch, lsb, rand32, re_slot, same_sketch
+from oracles import bits_of, le_sketch, lsb, rand32, re_slot, rec_merge_outer, same_sketch
 
 from superpoint.estimators import (
     CANDIDATE_BITS,
@@ -19,7 +19,7 @@ from superpoint.estimators import (
 )
 from superpoint.hashing import HashSuite
 from superpoint.learray import LEArray
-from superpoint.recube import RECube, RECubeConfig, rec_merge_outer
+from superpoint.recube import RECube, RECubeConfig
 
 HS = HashSuite(0xA5A5A5A5)
 # a small cube geometry for single-source scans: address 0 has every

@@ -19,7 +19,8 @@ def test_one_cpu_runs_every_index_in_order_on_the_calling_thread(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_no_index_is_taken_after_an_error(monkeypatch, cpus):
     # index 1 fails while index 0 still runs: on one CPU after it, on two
-    # on the other thread; either way no thread goes on to index 2
+    # on another thread than index 0's; either way no thread goes on to
+    # index 2
     monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     ran = []
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
@@ -25,7 +27,6 @@ from superpoint.recube import (
     RECube,
     RECubeConfig,
     derive_indices_arr,
-    rec_merge_outer,
     recover_candidates,
 )
 
@@ -219,28 +220,33 @@ def test_update_empty_batch_is_noop():
 
 
 def test_merge_identity_and_split_equality():
+    # recovery ORs the node cubes: an empty node adds nothing, and a trace
+    # split between two nodes, in either order, recovers what it does whole
     rng = np.random.default_rng(5)
-    a = rng.integers(0, 2**32, 4000, dtype=np.uint32)
-    b = rng.integers(0, 2**32, 4000, dtype=np.uint32)
+    pool = rng.integers(0, 2**32, 10, dtype=np.uint32)
+    a = np.repeat(pool, 50)
+    b = rng.integers(0, 2**32, a.size, dtype=np.uint32)
     whole = RECube(SMALL)
     whole.update_pairs(a, b, 0.0, HS)
+    want = recover_candidates(whole)
+    assert set(pool.tolist()) <= set(want.tolist())
 
-    assert same_sketch(rec_merge_outer([whole]), whole)
-    assert same_sketch(rec_merge_outer([whole, RECube(SMALL)]), whole)
-
+    assert np.array_equal(recover_candidates(whole, RECube(SMALL)), want)
+    # each part holds five of the ten sources
     left, right = RECube(SMALL), RECube(SMALL)
-    left.update_pairs(a[:2500], b[:2500], 0.0, HS)
-    right.update_pairs(a[2500:], b[2500:], 0.0, HS)
-    assert same_sketch(rec_merge_outer([left, right]), whole)
-    assert same_sketch(rec_merge_outer([right, left]), whole)
+    left.update_pairs(a[:250], b[:250], 0.0, HS)
+    right.update_pairs(a[250:], b[250:], 0.0, HS)
+    assert not set(pool.tolist()) <= set(recover_candidates(left).tolist())
+    assert np.array_equal(recover_candidates(left, right), want)
+    assert np.array_equal(recover_candidates(right, left), want)
 
 
 def test_merge_rejects_geometry_mismatch():
     other = RECubeConfig(r=3, l=(6,) * 8, s=(0, 4, 8, 12, 16, 20, 24, 27))
-    with pytest.raises(ValueError):
-        rec_merge_outer([RECube(SMALL), RECube(other)])
-    with pytest.raises(ValueError):
-        rec_merge_outer([])
+    with pytest.raises(ValueError, match="geometry mismatch"):
+        recover_candidates(RECube(SMALL), RECube(other))
+    with pytest.raises(ValueError, match="empty"):
+        recover_candidates()
 
 
 # -- candidate recovery ---------------------------------------------------------
@@ -350,8 +356,10 @@ def test_recover_matches_dfs_oracle(cfg, sources, hosts_each, min_w, monkeypatch
     assert np.all(got[1:] > got[:-1])  # sorted and distinct
     assert got.tolist() == sorted(dfs_recover_candidates(cube))
     assert got.size >= min_w
-    # a join materialized 7 matches at a time finds the same set
+    # a join materialized 7 matches at a time, and cubes ORed 3 words at a
+    # time, find the same set
     monkeypatch.setattr(recube, "_JOIN_CHUNK", 7)
+    monkeypatch.setattr(recube, "_OR_WORDS", 3)
     assert np.array_equal(recover_candidates(cube), got)
 
 
@@ -382,6 +390,30 @@ def test_recover_reads_a_decoded_payload_view():
     _, view = decode_stage1(payload)
     assert not view.cells.flags.writeable
     assert np.array_equal(recover_candidates(view), recover_candidates(cube))
+
+
+def test_recover_peak_memory_is_not_a_merged_cube():
+    # three default-geometry cubes of 3 MiB, scanned at the default theta's
+    # tau with 300k random pairs and 20 hosts of 4 * theta peers each:
+    # recovery ORs them a chunk at a time, so its peak stays far below one
+    # merged cube
+    rng = np.random.default_rng(9)
+    cubes, planted = [], []
+    for _ in range(3):
+        pool = rng.integers(0, 2**32, 20, dtype=np.uint32)
+        a = np.concatenate([rng.integers(0, 2**32, 300_000, dtype=np.uint32), np.repeat(pool, 4096)])
+        cube = RECube(DEFAULT)
+        cube.update_pairs(a, rng.integers(0, 2**32, a.size, dtype=np.uint32), compute_tau(1024), HS)
+        cubes.append(cube)
+        planted += pool.tolist()
+    tracemalloc.start()
+    try:
+        got = recover_candidates(*cubes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert set(planted) <= set(got.tolist())
+    assert peak < 1 << 20, peak
 
 
 # -- serialization --------------------------------------------------------------

@@ -18,7 +18,7 @@ from oracles import (
 
 from superpoint import wire
 from superpoint.hashing import HashSuite
-from superpoint.recube import RECube, RECubeConfig, rec_merge_outer
+from superpoint.recube import RECube, RECubeConfig, recover_candidates
 
 CFG = RECubeConfig(r=2, l=(6,) * 8, s=(0, 4, 8, 12, 16, 20, 24, 28))
 HS = HashSuite(31337)
@@ -183,12 +183,15 @@ def test_stage1_golden_digests():
 
 
 def test_merge_does_not_write_through_decoded_payloads():
-    first = _populated_cube()
-    second = RECube(CFG)
-    second.update_pairs(
-        np.arange(500, dtype=np.uint32), np.arange(500, dtype=np.uint32), 0.0, HS
-    )
-    # bytes and a writable bytearray: neither may change under the merge
+    # two cubes of five hosts of 50 peers each: candidates, but no
+    # saturated cube whose chains would take recovery seconds
+    rng = np.random.default_rng(21)
+    first, second = RECube(CFG), RECube(CFG)
+    for cube in (first, second):
+        a = np.repeat(rng.integers(0, 2**32, 5, dtype=np.uint32), 50)
+        cube.update_pairs(a, rng.integers(0, 2**32, a.size, dtype=np.uint32), 0.0, HS)
+    # bytes and a writable bytearray: neither may change under the
+    # coordinator's OR, which recovery takes over the decoded cubes
     payloads = [
         encode_stage1(0, 1, first),
         bytearray(encode_stage1(1, 1, second)),
@@ -197,14 +200,8 @@ def test_merge_does_not_write_through_decoded_payloads():
     decoded = [decode_stage1(p)[1] for p in payloads]
     snapshots = [cube.cells.copy() for cube in decoded]
 
-    merged = rec_merge_outer(decoded)
-    merged.update_pairs(
-        np.arange(10_000, 12_000, dtype=np.uint32),
-        np.arange(2000, dtype=np.uint32),
-        0.0,
-        HS,
-    )
-    merged.cells |= 0x80
+    want = recover_candidates(first, second)
+    assert want.size >= 10 and np.array_equal(recover_candidates(*decoded), want)
 
     assert [hashlib.sha256(p).digest() for p in payloads] == digests
     assert all(np.array_equal(cube.cells, cells) for cube, cells in zip(decoded, snapshots))
