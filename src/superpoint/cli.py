@@ -4,14 +4,10 @@ Subcommands:
   gen     build synthetic trace files from a trace-spec config
   run     execute the multi-node window protocol over trace files
 
-Config files are plain `key = value` lines with `#` comments. Keys for
-`run` (the fields of RunConfig): r, l, s, u_hat, v_hat, le_len, theta,
-seed, nodes (one trace file per node, or 1 to read every file),
-window_seconds, trace_dir, out, oracle, ftr_gate. Keys for `gen` (the
-fields of GenConfig): planted ("addr:card;addr:card", dotted-quad or
-integer addresses), planted_count/planted_min_card/planted_max_card
-(random planting), background_hosts, zipf_s, max_background_card,
-duplication, theta, nodes, partition, weights, seed, format.
+Config files are plain `key = value` lines with `#` comments. Their keys
+are the fields of RunConfig for `run` (nodes: one trace file per node,
+or 1 to read every file), and for `gen` those of GenConfig: a TraceSpec
+and the keys that plant random hosts and split the trace into files.
 """
 
 from __future__ import annotations
@@ -30,7 +26,9 @@ import numpy as np
 from .coordinator import run_window
 from .estimators import DetectorParams
 from .harness import (
+    PARTITION_MODES,
     TraceSpec,
+    check_partition,
     generate_trace,
     oracle_evaluate,
     partition_stream,
@@ -58,15 +56,7 @@ def _parse_bool(text: str) -> bool:
     return text.lower() in ("1", "true", "yes", "on")
 
 
-def _parse(key: str, parser, text: str):
-    """parser(text), re-raising a parse error with the config key it is for."""
-    try:
-        return parser(text)
-    except ValueError as exc:
-        raise ValueError(f"config key {key!r}: {exc}") from None
-
-
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     r: int = 6
     l: tuple[int, ...] = (14, 14, 14)
@@ -92,6 +82,10 @@ class RunConfig:
         "ftr_gate": float,
     }
 
+    def __post_init__(self):
+        if not 1 <= self.window_seconds <= 0xFFFFFFFF:
+            raise ValueError(f"window_seconds must be in 1..2^32-1, got {self.window_seconds}")
+
 
 def _parse_planted(text: str) -> tuple[tuple[int, int], ...]:
     """(address, cardinality) of each "addr:card" entry of a `;` list."""
@@ -104,20 +98,16 @@ def _parse_planted(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(planted)
 
 
-@dataclasses.dataclass
-class GenConfig:
-    planted: tuple[tuple[int, int], ...] = ()
+@dataclasses.dataclass(frozen=True)
+class GenConfig(TraceSpec):
+    """A trace spec, and gen's random planting, node files, seed and format."""
+
     planted_count: int = 0
     planted_min_card: int | None = None  # None: 2 * theta
     planted_max_card: int | None = None  # None: 16 * theta
-    background_hosts: int = 0
-    zipf_s: float = 1.2
-    max_background_card: int | None = None  # None: theta // 2
-    duplication: int = 1
-    theta: int = RunConfig.theta
     nodes: int = 1
     partition: str = "round_robin"
-    weights: list[float] | None = None
+    weights: tuple[float, ...] | None = None
     seed: int = 1
     format: str = "bin"
 
@@ -125,23 +115,30 @@ class GenConfig:
         "planted": _parse_planted,
         "zipf_s": float,
         "partition": str,
-        "weights": lambda text: [float(tok) for tok in text.split(",")],
+        "weights": lambda text: tuple(float(tok) for tok in text.split(",")),
         "format": str,
     }
 
-    def trace_spec(self) -> TraceSpec:
-        """The trace spec: the explicit planted hosts, then planted_count
-        more drawn at random from the seed."""
-        low = 2 * self.theta if self.planted_min_card is None else self.planted_min_card
-        high = 16 * self.theta if self.planted_max_card is None else self.planted_max_card
+    def __post_init__(self):
+        super().__post_init__()
+        if self.planted_min_card is None:
+            object.__setattr__(self, "planted_min_card", 2 * self.theta)
+        if self.planted_max_card is None:
+            object.__setattr__(self, "planted_max_card", 16 * self.theta)
+        low, high = self.planted_min_card, self.planted_max_card
         if self.planted_count < 0:
             raise ValueError(f"config key 'planted_count': must be >= 0, got {self.planted_count}")
-        if self.planted_count > 0 and low < 1:
-            raise ValueError(f"config key 'planted_min_card': must be >= 1, got {low}")
-        if self.planted_count > 0 and low > high:
-            raise ValueError(f"config key 'planted_min_card': {low} exceeds planted_max_card {high}")
+        if self.planted_count > 0 and not 1 <= low <= high:
+            raise ValueError(f"config key 'planted_min_card': {low} not in 1..planted_max_card {high}")
         if self.seed < 0:
             raise ValueError(f"config key 'seed': must be >= 0, got {self.seed}")
+        if self.format not in ("bin", "csv"):
+            raise ValueError(f"config key 'format': must be bin or csv, got {self.format!r}")
+        check_partition(self.nodes, self.partition, self.weights)
+
+    def trace_spec(self) -> GenConfig:
+        """The spec with every planted host: the explicit ones, then
+        planted_count more drawn at random from the seed."""
         planted = list(self.planted)
         addresses = set(a for a, _ in planted)
         rng = np.random.default_rng(self.seed ^ 0x9E37)
@@ -150,24 +147,17 @@ class GenConfig:
             if addr in addresses:
                 continue
             addresses.add(addr)
-            planted.append((addr, int(rng.integers(low, high + 1))))
-        return TraceSpec(
-            planted=tuple(planted),
-            background_hosts=self.background_hosts,
-            zipf_s=self.zipf_s,
-            max_background_card=self.max_background_card,
-            duplication=self.duplication,
-            theta=self.theta,
-        )
+            planted.append((addr, int(rng.integers(self.planted_min_card, self.planted_max_card + 1))))
+        return dataclasses.replace(self, planted=tuple(planted), planted_count=0)
 
 
 def read_config(cls, path: str | None, args: argparse.Namespace):
-    """A `cls` config: its defaults, then the `key = value` lines of the
-    file at `path` (none when None), then every flag of `args` that is
-    named for a field and given. Each key must be a field of `cls`; its
-    value is parsed by `cls.PARSERS[key]`, or as an int."""
+    """A `cls` config from its defaults, then the `key = value` lines of
+    the file at `path` (none when None), then every flag of `args` that is
+    named for a field and given; `cls` checks it whole. Each key must be a
+    field of `cls`; its value is parsed by `cls.PARSERS[key]`, or as an int."""
     fields = [field.name for field in dataclasses.fields(cls)]
-    cfg = cls()
+    values = {}
     with open(path) if path else contextlib.nullcontext([]) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -178,21 +168,27 @@ def read_config(cls, path: str | None, args: argparse.Namespace):
             key, text = (part.strip() for part in line.split("=", 1))
             if key not in fields:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, _parse(key, cls.PARSERS.get(key, int), text))
-    for key in fields:
-        if getattr(args, key, None) is not None:
-            setattr(cfg, key, getattr(args, key))
-    return cfg
+            try:
+                values[key] = cls.PARSERS.get(key, int)(text)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+    values.update({key: getattr(args, key) for key in fields if getattr(args, key, None) is not None})
+    return cls(**values)
+
+
+def _trace_files(directory: str) -> list[str]:
+    """The .bin and .csv files of a trace directory, sorted by path."""
+    return sorted(p for ext in ("*.bin", "*.csv") for p in glob.glob(os.path.join(directory, ext)))
 
 
 def cmd_gen(args) -> int:
     cfg = read_config(GenConfig, args.spec, args)
-    if cfg.format not in ("bin", "csv"):
-        raise ValueError(f"format must be bin or csv, got {cfg.format!r}")
-    spec = cfg.trace_spec()
-    trace = generate_trace(spec, cfg.seed)
-    parts = partition_stream(trace, cfg.nodes, mode=cfg.partition, seed=cfg.seed, weights=cfg.weights)
+    # run reads every trace file in its directory, so an old one would join the new trace
+    if existing := _trace_files(args.out):
+        raise ValueError(f"--out {args.out} already holds trace files, such as {existing[0]}")
     os.makedirs(args.out, exist_ok=True)
+    trace = generate_trace(cfg.trace_spec(), cfg.seed)
+    parts = partition_stream(trace, cfg.nodes, mode=cfg.partition, seed=cfg.seed, weights=cfg.weights)
     write = write_trace_csv if cfg.format == "csv" else write_trace_binary
     for i, part in enumerate(parts):
         path = os.path.join(args.out, f"node_{i:03d}.{cfg.format}")
@@ -204,10 +200,7 @@ def cmd_gen(args) -> int:
 
 def _node_files(cfg: RunConfig) -> list[list[str]]:
     """Each node's trace files: one file each, or all of them for nodes = 1."""
-    paths = sorted(
-        glob.glob(os.path.join(cfg.trace_dir, "*.bin"))
-        + glob.glob(os.path.join(cfg.trace_dir, "*.csv"))
-    )
+    paths = _trace_files(cfg.trace_dir)
     if not paths:
         raise FileNotFoundError(f"no .bin or .csv trace files in {cfg.trace_dir}")
     if len(paths) == cfg.nodes:
@@ -316,8 +309,6 @@ def cmd_run(args) -> int:
     cfg = read_config(RunConfig, args.config, args)
     cube_cfg = RECubeConfig(r=cfg.r, l=cfg.l, s=cfg.s)  # raises with the violated inequality
     params = DetectorParams(theta=cfg.theta, le_len=cfg.le_len, u_hat=cfg.u_hat, v_hat=cfg.v_hat)
-    if not 1 <= cfg.window_seconds <= 0xFFFFFFFF:
-        raise ValueError(f"window_seconds must be in 1..2^32-1, got {cfg.window_seconds}")
 
     files = _node_files(cfg)
     nodes = [ObservationNode(i, params, cube_cfg, cfg.seed) for i in range(len(files))]
@@ -369,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--spec", required=True, help="trace-spec config file")
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--nodes", type=int)
-    p_gen.add_argument("--partition", choices=["round_robin", "hash_by_pair", "skewed"])
+    p_gen.add_argument("--partition", choices=PARTITION_MODES)
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--format", choices=["bin", "csv"])
     p_gen.set_defaults(func=cmd_gen)

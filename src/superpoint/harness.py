@@ -90,18 +90,17 @@ class TraceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "planted", tuple(map(tuple, self.planted)))
-        addresses = [a for a, _ in self.planted]
-        if len(set(addresses)) != len(addresses):
-            raise ValueError("planted addresses must be distinct")
+        if len({a for a, _ in self.planted}) != len(self.planted):
+            raise ValueError("config key 'planted': addresses must be distinct")
         for a, c in self.planted:
             if c < 1:
-                raise ValueError(f"planted cardinality must be >= 1, got {c}")
+                raise ValueError(f"config key 'planted': cardinality must be >= 1, got {c}")
             if not 0 <= a <= 0xFFFFFFFF:
-                raise ValueError(f"planted address out of range: {a:#x}")
+                raise ValueError(f"config key 'planted': address out of range: {a:#x}")
         if self.duplication < 1:
-            raise ValueError(f"duplication must be >= 1, got {self.duplication}")
+            raise ValueError(f"config key 'duplication': must be >= 1, got {self.duplication}")
         if self.background_hosts < 0:
-            raise ValueError("background_hosts must be >= 0")
+            raise ValueError("config key 'background_hosts': must be >= 0")
 
     @property
     def background_cap(self) -> int:
@@ -171,6 +170,21 @@ def generate_trace(spec: TraceSpec, seed: int) -> Trace:
     return Trace(a[order], b[order])
 
 
+PARTITION_MODES = ("round_robin", "hash_by_pair", "skewed")
+
+
+def check_partition(n: int, mode: str, weights) -> None:
+    """Raise, naming its config key, unless `partition_stream` can split a trace n ways by mode."""
+    if n < 1:
+        raise ValueError(f"config key 'nodes': must be >= 1, got {n}")
+    if mode not in PARTITION_MODES:
+        raise ValueError(f"config key 'partition': {mode!r} is not one of {PARTITION_MODES}")
+    if mode == "skewed" and (
+        weights is None or len(weights) != n or min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-9
+    ):
+        raise ValueError(f"config key 'weights': need {n} weights >= 0 summing to 1, got {weights}")
+
+
 def partition_stream(
     trace: Trace,
     n: int,
@@ -179,8 +193,7 @@ def partition_stream(
     weights: list[float] | None = None,
 ) -> list[Trace]:
     """Split a trace into n disjoint per-node streams."""
-    if n < 1:
-        raise ValueError(f"need at least one partition, got {n}")
+    check_partition(n, mode, weights)
     if mode == "round_robin":
         assignment = np.arange(len(trace)) % n
     elif mode == "hash_by_pair":
@@ -188,13 +201,7 @@ def partition_stream(
             np.uint64
         )
         assignment = (mix64_arr(key, seed) % np.uint64(n)).astype(np.int64)
-    elif mode == "skewed":
-        if weights is None or len(weights) != n:
-            raise ValueError("skewed mode requires one weight per partition")
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {sum(weights)}")
+    else:
         rng = np.random.default_rng(seed)
         assignment = rng.choice(n, size=len(trace), p=weights)
-    else:
-        raise ValueError(f"unknown partition mode {mode!r}")
     return [trace.take(np.flatnonzero(assignment == i)) for i in range(n)]

@@ -213,6 +213,7 @@ class ObservationNode:
 
     def reset_window(self, window_id: int) -> None:
         self.window_id = window_id
+        self.rec = self.lea = None  # freed first, so a node never holds two sets of sketches
         try:
             self.rec = RECube(self.cube_config)
             self.lea = LEArray(self.params.u_hat, self.params.v_hat, self.params.le_len)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ from superpoint.cli import (
     main,
     read_config,
 )
+from superpoint.estimators import DetectorParams
 from superpoint.harness import TraceSpec, generate_trace, partition_stream
 from superpoint.node import (
     Trace,
@@ -29,6 +31,7 @@ from superpoint.node import (
     write_trace_binary,
     write_trace_csv,
 )
+from superpoint.recube import RECubeConfig
 
 
 def _write(path, text):
@@ -184,19 +187,78 @@ def test_gen_rejects_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "traces").exists()
 
 
+def _no_generation(*args):
+    raise AssertionError("generate_trace ran on a config that should have been refused")
+
+
 @pytest.mark.parametrize(
     "extra, out, fragment",
     [
         pytest.param("", "file", "File exists", id="out-is-a-file"),
         pytest.param("planted = 1.2.3.999:100\n", "traces", "not a dotted-quad address: '1.2.3.999'", id="bad-address"),
+        pytest.param("partition = skewd\n", "traces", "config key 'partition': 'skewd'", id="partition-unknown"),
+        pytest.param("partition = skewed\nweights = 0.5,0.5\n", "traces", "config key 'weights'", id="weights-too-few"),
+        pytest.param("partition = skewed\nweights = 0.5,0.3,0.1\n", "traces", "config key 'weights'", id="weights-sum"),
+        pytest.param("partition = skewed\n", "traces", "config key 'weights'", id="weights-missing"),
+        pytest.param("nodes = 0\n", "traces", "config key 'nodes': must be >= 1", id="nodes-zero"),
+        pytest.param("duplication = 0\n", "traces", "config key 'duplication'", id="duplication-zero"),
     ],
 )
-def test_gen_reports_bad_input_without_traceback(tmp_path, capsys, extra, out, fragment):
-    spec = _write(tmp_path / "trace.conf", GEN_SPEC.replace("planted = 10.1.0.1:600;10.1.0.2:900\n", extra))
+def test_gen_reports_bad_input_without_traceback(tmp_path, capsys, monkeypatch, extra, out, fragment):
+    # the whole config is checked before any trace is made or --out created
+    monkeypatch.setattr(cli, "generate_trace", _no_generation)
+    spec = _write(tmp_path / "trace.conf", GEN_SPEC + extra)
     (tmp_path / "file").write_text("")
     assert main(["gen", "--spec", spec, "--out", str(tmp_path / out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
+    assert not (tmp_path / "traces").exists()
+
+
+def test_gen_refuses_an_out_that_holds_trace_files(tmp_path, capsys, monkeypatch):
+    spec = _write(tmp_path / "trace.conf", GEN_SPEC)
+    out = tmp_path / "traces"
+    assert main(["gen", "--spec", spec, "--out", str(out)]) == 0
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(written) == 3
+    # run reads every trace file of its directory: two nodes' files would
+    # leave node_002.bin to be scanned with them, and a CSV copy beside
+    # the binary files would double every pair; nothing is deleted
+    monkeypatch.setattr(cli, "generate_trace", _no_generation)
+    for flags in (["--nodes", "2"], ["--format", "csv"], []):
+        assert main(["gen", "--spec", spec, "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / "node_000.bin") in err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+    # a CSV file counts too; other files do not
+    (tmp_path / "csv").mkdir()
+    (tmp_path / "csv" / "mine.csv").write_text("1.2.3.4,5.6.7.8\n")
+    assert main(["gen", "--spec", spec, "--out", str(tmp_path / "csv")]) == 2
+    assert "mine.csv" in capsys.readouterr().err
+    monkeypatch.undo()
+    (tmp_path / "notes").mkdir()
+    (tmp_path / "notes" / "README.txt").write_text("mine\n")
+    assert main(["gen", "--spec", spec, "--out", str(tmp_path / "notes")]) == 0
+    assert sorted(path.name for path in (tmp_path / "notes").iterdir()) == [
+        "README.txt", "node_000.bin", "node_001.bin", "node_002.bin"
+    ]
+
+
+def test_configs_are_frozen_and_checked_when_made(tmp_path):
+    gen = _gen_config(tmp_path, "planted_count = 2\ntheta = 64\n")
+    run = read_config(RunConfig, None, NO_FLAGS)
+    for cfg, key in ((gen, "nodes"), (run, "theta")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, key, 3)
+    # a gen config is its trace spec: its planted hosts are drawn once
+    spec = gen.trace_spec()
+    assert isinstance(spec, TraceSpec) and len(spec.planted) == 2
+    assert spec.trace_spec() == spec
+    assert spec.background_cap == 32
+    with pytest.raises(ValueError, match="config key 'nodes'"):
+        GenConfig(nodes=0)
+    with pytest.raises(ValueError, match="window_seconds must be in"):
+        RunConfig(window_seconds=0)
 
 
 @pytest.mark.parametrize(
@@ -240,7 +302,7 @@ def test_gen_names_the_key_of_a_negative_seed_flag(tmp_path, capsys):
 def test_gen_rejects_unknown_format(tmp_path, capsys):
     spec = _write(tmp_path / "trace.conf", GEN_SPEC + "format = CSV\n")
     assert main(["gen", "--spec", spec, "--out", str(tmp_path / "traces")]) == 2
-    assert "format must be bin or csv, got 'CSV'" in capsys.readouterr().err
+    assert "error: config key 'format': must be bin or csv, got 'CSV'" in capsys.readouterr().err
     assert not (tmp_path / "traces").exists()
 
 
@@ -840,3 +902,34 @@ def test_run_window_does_not_page_fault_after_concurrent_scans(tmp_path):
             code, *faults = probe.stdout.splitlines()[-1].split()
             assert code == "0", probe.stdout + probe.stderr
             assert len(faults) == 1 and int(faults[0]) < 100, (pairs, cpus, faults)
+
+
+# Runs `superpoint` with room for the first argument's bytes more address
+# space than the process holds once the package is imported.
+_ADDRESS_SPACE_PROBE = """
+import resource, sys
+from superpoint import cli
+
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+limit = size + int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+print(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc")
+def test_reset_window_frees_the_old_sketches_before_making_new_ones(tmp_path):
+    # every run resets each node at window 0, right after its __init__
+    # made the window-0 sketches: a run that holds both sets needs about
+    # two sets of address space above the imported package, one that
+    # frees the old set first about one, so the cap is one and a half
+    cfg = RunConfig()
+    params = DetectorParams(theta=cfg.theta, le_len=cfg.le_len, u_hat=cfg.u_hat, v_hat=cfg.v_hat)
+    sketches = RECubeConfig(r=cfg.r, l=cfg.l, s=cfg.s).nbytes + params.lea_bytes
+    trace_dir = tmp_path / "traces"
+    trace_dir.mkdir()
+    a, b = np.random.default_rng(5).integers(0, 2**32, (2, 1000), dtype=np.uint32)
+    write_trace_binary(trace_dir / "node_000.bin", Trace(a, b))
+    probe = _run_probe(_ADDRESS_SPACE_PROBE, str(sketches * 3 // 2), "run", "--trace-dir", str(trace_dir))
+    assert probe.stdout.split()[-1:] == ["0"], probe.stdout + probe.stderr
