@@ -179,9 +179,9 @@ def check_partition(n: int, mode: str, weights) -> None:
         raise ValueError(f"config key 'nodes': must be >= 1, got {n}")
     if mode not in PARTITION_MODES:
         raise ValueError(f"config key 'partition': {mode!r} is not one of {PARTITION_MODES}")
-    if mode == "skewed" and (
-        weights is None or len(weights) != n or min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-9
-    ):
+    if (weights is None) == (mode == "skewed"):
+        raise ValueError(f"config key 'weights': for partition = skewed only, which needs them; got {weights}")
+    if weights is not None and (len(weights) != n or min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-9):
         raise ValueError(f"config key 'weights': need {n} weights >= 0 summing to 1, got {weights}")
 
 

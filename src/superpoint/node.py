@@ -8,18 +8,15 @@ range of candidates the coordinator asks for, which any thread may
 build.
 
 Trace formats: binary records of 12 bytes {a u32 BE, b u32 BE, ts u32 BE},
-or CSV lines "a_dotted,b_dotted[,ts]". Both are read in batches of at
-most BATCH_RECORDS records; malformed records, such as a CSV address
-field that holds whitespace, are skipped and counted, never fatal.
+or CSV lines "a,b[,ts]" in `_CSV_RECORD`'s grammar, parsed once, a fixed
+byte chunk at a time, into a binary copy; the window passes read binary
+batches of BATCH_RECORDS records. Malformed records are skipped and counted.
 """
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import os
-import socket
-import struct
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,21 +68,30 @@ def write_trace_binary(path, trace: Trace) -> None:
     np.column_stack((trace.a, trace.b, trace.ts)).astype(">u4").tofile(path)
 
 
+#: records per `read_trace` batch; kept small because a binary batch is
+#: one `read` whose whole buffer is allocated before any byte arrives
+BATCH_RECORDS = 1 << 16
+CSV_LINE_BYTES = 256  #: bytes of the longest CSV line, its newline not counted
+
+#: a dotted-quad address: four decimal octets 0-255, none with a leading zero
+_ADDRESS = re.compile(rb"\.".join([rb"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"] * 4))
+#: a CSV record line after the newline before it: at most CSV_LINE_BYTES bytes of
+#: ASCII whitespace, "a,b" and an optional ",ts" of 1-10 digits, whitespace
+_CSV_RECORD = re.compile(rb"\n(?=[^\n]{0,%d}\n)[ \t\r\v\f]*(%s,%s)(?:,([0-9]{1,10}))?[ \t\r\v\f]*(?=\n)"
+                         % (CSV_LINE_BYTES, _ADDRESS.pattern, _ADDRESS.pattern))
+_CSV_BLANK = re.compile(rb"\n[ \t\r\v\f]{0,%d}(?=\n)" % CSV_LINE_BYTES)
+_SEPARATORS = bytes.maketrans(b".,", b"  ")
+
+
 def dotted(address: int) -> str:
-    return socket.inet_ntoa(struct.pack("!I", address & 0xFFFFFFFF))
+    return f"{address >> 24 & 255}.{address >> 16 & 255}.{address >> 8 & 255}.{address & 255}"
 
 
 def parse_dotted(text: str) -> int:
-    """The address of exactly four decimal octets 0-255, none with a
-    leading zero, and nothing around them; `inet_aton` would also take
-    `010.1.0.1` (octal), `10.1` and `10.1.0.1 junk`."""
-    try:
-        octets = bytes(int(part) for part in text.split("."))
-    except ValueError:
-        octets = b""
-    if len(octets) != 4 or ".".join(map(str, octets)) != text:
+    """The address `text` spells in `_ADDRESS`'s grammar, with nothing around it."""
+    if not (text.isascii() and _ADDRESS.fullmatch(text.encode())):
         raise ValueError(f"not a dotted-quad address: {text!r}")
-    return int.from_bytes(octets, "big")
+    return int.from_bytes(bytes(map(int, text.split("."))), "big")
 
 
 def write_trace_csv(path, trace: Trace) -> None:
@@ -94,60 +100,52 @@ def write_trace_csv(path, trace: Trace) -> None:
             fh.write(f"{dotted(a)},{dotted(b)},{t}\n")
 
 
-#: records per `read_trace` batch; kept small because a binary batch is
-#: one `read` whose whole buffer is allocated before any byte arrives
-BATCH_RECORDS = 1 << 16
-
-
 def read_trace(path, start: int = 0, stop: int | None = None):
     """Yield (byte offset, Trace, malformed count) for each batch of at
-    most BATCH_RECORDS records of a .bin or .csv trace file, from byte
-    `start` until a batch would begin at or past byte `stop` (None: the
-    end of the file). A batch's offset is a valid `start` for a later read."""
+    most BATCH_RECORDS records of a binary trace file, from byte `start`
+    until a batch would begin at or past byte `stop` (None: the end of
+    the file). A batch's offset is a valid `start` for a later read."""
     with open(path, "rb") as fh:
         offset = fh.seek(start)
         while stop is None or offset < stop:
-            if str(path).endswith(".csv"):
-                trace, malformed = _parse_csv(list(itertools.islice(fh, BATCH_RECORDS)))
-            else:
-                raw = fh.read(12 * BATCH_RECORDS)
-                records = np.frombuffer(raw, ">u4", count=len(raw) // 12 * 3).reshape(-1, 3)
-                trace = Trace(*records.T.astype(np.uint32, order="C"))
-                malformed = int(len(raw) % 12 != 0)  # a partial record ends the file
+            raw = fh.read(12 * BATCH_RECORDS)
+            records = np.frombuffer(raw, ">u4", count=len(raw) // 12 * 3).reshape(-1, 3)
+            trace = Trace(*records.T.astype(np.uint32, order="C"))
+            malformed = int(len(raw) % 12 != 0)  # a partial record ends the file
             if fh.tell() == offset:
                 return
             yield offset, trace, malformed
             offset = fh.tell()
 
 
-def _parse_csv(lines: list[bytes]) -> tuple[Trace, int]:
-    """Parse CSV lines; blank lines are skipped, malformed ones counted. A
-    line's leading and trailing whitespace is stripped; an address field
-    that holds whitespace is malformed."""
-    addresses = bytearray()  # a then b of each record, 4 big-endian bytes each
-    ts: list[int] = []
-    malformed = 0
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            a, b, *rest = line.decode().strip().split(",")
-            if len(rest) > 1:
-                raise ValueError("more than three fields")
-            t = int(rest[0]) if rest else 0
-            if not 0 <= t <= 0xFFFFFFFF:
-                raise ValueError("timestamp out of uint32 range")
-            # inet_aton stops at whitespace, so "1.2.3.4 junk" would read as 1.2.3.4
-            if a.split() != [a] or b.split() != [b]:
-                raise ValueError("whitespace in an address field")
-            pair = socket.inet_aton(a) + socket.inet_aton(b)
-        except (ValueError, OSError):
-            malformed += 1
-            continue
-        addresses += pair
-        ts.append(t)
-    ab = np.frombuffer(addresses, ">u4").reshape(-1, 2)
-    return Trace(ab[:, 0], ab[:, 1], ts), malformed
+def read_trace_csv(path):
+    """Yield (Trace, malformed count) per 12 * BATCH_RECORDS bytes of a CSV
+    trace file, a partial last line carried over: at most BATCH_RECORDS
+    records, as a record's line takes 16 bytes or more. Of a line longer
+    than CSV_LINE_BYTES, only enough is kept to count it malformed."""
+    with open(path, "rb") as fh:
+        tail = b""
+        while chunk := fh.read(12 * BATCH_RECORDS):
+            lines = tail + chunk
+            cut = lines.rfind(b"\n") + 1
+            lines, tail = lines[:cut], lines[cut : cut + CSV_LINE_BYTES + 1]
+            yield _parse_csv(lines)
+        if tail:
+            yield _parse_csv(tail + b"\n")
+
+
+def _parse_csv(lines: bytes) -> tuple[Trace, int]:
+    """(records, malformed count) of whole CSV lines, each ending in a newline."""
+    lines = b"\n" + lines  # so that each line follows a newline, as _CSV_RECORD reads it
+    found = _CSV_RECORD.findall(lines)
+    pairs, ts = zip(*found) if found else ((), ())
+    ab = np.fromstring(b" ".join(pairs).translate(_SEPARATORS), np.uint8, sep=" ").reshape(-1, 8).view(">u4")
+    ts = np.fromstring(b" 0".join((b"", *ts)), np.int64, sep=" ")  # "0" before each: an absent one reads 0
+    trace = Trace(*ab.T, ts).take(np.flatnonzero(ts <= 0xFFFFFFFF))
+    n_lines = lines.count(b"\n") - 1
+    # a line that did not match may be blank, which is not malformed
+    blank = len(_CSV_BLANK.findall(lines)) if len(found) < n_lines else 0
+    return trace, n_lines - blank - len(trace)
 
 
 def window_spans(paths: list[str], window_seconds: int, tmp: str) -> tuple[dict, int]:
@@ -157,19 +155,21 @@ def window_spans(paths: list[str], window_seconds: int, tmp: str) -> tuple[dict,
     spans: dict[str, tuple[str, dict[int, tuple[int, int]]]] = {}
     malformed = 0
     for i, path in enumerate(paths):
-        copy = os.path.join(tmp, f"{i}.bin") if path.endswith(".csv") else None
-        windows: dict[int, tuple[int, int]] = {}
-        with open(copy, "wb") if copy else contextlib.nullcontext() as sink:
-            for offset, batch, bad in read_trace(path):
-                malformed += bad
-                if sink is not None:
-                    offset = sink.tell()
+        source = path
+        if path.endswith(".csv"):
+            source = os.path.join(tmp, f"{i}.bin")
+            with open(source, "wb") as sink:
+                for batch, bad in read_trace_csv(path):
+                    malformed += bad
                     write_trace_binary(sink, batch)
-                wids = batch.ts // window_seconds
-                lo, hi = (int(wids.min()), int(wids.max())) if len(batch) else (0, -1)
-                for wid in [lo] if lo == hi else np.unique(wids).tolist():
-                    windows[wid] = (windows.get(wid, (offset,))[0], offset + 12 * len(batch))
-        spans[path] = (copy or path, windows)
+        windows: dict[int, tuple[int, int]] = {}
+        for offset, batch, bad in read_trace(source):
+            malformed += bad
+            wids = batch.ts // window_seconds
+            lo, hi = (int(wids.min()), int(wids.max())) if len(batch) else (0, -1)
+            for wid in [lo] if lo == hi else np.unique(wids).tolist():
+                windows[wid] = (windows.get(wid, (offset,))[0], offset + 12 * len(batch))
+        spans[path] = (source, windows)
     return spans, malformed
 
 

@@ -101,6 +101,42 @@ def and_of_rows(lea: LEArray, cands, hs: HashSuite, rows: int | None = None) -> 
     return merged
 
 
+# -- the CSV trace grammar, one line at a time ----------------------------------
+
+
+def _address(text: bytes) -> int | None:
+    """The address of four decimal octets 0-255 without a leading zero, else None."""
+    octets = text.split(b".")
+    if len(octets) != 4 or not all(o.isdigit() and o == b"%d" % int(o) and int(o) <= 255 for o in octets):
+        return None
+    return int.from_bytes(bytes(int(o) for o in octets), "big")
+
+
+def csv_records(data: bytes, line_bytes: int) -> tuple[list[tuple[int, int, int]], int]:
+    """The (a, b, ts) records of a CSV trace file's bytes and its count of
+    malformed lines. A line, its newline not counted, of at most
+    `line_bytes` bytes is blank when it is only ASCII whitespace, and a
+    record when, stripped of that, it is two addresses and an optional
+    timestamp of 1-10 decimal digits up to 2^32-1, split by commas."""
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()  # the newline that ends the last line
+    records, malformed = [], 0
+    for line in lines:
+        fields = line.strip().split(b",")  # bytes.strip: ASCII whitespace only
+        if len(line) <= line_bytes and fields == [b""]:
+            continue
+        a, b = (_address(f) for f in fields[:2]) if len(fields) in (2, 3) else (None, None)
+        ts = fields[2] if len(fields) == 3 else b"0"
+        if len(line) > line_bytes or a is None or b is None or not (
+            ts.isdigit() and len(ts) <= 10 and int(ts) <= 0xFFFFFFFF
+        ):
+            malformed += 1
+            continue
+        records.append((a, b, int(ts)))
+    return records, malformed
+
+
 # -- the payloads, encoded by copying ---------------------------------------------
 
 

@@ -268,6 +268,8 @@ def test_configs_are_frozen_and_checked_when_made(tmp_path):
         "planted = 10.1.0.1:abc",
         "nodes = x",
         "weights = 0.5,x",
+        # weights that only a skewed partition would read
+        pytest.param("weights = 0.9,0.3", id="weights-without-skewed"),
         "seed = 1.5",
         "zipf_s = steep",
         "planted_count = many",
@@ -563,20 +565,20 @@ def test_run_output_does_not_depend_on_batch_size(tmp_path, capsys, monkeypatch,
 
 
 def test_run_parses_each_csv_line_once(tmp_path, capsys, monkeypatch):
-    # four windows over unordered files: the window passes read binary
-    # copies, so no CSV line is parsed twice
+    # four windows over unordered files, read in chunks of 7 records'
+    # bytes: the window passes read binary copies, and a line carried over
+    # to the next chunk is parsed there only, so every CSV byte is parsed
+    # once, in file order
     parsed = []
     parse = node._parse_csv
-    monkeypatch.setattr(node, "_parse_csv", lambda lines: parse(parsed.extend(lines) or lines))
+    monkeypatch.setattr(node, "_parse_csv", lambda lines: parse(parsed.append(lines) or lines))
+    monkeypatch.setattr(node, "BATCH_RECORDS", 7)
     _write_timestamped_traces(tmp_path / "traces", "csv")
     digest = _run_digest(tmp_path, MULTI_WINDOW_RUN_CONF, tmp_path / "traces")
     capsys.readouterr()
     assert digest == MULTI_WINDOW_DIGESTS["read"]
-    lines = []
-    for path in sorted((tmp_path / "traces").iterdir()):
-        with path.open("rb") as fh:
-            lines.extend(fh)
-    assert sorted(parsed) == sorted(lines)
+    files = sorted((tmp_path / "traces").iterdir())
+    assert b"".join(parsed) == b"".join(path.read_bytes() for path in files)
 
 
 def test_run_writes_each_window_when_it_is_done(tmp_path, capsys, monkeypatch):
@@ -835,15 +837,10 @@ def _run_probe(script, *args):
     )
 
 
-def _run_peak_rss_mb(tmp_path, pairs):
-    trace_dir = tmp_path / f"pairs_{pairs}"
-    trace_dir.mkdir()
-    rng = np.random.default_rng(3)
-    a, b = rng.integers(0, 2**32, (2, pairs), dtype=np.uint32)
-    write_trace_binary(trace_dir / "node_000.bin", Trace(a, b))
-    del a, b
+def _run_peak_rss_mb(trace_dir):
+    """Peak RSS of a one-node run over the trace file in `trace_dir`."""
     # theta is high enough that no cell of the cube becomes a candidate
-    conf = _write(tmp_path / "run.conf", DENSE_RUN_CONF.replace("theta = 128", "theta = 1048576")
+    conf = _write(trace_dir.parent / "run.conf", DENSE_RUN_CONF.replace("theta = 128", "theta = 1048576")
                   .replace("nodes = 3", "nodes = 1"))
     probe = _run_probe(_RSS_PROBE, "run", "--config", conf, "--trace-dir", str(trace_dir))
     code, maxrss_kb = probe.stdout.split()[-2:]
@@ -853,9 +850,29 @@ def _run_peak_rss_mb(tmp_path, pairs):
 
 def test_run_ingest_memory_does_not_grow_with_trace(tmp_path):
     # whole-file reads grew by about 130 MB from 0.75M to 3M pairs
-    small = _run_peak_rss_mb(tmp_path, 750_000)
-    large = _run_peak_rss_mb(tmp_path, 3_000_000)
-    assert large - small < 40, (small, large)
+    peak = {}
+    for pairs in (750_000, 3_000_000):
+        trace_dir = tmp_path / f"pairs_{pairs}"
+        trace_dir.mkdir()
+        a, b = np.random.default_rng(3).integers(0, 2**32, (2, pairs), dtype=np.uint32)
+        write_trace_binary(trace_dir / "node_000.bin", Trace(a, b))
+        del a, b
+        peak[pairs] = _run_peak_rss_mb(trace_dir)
+    assert peak[3_000_000] - peak[750_000] < 40, peak
+
+
+def test_run_csv_memory_does_not_grow_with_line_length(tmp_path):
+    # a reader that took each line whole held a 64 MB line several times
+    # over; one that reads fixed chunks drops it a chunk at a time
+    a, b = np.random.default_rng(3).integers(0, 2**32, (2, 20_000), dtype=np.uint32)
+    write_trace_csv(tmp_path / "canonical.csv", Trace(a, b))
+    lines = (tmp_path / "canonical.csv").read_bytes()
+    peak = {}
+    for name, line in (("short", b""), ("long", b"1" * (64 << 20) + b"\n")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "node_000.csv").write_bytes(lines + line + lines)
+        peak[name] = _run_peak_rss_mb(tmp_path / name)
+    assert peak["long"] - peak["short"] < 16, peak
 
 
 # Counts the minor page faults of each run_window call, with as many scan

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     and_of_rows,
     col,
+    csv_records,
     decode_stage3,
     encode_stage1,
     encode_stage3,
@@ -24,6 +25,7 @@ from superpoint.node import (
     dotted,
     parse_dotted,
     read_trace,
+    read_trace_csv,
     window_pairs,
     window_spans,
     write_trace_binary,
@@ -96,9 +98,12 @@ def test_trace_take_and_concatenate():
 
 def _read_whole(path):
     """Every batch of a trace file, rejoined, and the malformed count."""
-    batches = list(read_trace(path))
-    traces = [Trace([], [])] + [trace for _, trace, _ in batches]
-    return Trace.concatenate(traces), sum(bad for _, _, bad in batches)
+    if str(path).endswith(".csv"):
+        batches = list(read_trace_csv(path))
+    else:
+        batches = [(trace, bad) for _, trace, bad in read_trace(path)]
+    traces = [Trace([], [])] + [trace for trace, _ in batches]
+    return Trace.concatenate(traces), sum(bad for _, bad in batches)
 
 
 def test_dotted_round_trip():
@@ -143,7 +148,8 @@ def test_csv_trace_round_trip(tmp_path):
     assert np.array_equal(got.ts, t.ts)
 
 
-def test_csv_trace_skips_malformed_lines(tmp_path):
+def test_csv_trace_skips_malformed_lines(tmp_path, monkeypatch):
+    bound = node_module.CSV_LINE_BYTES
     path = tmp_path / "t.csv"
     path.write_text(
         "10.0.0.1,10.0.0.2,5\n"
@@ -155,34 +161,130 @@ def test_csv_trace_skips_malformed_lines(tmp_path):
         "1.2.3.4,5.6.7.8,99999999999\n"
         "1.2.3.4,5.6.7.8,10,junk\n"  # more than three fields
         "10.0.0.6,10.0.0.7,4294967295\n"
-        # inet_aton reads each of these addresses as 1.2.3.4 or 5.6.7.8
+        # whitespace inside the line, beside an address or a comma
         "1.2.3.4 junk,5.6.7.8\n"
         "1.2.3.4\tx,5.6.7.8,5\n"
         "1.2.3.4 ,5.6.7.8\n"
+        "1.2.3.4, 5.6.7.8\n"
         "1.2.3.4,5.6.7.8 junk,5\n"
-        # the line's own leading and trailing whitespace is stripped
+        "1.2.3.4,5.6.7.8, 5\n"
+        # addresses that are not four canonical octets
+        "010.0.0.1,5.6.7.8\n"
+        "1.2.3,5.6.7.8\n"
+        "0x7f.1,5.6.7.8\n"
+        "127.1,5.6.7.8\n"
+        # timestamps that are not decimal digits
+        "1.2.3.4,5.6.7.8,5_0\n"
+        "1.2.3.4,5.6.7.8,+5\n"
+        # whitespace that is not ASCII
+        "\u00a01.2.3.4,5.6.7.8\n"
+        # the line's own leading and trailing ASCII whitespace is stripped
         " \t10.0.0.8,10.0.0.9,7 \r\n"
+        # up to the line bound, and one byte over it
+        + "10.0.0.10,10.0.0.11,9".rjust(bound) + "\n"
+        + "1.2.3.4,5.6.7.8".rjust(bound + 1) + "\n"
     )
     with open(path, "ab") as fh:
         fh.write(b"\xff\xfe,1.2.3.4\n")  # not UTF-8
-    got, malformed = _read_whole(path)
-    assert len(got) == 4
-    assert malformed == 10
-    assert got.a.tolist() == [parse_dotted(x) for x in ("10.0.0.1", "10.0.0.4", "10.0.0.6", "10.0.0.8")]
-    assert got.ts.tolist() == [5, 0, 2**32 - 1, 7]
+    # in one chunk, and in chunks of 12 bytes, so that each line is
+    # carried over and only the start of the overlong one is kept
+    for batch in (node_module.BATCH_RECORDS, 1):
+        monkeypatch.setattr(node_module, "BATCH_RECORDS", batch)
+        got, malformed = _read_whole(path)
+        assert len(got) == 5
+        assert malformed == 20
+        assert got.a.tolist() == [0x0A000001, 0x0A000004, 0x0A000006, 0x0A000008, 0x0A00000A]
+        assert got.ts.tolist() == [5, 0, 2**32 - 1, 7, 9]
 
 
-@pytest.mark.parametrize("fmt", ["bin", "csv"])
-def test_read_trace_batches_and_spans(tmp_path, monkeypatch, fmt):
+def test_read_trace_csv_batches(tmp_path, monkeypatch):
+    # chunks of 7 records' bytes: no batch holds more than 7 records, and
+    # the malformed last line is counted in the last batch
+    monkeypatch.setattr(node_module, "BATCH_RECORDS", 7)
+    t = _random_trace(20, 11)
+    t.ts = np.arange(20, dtype=np.uint32)
+    path = tmp_path / "t.csv"
+    write_trace_csv(path, t)
+    with open(path, "ab") as fh:
+        fh.write(b"junk\n")
+    batches = list(read_trace_csv(path))
+    assert all(len(trace) <= 7 for trace, _ in batches)
+    assert [bad for _, bad in batches] == [0] * (len(batches) - 1) + [1]
+    got = Trace.concatenate([trace for trace, _ in batches])
+    assert np.array_equal(got.a, t.a)
+    assert np.array_equal(got.ts, t.ts)
+
+
+_OCTETS = st.integers(0, 255).map(str)
+_ODD_OCTETS = st.sampled_from(["00", "010", "256", "999", "0x7f", "+1", "-1", " 1", "1 ", "", "1\u00a0"])
+_ADDRESSES = st.lists(_OCTETS, min_size=4, max_size=4).map(".".join)
+_ODD_ADDRESSES = st.one_of(
+    st.lists(st.one_of(_OCTETS, _ODD_OCTETS), min_size=1, max_size=5).map(".".join),
+    st.just("127.1"),
+)
+_TIMESTAMPS = st.one_of(
+    st.integers(0, 2**32 - 1).map(str),
+    st.integers(2**32, 10**10).map(str),
+    st.from_regex(r"0{1,3}[0-9]{1,8}", fullmatch=True),
+    st.sampled_from(["", "5_0", "+5", "-5", " 5", "5 ", "12345678901", "1e3"]),
+)
+_SPACES = st.text(" \t\r\v\f", max_size=3) | st.sampled_from(["\u00a0", "\x1c", "\x85"])
+
+
+@st.composite
+def _csv_lines(draw):
+    """One CSV line, its newline not included: canonical, odd or junk,
+    sometimes padded to about the line bound."""
+    bound = node_module.CSV_LINE_BYTES
+    a, b = draw(st.lists(st.one_of(_ADDRESSES, _ADDRESSES, _ODD_ADDRESSES), min_size=2, max_size=2))
+    ts = draw(st.none() | _TIMESTAMPS)
+    line = ",".join([a, b] if ts is None else [a, b, ts])
+    line = draw(st.one_of(
+        st.just(line),
+        st.builds("".join, st.tuples(_SPACES, st.just(line), _SPACES)),
+        st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=20),
+        _SPACES,
+    )).encode()
+    if draw(st.integers(0, 9)) == 0:
+        line = line.rjust(bound + draw(st.integers(-1, 1)))
+    return line
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lines=st.lists(_csv_lines(), max_size=30),
+    newline_at_end=st.booleans(),
+    batch=st.integers(1, 8),
+)
+@example(lines=[b"x" * 1000, b"1.2.3.4,5.6.7.8"], newline_at_end=False, batch=1)
+@example(lines=[b" " * 300, b"1.2.3.4,5.6.7.8,4294967296"], newline_at_end=True, batch=3)
+# the shortest record lines, as many to a chunk as its bytes allow
+@example(lines=[b"0.0.0.0,0.0.0.0"] * 20, newline_at_end=True, batch=4)
+def test_read_trace_csv_matches_the_per_line_grammar(tmp_path_factory, lines, newline_at_end, batch):
+    # chunks of 12-96 bytes, so that most lines straddle chunks, give the
+    # records and malformed count of the per-line reference
+    data = b"\n".join(lines) + (b"\n" if newline_at_end and lines else b"")
+    path = tmp_path_factory.getbasetemp() / "hypothesis.csv"
+    path.write_bytes(data)
+    with mock.patch.object(node_module, "BATCH_RECORDS", batch):
+        batches = list(read_trace_csv(path))
+    records, malformed = csv_records(data, node_module.CSV_LINE_BYTES)
+    assert all(len(trace) <= batch for trace, _ in batches)
+    got = Trace.concatenate([Trace([], [])] + [trace for trace, _ in batches])
+    assert list(zip(got.a.tolist(), got.b.tolist(), got.ts.tolist())) == records
+    assert sum(bad for _, bad in batches) == malformed
+
+
+def test_read_trace_batches_and_spans(tmp_path, monkeypatch):
     # batches of 7 records; each batch starts where the last ended, and a
     # span from one batch's offset to one past it reads just that batch
     monkeypatch.setattr(node_module, "BATCH_RECORDS", 7)
     t = _random_trace(20, 11)
     t.ts = np.arange(20, dtype=np.uint32)
-    path = tmp_path / f"t.{fmt}"
-    (write_trace_binary if fmt == "bin" else write_trace_csv)(path, t)
+    path = tmp_path / "t.bin"
+    write_trace_binary(path, t)
     with open(path, "ab") as fh:
-        fh.write(b"\x01\x02\x03" if fmt == "bin" else b"junk\n")
+        fh.write(b"\x01\x02\x03")
     batches = list(read_trace(path))
     assert [len(trace) for _, trace, _ in batches] == [7, 7, 6]
     assert [bad for _, _, bad in batches] == [0, 0, 1]
