@@ -288,12 +288,13 @@ def _scan_nodes(nodes, files, spans, window_id: int, window_seconds: int) -> Non
 
     Nodes are independent until stage 1, so they scan on the threads of
     `parallel.run_batches`, and the unit of work is one `read_trace` batch
-    of one node: a node is held by one thread at a time, since its cube
-    and grid writes are read-modify-write ORs, but the ORs and the pair
-    count do not depend on which thread folds which batch. The threads
-    take the nodes' batches round robin, so three nodes on two threads
-    keep both busy to the last batch, and the error of the lowest failing
-    node id is raised after every thread is joined."""
+    of one node, then one grid row of the node's window-end step: a node
+    is held by one thread at a time, since its cube and grid writes are
+    read-modify-write ORs, but the ORs and the pair count do not depend
+    on which thread folds which batch. The threads take the nodes' steps
+    round robin, so three nodes on two threads keep both busy to the last
+    step, and the error of the lowest failing node id is raised after
+    every thread is joined."""
 
     def batches(i: int):
         nodes[i].reset_window(window_id)
@@ -301,6 +302,7 @@ def _scan_nodes(nodes, files, spans, window_id: int, window_seconds: int) -> Non
             for part in window_pairs(*spans[path], window_id, window_seconds):
                 nodes[i].scan_window(part)
                 yield
+        yield from nodes[i].end_window()
 
     run_batches(len(nodes), batches)
 

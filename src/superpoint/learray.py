@@ -6,20 +6,39 @@ cells. At the end of a window a candidate's per-node sketch is the AND
 of its row cells (collision bits rarely survive all rows), and the
 global sketch is the OR of the per-node ANDs, which the coordinator
 takes. A node gathers the sketches of whichever range of candidates it
-is asked for, ANDing rows in a contiguous matrix. A candidate whose AND
-is all zero after its first two rows, as the cube's phantom candidates
-mostly are, costs two row gathers, not u_hat: an all-zero AND stays
-zero. Popcounts and the linear-count estimates finish the window.
+is asked for, ANDing rows in a contiguous matrix. On a dense grid, a
+candidate whose AND is all zero after its first two rows, as the cube's
+phantom candidates mostly are, costs two row gathers, not u_hat: an
+all-zero AND stays zero. Popcounts and the linear-count estimates
+finish the window.
+
+The grid is sparse first, as HyperLogLog++'s registers are (Heule,
+Nunkesser and Hall, "HyperLogLog in Practice", EDBT 2013). A window's
+scan only logs each pair's bit position and its u_hat columns. At the
+window end the log is either folded, written into the dense grid, which
+then takes the rest of the window's writes in place, or sealed: each
+row's keys, column << log2(le_len) | bit, are sorted once, and a column
+whose keys would take more bytes than its cell is promoted to a cell
+taken from the front of the grid, while the other, light, columns keep
+their keys. A log that reaches its cap folds. The grid is reserved whole
+but left untouched, so only promoted or folded cells take memory.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import deque
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .estimators import bit_groups, linear_count, or_bit_groups
 from .hashing import HashSuite
+
+#: keys a seal, a fold or a light gather expands at a time
+_KEY_CHUNK = 1 << 16
+
+#: the bytes of a column's entry in a sealed row's table
+_TABLE_BYTES = 3 * np.dtype(np.intp).itemsize
 
 
 class CandidateEstimate(NamedTuple):
@@ -28,21 +47,113 @@ class CandidateEstimate(NamedTuple):
     saturated: bool
 
 
+def key_dtype(v_hat: int, le_len: int) -> np.dtype:
+    """The unsigned type of a sealed key, column << log2(le_len) | bit."""
+    return np.min_scalar_type(v_hat * le_len - 1)
+
+
+def promote_threshold(le_len: int, key_bytes: int) -> int:
+    """The most keys a sealed column keeps as keys: one more and they
+    would take more bytes than its le_len-bit cell."""
+    return le_len // 8 // key_bytes
+
+
+def log_cap(u_hat: int, v_hat: int, le_len: int) -> int:
+    """The most pairs a window logs before its grid folds: as many as keep
+    the sealed form, u_hat keys per pair and each row's column table,
+    within half the grid. A promoted cell takes fewer bytes than the keys
+    it stands for, so a sealed window holds less than its grid. 0 where
+    the tables alone take half of it."""
+    room = u_hat * v_hat * (le_len // 16 - _TABLE_BYTES)
+    return max(0, room) // (u_hat * key_dtype(v_hat, le_len).itemsize)
+
+
+def fold_due(candidate_cells: int, log_pairs: int, u_hat: int, le_len: int, key_bytes: int) -> bool:
+    """Whether a log is better folded: the u_hat cells that stage 3 would
+    gather for each of `candidate_cells` candidates outweigh the u_hat
+    keys of each of the `log_pairs` logged pairs."""
+    return candidate_cells * u_hat * (le_len // 8) > log_pairs * u_hat * key_bytes
+
+
+def _or_keys(row: np.ndarray, keys: np.ndarray, targets, shift: int) -> None:
+    """OR the bit of each key, column << shift | bit, into the flat uint8
+    `row` at the cell that starts at its target byte (one for all keys,
+    or one per key)."""
+    bits = keys & ((1 << shift) - 1)
+    np.bitwise_or.at(row, targets + (bits >> 3), np.left_shift(1, bits & 7, dtype=np.uint8))
+
+
+def _or_runs(row, keys, starts, counts, targets, shift: int) -> None:
+    """`_or_keys` of the run keys[starts[k]:starts[k] + counts[k]] at
+    targets[k], for every k: runs are expanded together up to _KEY_CHUNK
+    keys at a time, and a longer run is read a slice at a time."""
+    ends = np.cumsum(counts)
+    k = 0
+    while k < counts.size:
+        done = int(ends[k - 1]) if k else 0
+        stop = int(np.searchsorted(ends, done + _KEY_CHUNK, side="right"))
+        if stop == k:  # run k alone is longer than a chunk
+            end = starts[k] + counts[k]
+            for lo in range(starts[k], end, _KEY_CHUNK):
+                _or_keys(row, keys[lo : min(lo + _KEY_CHUNK, end)], targets[k], shift)
+            stop = k + 1
+        else:
+            c = counts[k:stop]
+            index = np.repeat(starts[k:stop] - (ends[k:stop] - c), c) + np.arange(done, int(ends[stop - 1]))
+            _or_keys(row, keys[index], np.repeat(targets[k:stop], c), shift)
+        k = stop
+
+
 class LEArray:
-    """Dense grid of bit vectors, packed 8 bits per byte (LSB first)."""
+    """Grid of bit vectors, packed 8 bits per byte (LSB first): a log of
+    the window's keys until the window end, then a dense grid, or sorted
+    keys with promoted cells."""
 
     def __init__(self, u_hat: int, v_hat: int, le_len: int):
         """An empty grid; the geometry is as checked by DetectorParams."""
         self.u_hat = u_hat
         self.v_hat = v_hat
         self.le_len = le_len
+        # reserved, not touched: only promoted or folded cells take memory
         self.cells = np.zeros((u_hat, v_hat, le_len // 8), dtype=np.uint8)
+        self.cap = log_cap(u_hat, v_hat, le_len)
+        self._key = key_dtype(v_hat, le_len)
+        self.key_bytes = self._key.itemsize
+        self._shift = le_len.bit_length() - 1
+        #: per batch, a (u_hat + 1, n) array of the bit positions, then
+        #: each row's columns; None once the log is sealed or folded
+        self._log: list[np.ndarray] | None = []
+        self._log_type = np.min_scalar_type(max(v_hat, le_len) - 1)
+        self.log_pairs = 0
+        #: once sealed: every row's sorted keys, row after row; per row and
+        #: column, its cell in `cells` as one (u_hat * v_hat) axis, its first
+        #: key and its count of light keys; and the count of promoted cells
+        self._keys = self._table = self._promoted = None
+        self.folded = False
+
+    @property
+    def logging(self) -> bool:
+        """Whether the grid still logs its pairs: it has neither folded nor sealed."""
+        return self._log is not None
 
     def update_pairs(self, a: np.ndarray, b: np.ndarray, hs: HashSuite) -> None:
-        """Fold a batch of (source, opposite) pairs into the grid."""
+        """Fold a batch of (source, opposite) pairs into the grid: log them,
+        or write them into the dense grid once it has folded. A batch that
+        would take the log past its cap, or that comes after a seal, folds
+        the grid first."""
         if a.size == 0:
             return
+        if not self.folded and (not self.logging or self.log_pairs + a.size > self.cap):
+            deque(self.fold(), maxlen=0)
         bitpos = hs.le_bit_arr(b, self.le_len)
+        if self.logging:
+            entry = np.empty((self.u_hat + 1, a.size), self._log_type)
+            entry[0] = bitpos
+            for i in range(self.u_hat):
+                entry[i + 1] = hs.col_arr(a, i, self.v_hat)
+            self._log.append(entry)
+            self.log_pairs += a.size
+            return
         # a pair sets the same bit in every row: group the batch once
         order, groups = bit_groups(bitpos & 7)
         a = a[order]
@@ -51,6 +162,101 @@ class LEArray:
         for i in range(self.u_hat):
             col = hs.col_arr(a, i, self.v_hat)
             or_bit_groups(flat_cells[i], col * (self.le_len // 8) + byte_idx, groups)
+
+    def fold(self) -> Iterator[None]:
+        """Promote every column, one step per row: write the logged, or
+        sealed, keys into the dense grid, which then takes the window's
+        writes in place. The log is freed as it folds."""
+        flat = self.cells.reshape(self.u_hat, -1)
+        row_bytes = self.le_len // 8
+        if self._keys is not None:
+            # the promoted cells are written again, at their own columns
+            self.cells.reshape(-1)[: self._promoted * row_bytes] = 0
+            for i, keys in enumerate(np.split(self._keys, self.u_hat)):
+                for lo in range(0, keys.size, _KEY_CHUNK):
+                    part = keys[lo : lo + _KEY_CHUNK]
+                    _or_keys(flat[i], part, (part >> self._shift).astype(np.intp) * row_bytes, self._shift)
+                yield
+        while self._log:
+            entry = self._log.pop(0)
+            order, groups = bit_groups(entry[0] & 7)
+            byte_idx = entry[0][order] >> 3
+            for i in range(self.u_hat):
+                or_bit_groups(flat[i], entry[i + 1][order].astype(np.intp) * row_bytes + byte_idx, groups)
+                yield
+        self._log = self._keys = self._table = self._promoted = None
+        self.log_pairs = 0
+        self.folded = True
+
+    def seal(self) -> Iterator[None]:
+        """Close an open log without the dense grid, one step per row: sort
+        the row's keys once, and give each column with more than
+        `promote_threshold` keys the next cell from the front of the grid,
+        so that the promoted cells of every row share its first pages. A
+        folded or sealed grid, or an empty log, takes no step."""
+        log, self._log = self._log, None
+        if not log:
+            return
+        n = self.log_pairs
+        threshold = promote_threshold(self.le_len, self.key_bytes)
+        row_bytes = self.le_len // 8
+        keys = np.empty(self.u_hat * n, self._key)
+        table = np.empty((self.u_hat, self.v_hat, 3), np.intp)
+        promoted_cells = 0
+        for i in range(self.u_hat):
+            row = keys[i * n : (i + 1) * n]
+            lo = 0
+            for entry in log:
+                part = row[lo : lo + entry.shape[1]]
+                np.left_shift(entry[i + 1], self._shift, out=part, dtype=self._key)
+                part |= entry[0]
+                lo += entry.shape[1]
+            row.sort()
+            starts = np.empty(self.v_hat + 1, np.intp)
+            starts[:-1] = np.searchsorted(row, np.arange(self.v_hat, dtype=self._key) << self._shift)
+            starts[-1] = n
+            starts += i * n
+            counts = np.diff(starts)
+            promoted = np.flatnonzero(counts > threshold)
+            cells = np.arange(promoted_cells, promoted_cells + promoted.size)
+            _or_runs(self.cells.reshape(-1), keys, starts[promoted], counts[promoted],
+                     cells * row_bytes, self._shift)
+            # a light or empty column reads the grid's last cell: past every
+            # promoted one where there is such a column, so zero
+            table[i, :, 0] = self.u_hat * self.v_hat - 1
+            table[i, promoted, 0] = cells
+            table[i, :, 1] = starts[:-1]
+            counts[promoted] = 0
+            table[i, :, 2] = counts
+            promoted_cells += promoted.size
+            yield
+        self._keys, self._table, self._promoted = keys, table, promoted_cells
+        self.log_pairs = 0
+
+    def row_cells(self, i: int | range, cols) -> np.ndarray:
+        """Row i's cells at columns `cols`, as a new C-contiguous
+        (len(cols), le_len // 8) uint8 matrix; for a range i of rows, with
+        cols[k] the columns of row i[k], the AND of their cells, read in
+        one pass. An open log is sealed first, so callers on several
+        threads seal it before."""
+        rows, cols = (i, cols) if isinstance(i, range) else (range(i, i + 1), [cols])
+        if self.logging:
+            deque(self.seal(), maxlen=0)
+        if self.folded:
+            merged = np.take(self.cells[rows[0]], cols[0], axis=0)
+            for row, col in zip(rows[1:], cols[1:]):
+                merged &= np.take(self.cells[row], col, axis=0)
+            return merged
+        if self._keys is None:
+            return np.zeros((len(cols[0]), self.le_len // 8), np.uint8)
+        table = self._table[np.arange(rows.start, rows.stop)[:, None], np.asarray(cols)].reshape(-1, 3)
+        cells = np.take(self.cells.reshape(-1, self.le_len // 8), table[:, 0], axis=0)
+        light = np.flatnonzero(table[:, 2])
+        if light.size:
+            _or_runs(cells.reshape(-1), self._keys, table[light, 1], table[light, 2],
+                     light * (self.le_len // 8), self._shift)
+        cells = cells.reshape(len(rows), -1, self.le_len // 8)
+        return cells[0] if len(rows) == 1 else np.bitwise_and.reduce(cells)
 
     def candidate_columns(self, cands, hs: HashSuite) -> list[np.ndarray]:
         """Each candidate's column in each of the u_hat rows."""
@@ -62,17 +268,17 @@ class LEArray:
         as row j of a new C-contiguous (len(cols[0]), le_len // 8) uint8
         matrix.
 
-        Rows 0 and 1 are gathered for every candidate, rows 2.. only for
-        those whose AND of the first two is not all zero: the others' AND
-        is zero already."""
-        merged = np.take(self.cells[0], cols[0], axis=0)
-        if self.u_hat > 1:
-            merged &= np.take(self.cells[1], cols[1], axis=0)
+        Of a folded grid, rows 0 and 1 are read for every candidate, rows
+        2.. only for those whose AND of the first two is not all zero: the
+        others' AND is zero already. A sealed grid reads every row in one
+        pass, as its light keys cost per pass more than per key, and its
+        reads are of its few promoted cells and its zero cell."""
+        if not self.folded:
+            return self.row_cells(range(self.u_hat), cols)
+        merged = self.row_cells(range(min(2, self.u_hat)), cols[:2])
         live = np.flatnonzero(_words(merged).max(axis=1))
-        rest = merged[live]
-        for i in range(2, self.u_hat):
-            rest &= np.take(self.cells[i], cols[i][live], axis=0)
-        merged[live] = rest
+        if self.u_hat > 2:
+            merged[live] &= self.row_cells(range(2, self.u_hat), [col[live] for col in cols[2:]])
         return merged
 
 

@@ -1,11 +1,11 @@
 """Observation-node state machine and IP-pair trace I/O.
 
-A node ingests its partition of the pair stream for one window, then
-answers the three protocol stages: ship the cube as a header and a
-read-only view of its own cells, receive the candidate list, ship the
-inner-merged per-candidate estimators as a header and a block for each
-range of candidates the coordinator asks for, which any thread may
-build.
+A node ingests its partition of the pair stream for one window, ends
+the window, which folds or seals its grid's log, then answers the three
+protocol stages: ship the cube as a header and a read-only view of its
+own cells, receive the candidate list, ship the inner-merged
+per-candidate estimators as a header and a block for each range of
+candidates the coordinator asks for, which any thread may build.
 
 Trace formats: binary records of 12 bytes {a u32 BE, b u32 BE, ts u32 BE},
 or CSV lines "a,b[,ts]" in `_CSV_RECORD`'s grammar, parsed once, a fixed
@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import os
 import re
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .estimators import DetectorParams
 from .hashing import HashSuite
-from .learray import LEArray
-from .recube import RECube, RECubeConfig
+from .learray import LEArray, fold_due
+from .recube import RECube, RECubeConfig, _candidate_cells
 from . import wire
 
 
@@ -94,10 +95,31 @@ def parse_dotted(text: str) -> int:
     return int.from_bytes(bytes(map(int, text.split("."))), "big")
 
 
+#: each octet's decimal digits, left-aligned in 3 bytes padded with NULs
+_OCTET_DIGITS = np.array([list(str(i).encode().ljust(3, b"\0")) for i in range(256)], np.uint8)
+#: the place value of each of a timestamp's 10 decimal digits
+_PLACES = 10 ** np.arange(9, -1, -1, dtype=np.int64)
+
+
 def write_trace_csv(path, trace: Trace) -> None:
-    with open(path, "w") as fh:
-        for a, b, t in zip(trace.a.tolist(), trace.b.tolist(), trace.ts.tolist()):
-            fh.write(f"{dotted(a)},{dotted(b)},{t}\n")
+    """Write "a,b,ts" lines, `dotted` addresses and a decimal timestamp.
+    Each BATCH_RECORDS records' text is a fixed-width byte matrix of the
+    fields, NUL where a field is short, whose NULs are dropped."""
+    with open(path, "wb") as fh:
+        for lo in range(0, len(trace), BATCH_RECORDS):
+            part = trace.take(slice(lo, lo + BATCH_RECORDS))
+            text = np.empty((len(part), 43), np.uint8)
+            for offset, address in ((0, part.a), (16, part.b)):
+                for k in range(4):
+                    octet = address >> (24 - 8 * k) & 255
+                    text[:, offset + 4 * k : offset + 4 * k + 3] = _OCTET_DIGITS[octet]
+                    text[:, offset + 4 * k + 3] = ord("." if k < 3 else ",")
+            ts = part.ts.astype(np.int64)[:, None]
+            digits = ts // _PLACES % 10 + ord("0")
+            digits[:, :-1] *= ts >= _PLACES[:-1]  # no leading zeros; 0 is "0"
+            text[:, 32:42] = digits
+            text[:, 42] = ord("\n")
+            fh.write(text[text != 0].tobytes())
 
 
 def read_trace(path, start: int = 0, stop: int | None = None):
@@ -226,11 +248,34 @@ class ObservationNode:
         self.pairs_scanned = 0
 
     def scan_window(self, trace: Trace) -> tuple[RECube, LEArray]:
-        """Fold one window's pair stream into the sketches."""
+        """Fold one window's pair stream into the sketches. Each time a
+        batch would double the grid's log, from BATCH_RECORDS pairs on,
+        the grid folds first if the fold rule says so, and the batch is
+        written into it."""
         self.rec.update_pairs(trace.a, trace.b, self.params.tau, self.hs)
+        logged = self.lea.log_pairs
+        doubled = ((logged + len(trace)) // BATCH_RECORDS).bit_length() > (logged // BATCH_RECORDS).bit_length()
+        if self.lea.logging and doubled and self._fold_due(logged + len(trace)):
+            deque(self.lea.fold(), maxlen=0)
         self.lea.update_pairs(trace.a, trace.b, self.hs)
         self.pairs_scanned += len(trace)
         return self.rec, self.lea
+
+    def end_window(self) -> Iterator[None]:
+        """The window-end step, after the last scan: fold the grid if the
+        fold rule says so, else seal its log, one step per grid row. An
+        empty log skips the rule and the sort; a folded grid takes no step."""
+        if self.lea.log_pairs and self._fold_due(self.lea.log_pairs):
+            yield from self.lea.fold()
+        else:
+            yield from self.lea.seal()
+
+    def _fold_due(self, pairs: int) -> bool:
+        """`learray.fold_due` of a log of `pairs` pairs, with this node's
+        cube's most >= 3-bit cells in a row as its candidates."""
+        cells = max(k.size for k, _, _ in _candidate_cells(self.rec))
+        lea = self.lea
+        return fold_due(cells, pairs, lea.u_hat, lea.le_len, lea.key_bytes)
 
     def stage1_payload(self) -> tuple[bytes, memoryview]:
         """The header, then a read-only view of the cube's cells: the next scan changes it."""
@@ -242,7 +287,9 @@ class ObservationNode:
         in the given order: its header, and a builder. build(lo, hi) returns
         a new block of the records of candidates lo..hi-1; calls share no
         state, so any thread may build any range. The header, then the
-        blocks of consecutive ranges from 0 to w, are the whole payload."""
+        blocks of consecutive ranges from 0 to w, are the whole payload.
+        A window that `end_window` has not ended yet is ended first."""
+        deque(self.end_window(), maxlen=0)
         candidates = np.asarray(candidates, dtype=np.uint32)
         header = wire.stage3_header(self.node_id, self.window_id, candidates.size, self.params.le_len)
         cols = self.lea.candidate_columns(candidates, self.hs)  # hashed once per payload

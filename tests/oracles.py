@@ -79,6 +79,13 @@ def bits_of(cell: np.ndarray) -> int:
     return int.from_bytes(cell.tobytes(), "little")
 
 
+def dense_cells(lea: LEArray) -> np.ndarray:
+    """A grid's (u_hat, v_hat, le_len // 8) cells, whether it is logged,
+    sealed or folded, read through its per-row primitive."""
+    every = np.arange(lea.v_hat)
+    return np.stack([lea.row_cells(i, every) for i in range(lea.u_hat)])
+
+
 def same_sketch(x: RECube | LEArray, y: RECube | LEArray) -> bool:
     """Two cubes, or two grids, with the same geometry and the same cells."""
 
@@ -87,7 +94,10 @@ def same_sketch(x: RECube | LEArray, y: RECube | LEArray) -> bool:
             return sketch.config
         return sketch.u_hat, sketch.v_hat, sketch.le_len
 
-    return type(x) is type(y) and geometry(x) == geometry(y) and np.array_equal(x.cells, y.cells)
+    def cells(sketch):
+        return sketch.cells if isinstance(sketch, RECube) else dense_cells(sketch)
+
+    return type(x) is type(y) and geometry(x) == geometry(y) and np.array_equal(cells(x), cells(y))
 
 
 def and_of_rows(lea: LEArray, cands, hs: HashSuite, rows: int | None = None) -> np.ndarray:
@@ -97,8 +107,21 @@ def and_of_rows(lea: LEArray, cands, hs: HashSuite, rows: int | None = None) -> 
     cands = np.asarray(cands, np.uint32)
     merged = np.full((cands.size, lea.le_len // 8), 0xFF, np.uint8)
     for i in range(lea.u_hat if rows is None else rows):
-        merged &= lea.cells[i][hs.col_arr(cands, i, lea.v_hat)]
+        merged &= lea.row_cells(i, hs.col_arr(cands, i, lea.v_hat))
     return merged
+
+
+def dense_replay(batches, u_hat: int, v_hat: int, le_len: int, hs: HashSuite) -> np.ndarray:
+    """The (u_hat, v_hat, le_len // 8) cells of a grid that took the (a, b)
+    `batches`, each pair's bit ORed into its cell of every row one write
+    at a time."""
+    cells = np.zeros((u_hat, v_hat * (le_len // 8)), np.uint8)
+    for a, b in batches:
+        bit = hs.le_bit_arr(np.asarray(b, np.uint32), le_len)
+        for i in range(u_hat):
+            col = hs.col_arr(np.asarray(a, np.uint32), i, v_hat)
+            np.bitwise_or.at(cells[i], col * (le_len // 8) + (bit >> 3), (1 << (bit & 7)).astype(np.uint8))
+    return cells.reshape(u_hat, v_hat, le_len // 8)
 
 
 # -- the CSV trace grammar, one line at a time ----------------------------------

@@ -7,6 +7,7 @@ recorded but never fails the suite.
 
 import math
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -238,8 +239,10 @@ def test_criterion_8_throughput_informational():
     node = ObservationNode(0, PARAMS, SCALED_CUBE, master_seed=5)
     from superpoint.node import Trace
 
+    # the scan only logs the grid's keys; the window-end step writes them
     start = time.perf_counter()
     node.scan_window(Trace(trace_a, trace_b))
+    deque(node.end_window(), maxlen=0)
     elapsed = time.perf_counter() - start
     rate = n / elapsed
     ok = rate >= 5e6

@@ -498,6 +498,19 @@ def test_run_report_golden_digest(tmp_path, capsys, name, digest):
 
 MULTI_WINDOW_RUN_CONF = RUN_CONF.replace("theta = 256", "theta = 64") + "window_seconds = 60\n"
 
+#: GEN_SPEC with ten times the background, run at the default geometry: at
+#: the default batch size every node seals its grid's log (three nodes with
+#: light columns only, one node over the three files with two promoted
+#: columns a row); at 64 records a batch, the fold rule's early checks
+#: fold them
+SPARSE_SPEC = GEN_SPEC.replace("background_hosts = 300", "background_hosts = 3000")
+SPARSE_RUN_CONF = "theta = 256\nnodes = 3\n"
+#: recorded with the dense grid of every earlier version
+SPARSE_DIGESTS = {
+    "read": "8401c541fc334d7b58be7d0a2870b950274fb66c9d550f65d0121f67dcc47de1",
+    "nodes1": "c339d4b7ea59835793e19f539dfb5710963002a4be519ef6c43e4f4dfb3ea1cf",
+}
+
 
 def _write_timestamped_traces(out_dir, fmt="bin"):
     """Three node files over four 60 s windows; node 2 sees no pair in
@@ -618,8 +631,9 @@ def test_run_output_does_not_depend_on_thread_count(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr(threading, "Thread", thread)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-    spec = _write(tmp_path / "trace.conf", DENSE_SPEC)
-    assert main(["gen", "--spec", spec, "--out", str(tmp_path / "dense")]) == 0
+    for name, text in (("dense", DENSE_SPEC), ("sparse", SPARSE_SPEC)):
+        spec = _write(tmp_path / "trace.conf", text)
+        assert main(["gen", "--spec", spec, "--out", str(tmp_path / name)]) == 0
     for fmt in ("bin", "csv"):
         _write_timestamped_traces(tmp_path / fmt, fmt)
     for batch in (node.BATCH_RECORDS, 64):
@@ -632,8 +646,10 @@ def test_run_output_does_not_depend_on_thread_count(tmp_path, capsys, monkeypatc
             for fmt in ("bin", "csv"):
                 digest = _run_digest(tmp_path, MULTI_WINDOW_RUN_CONF, tmp_path / fmt, *flags)
                 assert digest == MULTI_WINDOW_DIGESTS[name], (batch, fmt)
-            # one dense window and four windows of each format
-            assert len(started) == 9 * (min(3, cpus) - 1 if allowed else 0)
+            digest = _run_digest(tmp_path, SPARSE_RUN_CONF, tmp_path / "sparse", *flags)
+            assert digest == SPARSE_DIGESTS[name], batch
+            # one dense window, four windows of each format and one sparse window
+            assert len(started) == 10 * (min(3, cpus) - 1 if allowed else 0)
     capsys.readouterr()
 
 
@@ -690,6 +706,9 @@ def test_scan_nodes_starts_each_node_once_per_window(monkeypatch):
 
         def reset_window(self, window_id):
             self.windows.append(window_id)
+
+        def end_window(self):
+            return iter(())
 
     nodes = [Node() for _ in range(256)]
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 16)
@@ -859,6 +878,27 @@ def test_run_ingest_memory_does_not_grow_with_trace(tmp_path):
         del a, b
         peak[pairs] = _run_peak_rss_mb(trace_dir)
     assert peak[3_000_000] - peak[750_000] < 40, peak
+
+
+def test_a_sparse_window_peaks_far_below_its_grid(tmp_path):
+    # one node at the default geometry over 300k random pairs: no cell of
+    # its cube becomes a candidate, so its grid seals; the run holds the
+    # pairs' keys, about 20 MB here, where every window used to touch the
+    # 320 MiB grid
+    cfg = RunConfig()
+    grid_mb = DetectorParams(theta=cfg.theta, le_len=cfg.le_len, u_hat=cfg.u_hat, v_hat=cfg.v_hat).lea_bytes / 2**20
+    conf = _write(tmp_path / "run.conf", "nodes = 1\n")
+    peak = {}
+    for pairs in (0, 300_000):
+        trace_dir = tmp_path / f"pairs_{pairs}"
+        trace_dir.mkdir()
+        a, b = np.random.default_rng(3).integers(0, 2**32, (2, pairs), dtype=np.uint32)
+        write_trace_binary(trace_dir / "node_000.bin", Trace(a, b))
+        probe = _run_probe(_RSS_PROBE, "run", "--config", conf, "--trace-dir", str(trace_dir))
+        code, maxrss_kb = probe.stdout.split()[-2:]
+        assert code == "0", probe.stdout + probe.stderr
+        peak[pairs] = int(maxrss_kb) / 1024
+    assert peak[300_000] - peak[0] < grid_mb / 8, peak
 
 
 def test_run_csv_memory_does_not_grow_with_line_length(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bits_of, le_sketch, lsb, rand32, re_slot, rec_merge_outer, same_sketch
+from oracles import bits_of, dense_cells, le_sketch, lsb, rand32, re_slot, rec_merge_outer, same_sketch
 
 from superpoint.estimators import (
     CANDIDATE_BITS,
@@ -224,8 +224,8 @@ def test_re_merge_equals_union_stream(xs, ys):
 @settings(max_examples=50, deadline=None)
 @given(host_lists, host_lists)
 def test_le_merge_equals_union_stream(xs, ys):
-    merged = _grid(xs).cells | _grid(ys).cells
-    assert np.array_equal(merged, _grid(xs + ys).cells)
+    merged = dense_cells(_grid(xs)) | dense_cells(_grid(ys))
+    assert np.array_equal(merged, dense_cells(_grid(xs + ys)))
     assert bits_of(merged[0, 0]) == le_sketch(HS, xs + ys, 64)
 
 

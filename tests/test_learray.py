@@ -1,13 +1,25 @@
 import math
 import tracemalloc
+from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import bits_of, check_theorem1_instance, col, le_sketch
+from hypothesis import example, given, settings, strategies as st
+from oracles import bits_of, check_theorem1_instance, col, dense_cells, dense_replay, le_sketch
 
 from superpoint.estimators import DetectorParams, linear_count
+from superpoint import learray
 from superpoint.hashing import HashSuite
-from superpoint.learray import LEArray, estimate_candidates, popcounts
+from superpoint.learray import (
+    LEArray,
+    estimate_candidates,
+    fold_due,
+    key_dtype,
+    log_cap,
+    popcounts,
+    promote_threshold,
+)
 
 HS = HashSuite(0xBEEF)
 
@@ -37,19 +49,20 @@ def test_update_touches_one_cell_per_row():
     lea.update_pairs(
         np.array([0xAB], np.uint32), np.array([7], np.uint32), HS
     )
-    touched = np.argwhere(lea.cells.any(axis=2))
+    cells = dense_cells(lea)
+    touched = np.argwhere(cells.any(axis=2))
     assert len(touched) == 3
     for i, j in touched.tolist():
         assert j == col(HS, 0xAB, i, 16)
-        assert bits_of(lea.cells[i, j]).bit_count() == 1
+        assert bits_of(lea.row_cells(i, np.array([j]))[0]).bit_count() == 1
 
 
 def test_update_idempotent():
     lea = LEArray(2, 8, 64)
     lea.update_pairs(np.array([1, 1], np.uint32), np.array([2, 2], np.uint32), HS)
-    snap = lea.cells.copy()
+    snap = dense_cells(lea)
     lea.update_pairs(np.array([1], np.uint32), np.array([2], np.uint32), HS)
-    assert np.array_equal(lea.cells, snap)
+    assert np.array_equal(dense_cells(lea), snap)
 
 
 def test_update_matches_scalar_replay():
@@ -67,9 +80,10 @@ def test_update_matches_scalar_replay():
             key = (i, col(HS, av, i, 8))
             oracle[key] = oracle.get(key, 0) | le_sketch(HS, [bv], 64)
 
+    cells = dense_cells(lea)
     for i in range(2):
         for j in range(8):
-            assert bits_of(lea.cells[i, j]) == oracle.get((i, j), 0)
+            assert bits_of(cells[i, j]) == oracle.get((i, j), 0)
 
 
 def _extract_one(lea: LEArray, c: int) -> int:
@@ -99,7 +113,7 @@ def test_extract_candidate_single_row_is_cell():
     b = rng.integers(0, 2**16, 500, dtype=np.uint32)
     lea.update_pairs(a, b, HS)
     c = int(a[0])
-    assert _extract_one(lea, c) == bits_of(lea.cells[0, col(HS, c, 0, 8)])
+    assert _extract_one(lea, c) == bits_of(lea.row_cells(0, np.array([col(HS, c, 0, 8)]))[0])
 
 
 def test_extract_candidate_alone_equals_exclusive():
@@ -148,7 +162,7 @@ def test_grid_merge_equals_union_stream():
     left.update_pairs(a[:1700], b[:1700], HS)
     right.update_pairs(a[1700:], b[1700:], HS)
     # the cell-wise OR of two grids is the grid of their union
-    assert np.array_equal(left.cells | right.cells, whole.cells)
+    assert np.array_equal(dense_cells(left) | dense_cells(right), dense_cells(whole))
 
 
 def test_extract_candidates_matches_one_at_a_time():
@@ -158,11 +172,12 @@ def test_extract_candidates_matches_one_at_a_time():
     lea.update_pairs(a, rng.integers(0, 2**32, 5000, dtype=np.uint32), HS)
     cands = np.concatenate([a[:50], rng.integers(0, 2**32, 20, dtype=np.uint32)])
     rows = extract(lea, cands, HS)
+    cells = dense_cells(lea)
     for c, row in zip(cands.tolist(), rows):
         # scalar oracle: AND of the candidate's row cells
-        want = bits_of(lea.cells[0, col(HS, c, 0, 32)])
+        want = bits_of(cells[0, col(HS, c, 0, 32)])
         for i in range(1, 3):
-            want &= bits_of(lea.cells[i, col(HS, c, i, 32)])
+            want &= bits_of(cells[i, col(HS, c, i, 32)])
         assert bits_of(row) == want
 
 
@@ -252,3 +267,107 @@ def test_theorem1_randomized_instances():
     rng = np.random.default_rng(14)
     for _ in range(100):
         check_theorem1_instance(rng)
+
+
+# -- the sparse-first grid -------------------------------------------------------
+
+
+def test_fold_rule_cap_and_promotion_threshold():
+    # the default geometry: 4-byte keys, so a column keeps le_len / 32
+    # keys; one more would take more bytes than its 2 KiB cell
+    assert key_dtype(2**15, 2**14) == np.uint32
+    assert promote_threshold(2**14, 4) == 512
+    assert promote_threshold(1024, 2) == 64
+    # the cap's sealed keys and the rows' column tables fit in half the
+    # grid, and one more pair's keys would not
+    lea_bytes, tables = 5 * 2**15 * 2**11, 5 * 2**15 * 24
+    cap = log_cap(5, 2**15, 2**14)
+    assert cap * 5 * 4 + tables <= lea_bytes // 2 < (cap + 1) * 5 * 4 + tables
+    assert cap == 8_192_000
+    # where the tables alone take half the grid, the first pair folds it
+    assert log_cap(3, 16, 64) == 0
+    assert LEArray(3, 16, 64).cap == 0
+    # fold once the candidates' u_hat cells outweigh the logged keys
+    assert not fold_due(21, 790_000, 5, 2**14, 4)
+    assert fold_due(9830, 1 << 16, 5, 2**14, 4)
+    assert not fold_due(128, 1 << 16, 5, 2**14, 4)  # equal bytes: the keys stay
+    assert fold_due(129, 1 << 16, 5, 2**14, 4)
+    assert not fold_due(0, 0, 5, 2**14, 4)
+
+
+def test_a_sealed_column_is_promoted_past_its_threshold():
+    # at (2, 64, 1024) a key is 2 bytes and a cell 128: a column keeps up
+    # to 64 keys, and the 65th gets it a cell; a source's pairs all land in
+    # its own columns
+    lea = LEArray(2, 64, 1024)
+    heavy, light = 0x0A000001, 0x0A000002
+    assert all(col(HS, heavy, i, 64) != col(HS, light, i, 64) for i in range(2))
+    for source, pairs in ((heavy, 65), (light, 64)):
+        lea.update_pairs(np.full(pairs, source, np.uint32), np.arange(pairs, dtype=np.uint32), HS)
+    deque(lea.seal(), maxlen=0)
+    assert not lea.folded and lea._promoted == 2
+    for source, pairs in ((heavy, 65), (light, 64)):
+        assert _extract_one(lea, source) == le_sketch(HS, range(pairs), 1024)
+
+
+#: geometries (u_hat, v_hat, le_len): ones that seal, whose columns keep up
+#: to 64, 64 and 32 keys and whose logs fold past 1280, 320 and 128 pairs,
+#: and one whose tables take half its grid, so that it folds at its first pair
+GEOMETRIES = [(3, 64, 1024), (2, 16, 1024), (4, 32, 512), (3, 16, 64)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    geometry=st.sampled_from(GEOMETRIES),
+    sizes=st.lists(st.integers(0, 600), max_size=5),
+    fold_after=st.integers(0, 5),
+    more=st.integers(0, 300),
+    cuts=st.lists(st.integers(0, 60), max_size=4),
+    chunk=st.sampled_from([7, learray._KEY_CHUNK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# sealed with light and promoted columns; folded after its first batch;
+# past its cap of 1280 pairs; sealed, then scanned again
+@example(geometry=GEOMETRIES[0], sizes=[600, 300], fold_after=5, more=0, cuts=[], chunk=7, seed=1)
+@example(geometry=GEOMETRIES[0], sizes=[300, 300], fold_after=0, more=100, cuts=[10], chunk=7, seed=2)
+@example(geometry=GEOMETRIES[0], sizes=[600, 600, 600], fold_after=5, more=0, cuts=[], chunk=7, seed=3)
+@example(geometry=GEOMETRIES[2], sizes=[600], fold_after=5, more=200, cuts=[5, 20], chunk=7, seed=4)
+def test_sparse_grid_reads_as_its_dense_replay(geometry, sizes, fold_after, more, cuts, chunk, seed):
+    # whether the grid stays a log, seals with light and promoted columns,
+    # folds after any batch or at its cap, or is scanned again after a
+    # read, its cells and the blocks of any candidates, repeats and
+    # unseen ones among them, are the bytes of a grid that took every
+    # pair one write at a time; with 7-key chunks, runs of keys are read
+    # a slice at a time
+    with mock.patch.object(learray, "_KEY_CHUNK", chunk):
+        _check_sparse_grid(geometry, sizes, fold_after, more, cuts, seed)
+
+
+def _check_sparse_grid(geometry, sizes, fold_after, more, cuts, seed):
+    u_hat, v_hat, le_len = geometry
+    rng = np.random.default_rng(seed)
+    heavy = rng.integers(0, 2**32, 3, dtype=np.uint32)  # many pairs each: promoted columns
+
+    def batch(n):
+        a = np.where(rng.random(n) < 0.5, rng.choice(heavy, n), rng.integers(0, 2**32, n, dtype=np.uint32))
+        return a.astype(np.uint32), rng.integers(0, 2**32, n, dtype=np.uint32)
+
+    lea, batches = LEArray(u_hat, v_hat, le_len), []
+    for k, n in enumerate(sizes):
+        batches.append(batch(n))
+        lea.update_pairs(*batches[-1], HS)
+        if k == fold_after:
+            deque(lea.fold(), maxlen=0)
+    seen = np.concatenate([heavy] + [a for a, _ in batches])
+    for scan in range(2):
+        cands = np.concatenate([rng.choice(seen, 30), rng.integers(0, 2**32, 10, dtype=np.uint32)])
+        want = dense_replay(batches, u_hat, v_hat, le_len, HS)
+        merged = np.bitwise_and.reduce([want[i][HS.col_arr(cands, i, v_hat)] for i in range(u_hat)])
+        cols = lea.candidate_columns(cands, HS)
+        bounds = [0, *sorted(min(cut, cands.size) for cut in cuts), cands.size]
+        blocks = [lea.extract_candidates([col[lo:hi] for col in cols]) for lo, hi in zip(bounds, bounds[1:])]
+        assert np.concatenate(blocks).tobytes() == merged.tobytes()
+        assert dense_cells(lea).tobytes() == want.tobytes()
+        # scanned again after a read: a sealed grid folds and takes the pairs
+        batches.append(batch(more))
+        lea.update_pairs(*batches[-1], HS)

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,8 @@ from oracles import (
     col,
     csv_records,
     decode_stage3,
+    dense_cells,
+    dense_replay,
     encode_stage1,
     encode_stage3,
     same_sketch,
@@ -146,6 +149,21 @@ def test_csv_trace_round_trip(tmp_path):
     assert np.array_equal(got.a, t.a)
     assert np.array_equal(got.b, t.b)
     assert np.array_equal(got.ts, t.ts)
+
+
+def test_csv_writer_writes_the_line_format(tmp_path, monkeypatch):
+    # chunks of 7 records, the last one partial: every record is the line
+    # "a,b,ts" of its dotted addresses and its decimal timestamp
+    monkeypatch.setattr(node_module, "BATCH_RECORDS", 7)
+    rng = np.random.default_rng(8)
+    edges = np.array([0, 1, 9, 10, 99, 100, 255, 256, 10**9 - 1, 10**9, 2**32 - 1], np.uint32)
+    a, b, ts = (rng.permutation(np.concatenate([edges, rng.integers(0, 2**32, 40, dtype=np.uint32)])) for _ in range(3))
+    path = tmp_path / "t.csv"
+    write_trace_csv(path, Trace(a, b, ts))
+    lines = [f"{dotted(x)},{dotted(y)},{t}\n" for x, y, t in zip(a.tolist(), b.tolist(), ts.tolist())]
+    assert path.read_text() == "".join(lines)
+    write_trace_csv(path, Trace([], []))
+    assert path.read_bytes() == b""
 
 
 def test_csv_trace_skips_malformed_lines(tmp_path, monkeypatch):
@@ -332,7 +350,7 @@ def test_empty_window_produces_zero_sketches():
     node = _node()
     rec, lea = node.scan_window(_random_trace(0, 0))
     assert not rec.cells.any()
-    assert not lea.cells.any()
+    assert not dense_cells(lea).any()
     assert node.pairs_scanned == 0
 
 
@@ -454,8 +472,9 @@ def test_stage3_payload_is_the_reference_encoding(le_len, w):
     candidates = rng.permutation(np.concatenate([pool, unseen]))[:w]
     # scalar oracle: AND of each candidate's row cells, then copied record by record
     sketches = np.zeros((w, le_len // 8), np.uint8)
+    grid = dense_cells(node.lea)
     for row, c in zip(sketches, candidates.tolist()):
-        cells = [node.lea.cells[i, col(node.hs, c, i, 64)] for i in range(3)]
+        cells = [grid[i, col(node.hs, c, i, 64)] for i in range(3)]
         row[:] = np.bitwise_and.reduce(cells)
     want = encode_stage3(4, 2, candidates, sketches, le_len)
     # the header, then blocks of whole records; a block stays valid after
@@ -480,6 +499,7 @@ def _fated_node(u_hat, le_len, fates, seed):
     reference sees the collisions too."""
     params = DetectorParams(theta=64, le_len=le_len, u_hat=u_hat, v_hat=4096)
     node = ObservationNode(6, params, CFG, master_seed=seed)
+    deque(node.lea.fold(), maxlen=0)  # a dense grid, written in place below
     rng = np.random.default_rng(seed)
     candidates = rng.choice(2**32, len(fates), replace=False).astype(np.uint32)
     cols = [node.hs.col_arr(candidates, i, 4096) for i in range(u_hat)]
@@ -521,14 +541,13 @@ def test_stage3_payload_is_the_and_of_every_row(u_hat, le_len, fates, cuts, seed
     w = len(fates)
     cuts = sorted(min(cut, w) for cut in cuts)
     gathered = []
-    take = np.take
+    row_cells = node.lea.row_cells
 
-    def counting_take(a, indices, *args, **kwargs):
-        if a.base is node.lea.cells:
-            gathered.append(np.size(indices))
-        return take(a, indices, *args, **kwargs)
+    def counting_row_cells(i, cols):
+        gathered.append(np.size(cols))
+        return row_cells(i, cols)
 
-    with mock.patch.object(np, "take", counting_take):
+    with mock.patch.object(node.lea, "row_cells", counting_row_cells):
         chunks = _chunks(node, candidates, cuts)
     want = and_of_rows(node.lea, candidates, node.hs)
     assert b"".join(chunks) == encode_stage3(6, 0, candidates, want, le_len)
@@ -548,6 +567,7 @@ def test_stage3_payload_is_gathered_in_place():
     params = DetectorParams(theta=64, le_len=4096, u_hat=5, v_hat=1024)
     node = ObservationNode(0, params, CFG, master_seed=3)
     node.scan_window(_random_trace(20_000, 11))
+    deque(node.end_window(), maxlen=0)  # as the scan pool does, before stage 3
     w = 40_000
     candidates = np.random.default_rng(12).integers(0, 2**32, w, dtype=np.uint32)
     rows = 1024  # a 512 KiB block of 4096-bit sketches
@@ -586,6 +606,28 @@ def test_largest_node_id_is_accepted():
     node = ObservationNode(0xFFFE, PARAMS, CFG, master_seed=1)
     header, _ = wire.decode_stage1(*node.stage1_payload())
     assert header.node_id == 0xFFFE
+
+
+@pytest.mark.parametrize("theta", [64, 2**20], ids=["burst", "sparse"])
+def test_window_end_folds_a_candidate_burst_and_seals_the_rest(theta):
+    # 2 KiB cells, 3 rows: one batch of BATCH_RECORDS random pairs at
+    # theta = 64 fills the small cube with >= 3-bit cells, whose gathers
+    # outweigh the batch's keys, so the grid folds before it logs the
+    # batch; at theta = 2^20 no cell qualifies, the batch is logged and
+    # the window end seals it, one step per row. An empty window takes
+    # no step. The sketches are the same either way.
+    params = DetectorParams(theta=theta, le_len=2**14, u_hat=3, v_hat=1024)
+    trace = _random_trace(node_module.BATCH_RECORDS, 16)
+    node = ObservationNode(0, params, CFG, master_seed=5)
+    assert list(node.end_window()) == []
+    node.reset_window(0)
+    node.scan_window(trace)
+    burst = theta == 64
+    assert (node.lea.folded, node.lea.log_pairs) == ((True, 0) if burst else (False, len(trace)))
+    assert len(list(node.end_window())) == (0 if burst else 3)
+    assert node.lea.folded == burst and not node.lea.logging
+    replay = dense_replay([(trace.a, trace.b)], 3, 1024, 2**14, node.hs)
+    assert dense_cells(node.lea).tobytes() == replay.tobytes()
 
 
 def test_reset_window_clears_state():
