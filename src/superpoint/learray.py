@@ -6,7 +6,7 @@ cells. At the end of a window a candidate's per-node sketch is the AND
 of its row cells (collision bits rarely survive all rows), and the
 global sketch is the OR of the per-node ANDs, which the coordinator
 takes. A node gathers the sketches of whichever range of candidates it
-is asked for, ANDing rows in a contiguous matrix. On a dense grid, a
+is asked for, ANDing rows in a contiguous matrix. On a folded grid, a
 candidate whose AND is all zero after its first two rows, as the cube's
 phantom candidates mostly are, costs two row gathers, not u_hat: an
 all-zero AND stays zero. Popcounts and the linear-count estimates
@@ -15,13 +15,17 @@ finish the window.
 The grid is sparse first, as HyperLogLog++'s registers are (Heule,
 Nunkesser and Hall, "HyperLogLog in Practice", EDBT 2013). A window's
 scan only logs each pair's bit position and its u_hat columns. At the
-window end the log is either folded, written into the dense grid, which
-then takes the rest of the window's writes in place, or sealed: each
-row's keys, column << log2(le_len) | bit, are sorted once, and a column
-whose keys would take more bytes than its cell is promoted to a cell
-taken from the front of the grid, while the other, light, columns keep
-their keys. A log that reaches its cap folds. The grid is reserved whole
-but left untouched, so only promoted or folded cells take memory.
+window end the log is either folded, written into cells, which then
+take the rest of the window's writes in place, or sealed: each row's
+keys, column << log2(le_len) | bit, are sorted once, and a column whose
+keys would take more bytes than its cell is promoted to a cell, while
+the other, light, columns keep their keys. A log that reaches its cap
+folds. Each row maps its columns to their cells: a column gets the next
+cell from the front of the grid when it is promoted, or on its first
+write once the grid has folded, and a column without one reads a zero
+cell. The grid is reserved whole but left untouched, so a folded window
+holds one cell per written (row, column), a sealed one a cell per
+promoted column.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .hashing import HashSuite
 #: keys a seal, a fold or a light gather expands at a time
 _KEY_CHUNK = 1 << 16
 
-#: the bytes of a column's entry in a sealed row's table
+#: the bytes of a column's entries in a sealed row's map and runs
 _TABLE_BYTES = 3 * np.dtype(np.intp).itemsize
 
 
@@ -106,16 +110,21 @@ def _or_runs(row, keys, starts, counts, targets, shift: int) -> None:
 
 class LEArray:
     """Grid of bit vectors, packed 8 bits per byte (LSB first): a log of
-    the window's keys until the window end, then a dense grid, or sorted
-    keys with promoted cells."""
+    the window's keys until the window end, then a cell per written
+    column, or sorted keys with promoted cells."""
 
     def __init__(self, u_hat: int, v_hat: int, le_len: int):
         """An empty grid; the geometry is as checked by DetectorParams."""
         self.u_hat = u_hat
         self.v_hat = v_hat
         self.le_len = le_len
-        # reserved, not touched: only promoted or folded cells take memory
-        self.cells = np.zeros((u_hat, v_hat, le_len // 8), dtype=np.uint8)
+        # reserved, not touched: only the cells handed out take memory; the
+        # first is never handed out, so it reads zero
+        self.cells = np.zeros((u_hat * v_hat + 1, le_len // 8), dtype=np.uint8)
+        #: per row and column, its cell in `cells`: 0, the zero cell, for none
+        self._map = np.zeros((u_hat, v_hat), np.intp)
+        #: the cells handed out, from the front of `cells`
+        self._promoted = 0
         self.cap = log_cap(u_hat, v_hat, le_len)
         self._key = key_dtype(v_hat, le_len)
         self.key_bytes = self._key.itemsize
@@ -125,10 +134,10 @@ class LEArray:
         self._log: list[np.ndarray] | None = []
         self._log_type = np.min_scalar_type(max(v_hat, le_len) - 1)
         self.log_pairs = 0
-        #: once sealed: every row's sorted keys, row after row; per row and
-        #: column, its cell in `cells` as one (u_hat * v_hat) axis, its first
-        #: key and its count of light keys; and the count of promoted cells
-        self._keys = self._table = self._promoted = None
+        #: once sealed, until it folds: every row's sorted keys, row after
+        #: row, and per row and column its first key and its count of
+        #: light keys
+        self._keys = self._runs = None
         self.folded = False
 
     @property
@@ -138,7 +147,7 @@ class LEArray:
 
     def update_pairs(self, a: np.ndarray, b: np.ndarray, hs: HashSuite) -> None:
         """Fold a batch of (source, opposite) pairs into the grid: log them,
-        or write them into the dense grid once it has folded. A batch that
+        or write them into their cells once it has folded. A batch that
         would take the log past its cap, or that comes after a seal, folds
         the grid first."""
         if a.size == 0:
@@ -158,38 +167,68 @@ class LEArray:
         order, groups = bit_groups(bitpos & 7)
         a = a[order]
         byte_idx = bitpos[order] >> 3
-        flat_cells = self.cells.reshape(self.u_hat, -1)
         for i in range(self.u_hat):
-            col = hs.col_arr(a, i, self.v_hat)
-            or_bit_groups(flat_cells[i], col * (self.le_len // 8) + byte_idx, groups)
+            self._or_bits(i, hs.col_arr(a, i, self.v_hat), byte_idx, groups)
+
+    def _or_bits(self, i: int, cols: np.ndarray, byte_idx: np.ndarray, groups) -> None:
+        """`or_bit_groups` of row i's writes at `cols`, in `bit_groups`
+        order, each at its cell's byte `byte_idx`."""
+        # in place: one more batch-sized temporary let the allocator trim
+        # the heap's top and fault it in again, about 200 faults a call
+        index = self.cells_of(i, cols)
+        index *= self.le_len // 8
+        index += byte_idx
+        or_bit_groups(self.cells.reshape(-1), index, groups)
+
+    def cells_of(self, i: int, cols: np.ndarray) -> np.ndarray:
+        """The cells of row i's columns `cols` in a folded grid, as indices
+        into `cells`: the columns without one take the next cells, in
+        column order."""
+        row = self._map[i]
+        cells = np.take(row, cols)
+        new = cells == 0
+        if new.any():
+            fresh = np.zeros(self.v_hat, bool)
+            fresh[cols[new]] = True
+            fresh = np.flatnonzero(fresh)
+            row[fresh] = self._hand_out(fresh.size)
+            cells = np.take(row, cols)
+        return cells
+
+    def _hand_out(self, k: int) -> np.ndarray:
+        """The next k cells from the front of `cells`, past the zero cell."""
+        self._promoted += k
+        return np.arange(self._promoted - k + 1, self._promoted + 1)
 
     def fold(self) -> Iterator[None]:
-        """Promote every column, one step per row: write the logged, or
-        sealed, keys into the dense grid, which then takes the window's
-        writes in place. The log is freed as it folds."""
-        flat = self.cells.reshape(self.u_hat, -1)
-        row_bytes = self.le_len // 8
+        """Give every written column a cell, one step per row: write the
+        logged keys, or a sealed grid's light keys, into their columns'
+        cells, which then take the window's writes in place. The log is
+        freed as it folds. A folded grid takes no step."""
+        if self.folded:
+            return
         if self._keys is not None:
-            # the promoted cells are written again, at their own columns
-            self.cells.reshape(-1)[: self._promoted * row_bytes] = 0
-            for i, keys in enumerate(np.split(self._keys, self.u_hat)):
-                for lo in range(0, keys.size, _KEY_CHUNK):
-                    part = keys[lo : lo + _KEY_CHUNK]
-                    _or_keys(flat[i], part, (part >> self._shift).astype(np.intp) * row_bytes, self._shift)
+            row_bytes = self.le_len // 8
+            for row, runs in zip(self._map, self._runs):
+                light = np.flatnonzero(runs[:, 1])
+                cells = self._hand_out(light.size)
+                _or_runs(self.cells.reshape(-1), self._keys, runs[light, 0], runs[light, 1],
+                         cells * row_bytes, self._shift)
+                row[light] = cells
                 yield
         while self._log:
             entry = self._log.pop(0)
             order, groups = bit_groups(entry[0] & 7)
             byte_idx = entry[0][order] >> 3
             for i in range(self.u_hat):
-                or_bit_groups(flat[i], entry[i + 1][order].astype(np.intp) * row_bytes + byte_idx, groups)
+                self._or_bits(i, entry[i + 1][order].astype(np.intp), byte_idx, groups)
                 yield
-        self._log = self._keys = self._table = self._promoted = None
+        self._log = self._keys = self._runs = None
         self.log_pairs = 0
         self.folded = True
 
     def seal(self) -> Iterator[None]:
-        """Close an open log without the dense grid, one step per row: sort
+        """Close an open log without folding it, one step per row: sort
         the row's keys once, and give each column with more than
         `promote_threshold` keys the next cell from the front of the grid,
         so that the promoted cells of every row share its first pages. A
@@ -201,8 +240,7 @@ class LEArray:
         threshold = promote_threshold(self.le_len, self.key_bytes)
         row_bytes = self.le_len // 8
         keys = np.empty(self.u_hat * n, self._key)
-        table = np.empty((self.u_hat, self.v_hat, 3), np.intp)
-        promoted_cells = 0
+        runs = np.empty((self.u_hat, self.v_hat, 2), np.intp)
         for i in range(self.u_hat):
             row = keys[i * n : (i + 1) * n]
             lo = 0
@@ -218,45 +256,37 @@ class LEArray:
             starts += i * n
             counts = np.diff(starts)
             promoted = np.flatnonzero(counts > threshold)
-            cells = np.arange(promoted_cells, promoted_cells + promoted.size)
+            cells = self._hand_out(promoted.size)
             _or_runs(self.cells.reshape(-1), keys, starts[promoted], counts[promoted],
                      cells * row_bytes, self._shift)
-            # a light or empty column reads the grid's last cell: past every
-            # promoted one where there is such a column, so zero
-            table[i, :, 0] = self.u_hat * self.v_hat - 1
-            table[i, promoted, 0] = cells
-            table[i, :, 1] = starts[:-1]
+            self._map[i, promoted] = cells
+            runs[i, :, 0] = starts[:-1]
             counts[promoted] = 0
-            table[i, :, 2] = counts
-            promoted_cells += promoted.size
+            runs[i, :, 1] = counts
             yield
-        self._keys, self._table, self._promoted = keys, table, promoted_cells
+        self._keys, self._runs = keys, runs
         self.log_pairs = 0
 
     def row_cells(self, i: int | range, cols) -> np.ndarray:
         """Row i's cells at columns `cols`, as a new C-contiguous
         (len(cols), le_len // 8) uint8 matrix; for a range i of rows, with
         cols[k] the columns of row i[k], the AND of their cells, read in
-        one pass. An open log is sealed first, so callers on several
+        one pass: each column's cell through its row's map, with its light
+        keys ORed in. An open log is sealed first, so callers on several
         threads seal it before."""
         rows, cols = (i, cols) if isinstance(i, range) else (range(i, i + 1), [cols])
         if self.logging:
             deque(self.seal(), maxlen=0)
-        if self.folded:
-            merged = np.take(self.cells[rows[0]], cols[0], axis=0)
-            for row, col in zip(rows[1:], cols[1:]):
-                merged &= np.take(self.cells[row], col, axis=0)
-            return merged
-        if self._keys is None:
-            return np.zeros((len(cols[0]), self.le_len // 8), np.uint8)
-        table = self._table[np.arange(rows.start, rows.stop)[:, None], np.asarray(cols)].reshape(-1, 3)
-        cells = np.take(self.cells.reshape(-1, self.le_len // 8), table[:, 0], axis=0)
-        light = np.flatnonzero(table[:, 2])
-        if light.size:
-            _or_runs(cells.reshape(-1), self._keys, table[light, 1], table[light, 2],
+        index = np.concatenate([self._map[r][c] for r, c in zip(rows, cols)])
+        cells = np.take(self.cells, index, axis=0)
+        if self._keys is not None:
+            runs = np.concatenate([self._runs[r][c] for r, c in zip(rows, cols)])
+            light = np.flatnonzero(runs[:, 1])
+            _or_runs(cells.reshape(-1), self._keys, runs[light, 0], runs[light, 1],
                      light * (self.le_len // 8), self._shift)
-        cells = cells.reshape(len(rows), -1, self.le_len // 8)
-        return cells[0] if len(rows) == 1 else np.bitwise_and.reduce(cells)
+        if len(rows) == 1:
+            return cells
+        return np.bitwise_and.reduce(cells.reshape(len(rows), -1, self.le_len // 8))
 
     def candidate_columns(self, cands, hs: HashSuite) -> list[np.ndarray]:
         """Each candidate's column in each of the u_hat rows."""
@@ -270,15 +300,22 @@ class LEArray:
 
         Of a folded grid, rows 0 and 1 are read for every candidate, rows
         2.. only for those whose AND of the first two is not all zero: the
-        others' AND is zero already. A sealed grid reads every row in one
-        pass, as its light keys cost per pass more than per key, and its
-        reads are of its few promoted cells and its zero cell."""
+        others' AND is zero already. Each row is read and ANDed in turn:
+        a block holds one row's cells at a time. A sealed grid reads
+        every row in one pass, as its light keys cost per pass more than
+        per key, and its reads are of its few promoted cells and the zero
+        cell."""
         if not self.folded:
             return self.row_cells(range(self.u_hat), cols)
-        merged = self.row_cells(range(min(2, self.u_hat)), cols[:2])
+        merged = self.row_cells(0, cols[0])
+        if self.u_hat > 1:
+            merged &= self.row_cells(1, cols[1])
         live = np.flatnonzero(_words(merged).max(axis=1))
         if self.u_hat > 2:
-            merged[live] &= self.row_cells(range(2, self.u_hat), [col[live] for col in cols[2:]])
+            rest = self.row_cells(2, cols[2][live])
+            for i in range(3, self.u_hat):
+                rest &= self.row_cells(i, cols[i][live])
+            merged[live] &= rest
         return merged
 
 

@@ -86,6 +86,12 @@ def dense_cells(lea: LEArray) -> np.ndarray:
     return np.stack([lea.row_cells(i, every) for i in range(lea.u_hat)])
 
 
+def write_cell(lea: LEArray, i: int, col: int, cell: np.ndarray) -> None:
+    """Set row i's cell at column `col` of a folded grid to `cell`, through
+    the row's map: a column without a cell takes the next one first."""
+    lea.cells[lea.cells_of(i, np.array([col]))[0]] = cell
+
+
 def same_sketch(x: RECube | LEArray, y: RECube | LEArray) -> bool:
     """Two cubes, or two grids, with the same geometry and the same cells."""
 
@@ -100,13 +106,12 @@ def same_sketch(x: RECube | LEArray, y: RECube | LEArray) -> bool:
     return type(x) is type(y) and geometry(x) == geometry(y) and np.array_equal(cells(x), cells(y))
 
 
-def and_of_rows(lea: LEArray, cands, hs: HashSuite, rows: int | None = None) -> np.ndarray:
-    """The reference stage-3 sketches: each candidate's row cells, every
-    one of the first `rows` (all u_hat by default) gathered and ANDed, as
-    a (len(cands), le_len // 8) matrix."""
+def and_of_rows(lea: LEArray, cands, hs: HashSuite) -> np.ndarray:
+    """The reference stage-3 sketches: each candidate's u_hat row cells,
+    gathered and ANDed, as a (len(cands), le_len // 8) matrix."""
     cands = np.asarray(cands, np.uint32)
     merged = np.full((cands.size, lea.le_len // 8), 0xFF, np.uint8)
-    for i in range(lea.u_hat if rows is None else rows):
+    for i in range(lea.u_hat):
         merged &= lea.row_cells(i, hs.col_arr(cands, i, lea.v_hat))
     return merged
 

@@ -901,6 +901,33 @@ def test_a_sparse_window_peaks_far_below_its_grid(tmp_path):
     assert peak[300_000] - peak[0] < grid_mb / 8, peak
 
 
+def test_a_candidate_burst_peaks_at_its_written_cells(tmp_path):
+    # one node at the default geometry over 1000 sources of 400 random
+    # peers each: at theta = 256 its first batch fills the cube with
+    # candidate cells, so its grid folds; a folded grid hands out a cell
+    # per written (row, column), here about 5000 of its 163840, about 10
+    # MB, where a fold used to touch the whole 320 MiB grid
+    cfg = RunConfig(theta=256)
+    params = DetectorParams(theta=cfg.theta, le_len=cfg.le_len, u_hat=cfg.u_hat, v_hat=cfg.v_hat)
+    rng = np.random.default_rng(3)
+    a = np.repeat(rng.integers(0, 2**32, 1000, dtype=np.uint32), 400)
+    burst = Trace(rng.permutation(a), rng.integers(0, 2**32, a.size, dtype=np.uint32))
+    probe_node = node.ObservationNode(0, params, RECubeConfig(r=cfg.r, l=cfg.l, s=cfg.s), cfg.seed)
+    probe_node.scan_window(burst.take(np.arange(node.BATCH_RECORDS)))
+    assert probe_node.lea.folded
+    del probe_node
+    conf = _write(tmp_path / "run.conf", "nodes = 1\ntheta = 256\n")
+    peak = {}
+    for name, trace in (("empty", Trace(a[:0], a[:0])), ("burst", burst)):
+        (tmp_path / name).mkdir()
+        write_trace_binary(tmp_path / name / "node_000.bin", trace)
+        probe = _run_probe(_RSS_PROBE, "run", "--config", conf, "--trace-dir", str(tmp_path / name))
+        code, maxrss_kb = probe.stdout.split()[-2:]
+        assert code == "0", probe.stdout + probe.stderr
+        peak[name] = int(maxrss_kb) / 1024
+    assert peak["burst"] - peak["empty"] < params.lea_bytes / 2**20 / 8, peak
+
+
 def test_run_csv_memory_does_not_grow_with_line_length(tmp_path):
     # a reader that took each line whole held a 64 MB line several times
     # over; one that reads fixed chunks drops it a chunk at a time

@@ -332,6 +332,13 @@ GEOMETRIES = [(3, 64, 1024), (2, 16, 1024), (4, 32, 512), (3, 16, 64)]
 @example(geometry=GEOMETRIES[0], sizes=[300, 300], fold_after=0, more=100, cuts=[10], chunk=7, seed=2)
 @example(geometry=GEOMETRIES[0], sizes=[600, 600, 600], fold_after=5, more=0, cuts=[], chunk=7, seed=3)
 @example(geometry=GEOMETRIES[2], sizes=[600], fold_after=5, more=200, cuts=[5, 20], chunk=7, seed=4)
+# every column of every row written, so every cell handed out: folded
+# mid-scan, at its cap of 320 pairs, folded again once folded, and at its
+# first pair
+@example(geometry=GEOMETRIES[1], sizes=[200, 200], fold_after=0, more=50, cuts=[], chunk=7, seed=5)
+@example(geometry=GEOMETRIES[1], sizes=[300, 300], fold_after=5, more=50, cuts=[], chunk=7, seed=6)
+@example(geometry=GEOMETRIES[1], sizes=[300, 300, 100], fold_after=2, more=50, cuts=[], chunk=7, seed=7)
+@example(geometry=GEOMETRIES[3], sizes=[200, 100], fold_after=1, more=50, cuts=[], chunk=7, seed=8)
 def test_sparse_grid_reads_as_its_dense_replay(geometry, sizes, fold_after, more, cuts, chunk, seed):
     # whether the grid stays a log, seals with light and promoted columns,
     # folds after any batch or at its cap, or is scanned again after a
@@ -358,6 +365,7 @@ def _check_sparse_grid(geometry, sizes, fold_after, more, cuts, seed):
         lea.update_pairs(*batches[-1], HS)
         if k == fold_after:
             deque(lea.fold(), maxlen=0)
+            assert lea.folded and list(lea.fold()) == []  # a folded grid takes no step
     seen = np.concatenate([heavy] + [a for a, _ in batches])
     for scan in range(2):
         cands = np.concatenate([rng.choice(seen, 30), rng.integers(0, 2**32, 10, dtype=np.uint32)])

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (
-    and_of_rows,
     col,
     csv_records,
     decode_stage3,
@@ -18,6 +17,7 @@ from oracles import (
     same_sketch,
     stage1_size,
     stage3_size,
+    write_cell,
 )
 
 from superpoint import node as node_module, wire
@@ -496,10 +496,12 @@ def _fated_node(u_hat, le_len, fates, seed):
     """A node whose grid holds, for candidate j, the rows 0..fates[j] - 1
     equal to one random nonzero cell, row fates[j] its complement (zero
     for row 0), and random later rows; columns may collide, and the
-    reference sees the collisions too."""
+    reference sees the collisions too. Also the (u_hat, v_hat, le_len / 8)
+    cells written, the reference."""
     params = DetectorParams(theta=64, le_len=le_len, u_hat=u_hat, v_hat=4096)
     node = ObservationNode(6, params, CFG, master_seed=seed)
-    deque(node.lea.fold(), maxlen=0)  # a dense grid, written in place below
+    deque(node.lea.fold(), maxlen=0)  # cells handed out through the map below
+    written = np.zeros((u_hat, 4096, le_len // 8), np.uint8)
     rng = np.random.default_rng(seed)
     candidates = rng.choice(2**32, len(fates), replace=False).astype(np.uint32)
     cols = [node.hs.col_arr(candidates, i, 4096) for i in range(u_hat)]
@@ -509,14 +511,14 @@ def _fated_node(u_hat, le_len, fates, seed):
         for bit in rng.integers(0, le_len, rng.integers(1, 4)).tolist():
             cell[bit >> 3] |= 1 << (bit & 7)
         for i in range(u_hat):
-            row = node.lea.cells[i]
             if i < fate:
-                row[cols[i][j]] = cell
+                written[i, cols[i][j]] = cell
             elif i == fate:
-                row[cols[i][j]] = ~cell if i else 0
+                written[i, cols[i][j]] = ~cell if i else 0
             else:
-                row[cols[i][j]] = rng.integers(0, 256, le_len // 8, dtype=np.uint8)
-    return node, candidates
+                written[i, cols[i][j]] = rng.integers(0, 256, le_len // 8, dtype=np.uint8)
+            write_cell(node.lea, i, cols[i][j], written[i, cols[i][j]])
+    return node, candidates, written
 
 
 @settings(max_examples=60, deadline=None)
@@ -537,7 +539,7 @@ def test_stage3_payload_is_the_and_of_every_row(u_hat, le_len, fates, cuts, seed
     # ones too) is the reference encoding of the AND of all u_hat
     # gathered rows, while only candidates still alive after two rows
     # cost a gather of rows 2..u_hat - 1
-    node, candidates = _fated_node(u_hat, le_len, fates, seed)
+    node, candidates, written = _fated_node(u_hat, le_len, fates, seed)
     w = len(fates)
     cuts = sorted(min(cut, w) for cut in cuts)
     gathered = []
@@ -549,14 +551,16 @@ def test_stage3_payload_is_the_and_of_every_row(u_hat, le_len, fates, cuts, seed
 
     with mock.patch.object(node.lea, "row_cells", counting_row_cells):
         chunks = _chunks(node, candidates, cuts)
-    want = and_of_rows(node.lea, candidates, node.hs)
+    rows = [written[i][node.hs.col_arr(candidates, i, 4096)] for i in range(u_hat)]
+    want = np.bitwise_and.reduce(rows)
     assert b"".join(chunks) == encode_stage3(6, 0, candidates, want, le_len)
+    assert dense_cells(node.lea).tobytes() == written.tobytes()
     bounds = _bounds(w, cuts)
     assert [len(block) for block in chunks[1:]] == [(hi - lo) * (4 + le_len // 8) for lo, hi in zip(bounds, bounds[1:])]
     if u_hat <= 2:
         assert sum(gathered) == u_hat * w
     else:
-        live = int(and_of_rows(node.lea, candidates, node.hs, rows=2).any(axis=1).sum())
+        live = int((rows[0] & rows[1]).any(axis=1).sum())
         assert sum(gathered) == 2 * w + (u_hat - 2) * live
 
 
