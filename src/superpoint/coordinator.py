@@ -30,8 +30,10 @@ from .recube import recover_candidates
 from . import wire
 
 #: bytes of candidate sketches per stage-3 block: stage 3 holds about
-#: three blocks per thread, and its threads pay for each numpy call that
-#: hands the GIL over, so fewer, larger blocks run faster
+#: three blocks per thread from folded grids, and from sealed ones u_hat + 1
+#: blocks and the expansion of up to `learray._KEY_CHUNK` light keys; its
+#: threads pay for each numpy call that hands the GIL over, so fewer,
+#: larger blocks run faster
 _BLOCK_BYTES = 1 << 19
 
 

@@ -14,18 +14,20 @@ finish the window.
 
 The grid is sparse first, as HyperLogLog++'s registers are (Heule,
 Nunkesser and Hall, "HyperLogLog in Practice", EDBT 2013). A window's
-scan only logs each pair's bit position and its u_hat columns. At the
-window end the log is either folded, written into cells, which then
-take the rest of the window's writes in place, or sealed: each row's
-keys, column << log2(le_len) | bit, are sorted once, and a column whose
-keys would take more bytes than its cell is promoted to a cell, while
-the other, light, columns keep their keys. A log that reaches its cap
-folds. Each row maps its columns to their cells: a column gets the next
-cell from the front of the grid when it is promoted, or on its first
-write once the grid has folded, and a column without one reads a zero
-cell. The grid is reserved whole but left untouched, so a folded window
-holds one cell per written (row, column), a sealed one a cell per
-promoted column.
+scan only logs each pair's bit position and its u_hat columns, and the
+log changes form once: a batch that would take it past its cap folds
+it, and otherwise the window end folds or seals it. A fold gives each
+row's logged columns the next cells from the front of the grid, row
+after row, and writes the log into them; the cells then take the rest
+of the window's writes in place, a column's first write handing it the
+next cell. A seal sorts each row's keys, column << log2(le_len) | bit,
+once, and promotes a column whose keys would take more bytes than its
+cell to the next cell, while the other, light, columns keep their keys,
+which a read finds by binary search in their row. A sealed grid is
+final: it takes no more pairs. Each row maps its columns to their cells,
+and a column without one reads a zero cell. The grid is reserved whole
+but left untouched, so a folded window holds one cell per written (row,
+column), a sealed one a cell per promoted column.
 """
 
 from __future__ import annotations
@@ -38,11 +40,8 @@ import numpy as np
 from .estimators import bit_groups, linear_count, or_bit_groups
 from .hashing import HashSuite
 
-#: keys a seal, a fold or a light gather expands at a time
+#: keys a seal or a light gather expands at a time
 _KEY_CHUNK = 1 << 16
-
-#: the bytes of a column's entries in a sealed row's map and runs
-_TABLE_BYTES = 3 * np.dtype(np.intp).itemsize
 
 
 class CandidateEstimate(NamedTuple):
@@ -64,11 +63,11 @@ def promote_threshold(le_len: int, key_bytes: int) -> int:
 
 def log_cap(u_hat: int, v_hat: int, le_len: int) -> int:
     """The most pairs a window logs before its grid folds: as many as keep
-    the sealed form, u_hat keys per pair and each row's column table,
-    within half the grid. A promoted cell takes fewer bytes than the keys
-    it stands for, so a sealed window holds less than its grid. 0 where
-    the tables alone take half of it."""
-    room = u_hat * v_hat * (le_len // 16 - _TABLE_BYTES)
+    the sealed form, u_hat keys per pair and each row's column map, within
+    half the grid. A promoted cell takes fewer bytes than the keys it
+    stands for, so a sealed window holds less than its grid. 0 where the
+    maps alone take half of it."""
+    room = u_hat * v_hat * (le_len // 16 - np.dtype(np.intp).itemsize)
     return max(0, room) // (u_hat * key_dtype(v_hat, le_len).itemsize)
 
 
@@ -110,8 +109,8 @@ def _or_runs(row, keys, starts, counts, targets, shift: int) -> None:
 
 class LEArray:
     """Grid of bit vectors, packed 8 bits per byte (LSB first): a log of
-    the window's keys until the window end, then a cell per written
-    column, or sorted keys with promoted cells."""
+    the window's keys, then either a cell per written column, or each
+    row's sorted keys with promoted cells."""
 
     def __init__(self, u_hat: int, v_hat: int, le_len: int):
         """An empty grid; the geometry is as checked by DetectorParams."""
@@ -134,10 +133,8 @@ class LEArray:
         self._log: list[np.ndarray] | None = []
         self._log_type = np.min_scalar_type(max(v_hat, le_len) - 1)
         self.log_pairs = 0
-        #: once sealed, until it folds: every row's sorted keys, row after
-        #: row, and per row and column its first key and its count of
-        #: light keys
-        self._keys = self._runs = None
+        #: once sealed, each row's sorted keys: a (u_hat, pairs) array
+        self._keys: np.ndarray | None = None
         self.folded = False
 
     @property
@@ -148,11 +145,13 @@ class LEArray:
     def update_pairs(self, a: np.ndarray, b: np.ndarray, hs: HashSuite) -> None:
         """Fold a batch of (source, opposite) pairs into the grid: log them,
         or write them into their cells once it has folded. A batch that
-        would take the log past its cap, or that comes after a seal, folds
-        the grid first."""
+        would take the log past its cap folds the grid first. A sealed grid
+        is final: ValueError."""
+        if self._keys is not None:
+            raise ValueError("a sealed LE grid takes no more pairs")
         if a.size == 0:
             return
-        if not self.folded and (not self.logging or self.log_pairs + a.size > self.cap):
+        if self.logging and self.log_pairs + a.size > self.cap:
             deque(self.fold(), maxlen=0)
         bitpos = hs.le_bit_arr(b, self.le_len)
         if self.logging:
@@ -201,21 +200,19 @@ class LEArray:
         return np.arange(self._promoted - k + 1, self._promoted + 1)
 
     def fold(self) -> Iterator[None]:
-        """Give every written column a cell, one step per row: write the
-        logged keys, or a sealed grid's light keys, into their columns'
-        cells, which then take the window's writes in place. The log is
-        freed as it folds. A folded grid takes no step."""
-        if self.folded:
+        """Write the log into cells, one step per logged batch and row. Each
+        row's logged columns first take the next cells, in column order,
+        row after row, so that a row's cells are one range; each batch is
+        freed once written. The cells then take the window's writes in
+        place. A folded or sealed grid takes no step."""
+        if not self.logging:
             return
-        if self._keys is not None:
-            row_bytes = self.le_len // 8
-            for row, runs in zip(self._map, self._runs):
-                light = np.flatnonzero(runs[:, 1])
-                cells = self._hand_out(light.size)
-                _or_runs(self.cells.reshape(-1), self._keys, runs[light, 0], runs[light, 1],
-                         cells * row_bytes, self._shift)
-                row[light] = cells
-                yield
+        for i, row in enumerate(self._map):
+            written = np.zeros(self.v_hat, bool)
+            for entry in self._log:
+                written[entry[i + 1].astype(np.intp)] = True  # twice as fast as a uint16 index
+            cols = np.flatnonzero(written)
+            row[cols] = self._hand_out(cols.size)
         while self._log:
             entry = self._log.pop(0)
             order, groups = bit_groups(entry[0] & 7)
@@ -223,7 +220,7 @@ class LEArray:
             for i in range(self.u_hat):
                 self._or_bits(i, entry[i + 1][order].astype(np.intp), byte_idx, groups)
                 yield
-        self._log = self._keys = self._runs = None
+        self._log = None
         self.log_pairs = 0
         self.folded = True
 
@@ -234,15 +231,13 @@ class LEArray:
         so that the promoted cells of every row share its first pages. A
         folded or sealed grid, or an empty log, takes no step."""
         log, self._log = self._log, None
+        if log is None:
+            return
+        self._keys = np.empty((self.u_hat, self.log_pairs), self._key)
         if not log:
             return
-        n = self.log_pairs
         threshold = promote_threshold(self.le_len, self.key_bytes)
-        row_bytes = self.le_len // 8
-        keys = np.empty(self.u_hat * n, self._key)
-        runs = np.empty((self.u_hat, self.v_hat, 2), np.intp)
-        for i in range(self.u_hat):
-            row = keys[i * n : (i + 1) * n]
+        for i, row in enumerate(self._keys):
             lo = 0
             for entry in log:
                 part = row[lo : lo + entry.shape[1]]
@@ -250,39 +245,41 @@ class LEArray:
                 part |= entry[0]
                 lo += entry.shape[1]
             row.sort()
-            starts = np.empty(self.v_hat + 1, np.intp)
-            starts[:-1] = np.searchsorted(row, np.arange(self.v_hat, dtype=self._key) << self._shift)
-            starts[-1] = n
-            starts += i * n
-            counts = np.diff(starts)
+            starts = np.searchsorted(row, np.arange(self.v_hat, dtype=self._key) << self._shift)
+            counts = np.diff(starts, append=row.size)
             promoted = np.flatnonzero(counts > threshold)
             cells = self._hand_out(promoted.size)
-            _or_runs(self.cells.reshape(-1), keys, starts[promoted], counts[promoted],
-                     cells * row_bytes, self._shift)
+            _or_runs(self.cells.reshape(-1), row, starts[promoted], counts[promoted],
+                     cells * (self.le_len // 8), self._shift)
             self._map[i, promoted] = cells
-            runs[i, :, 0] = starts[:-1]
-            counts[promoted] = 0
-            runs[i, :, 1] = counts
             yield
-        self._keys, self._runs = keys, runs
         self.log_pairs = 0
 
     def row_cells(self, i: int | range, cols) -> np.ndarray:
         """Row i's cells at columns `cols`, as a new C-contiguous
         (len(cols), le_len // 8) uint8 matrix; for a range i of rows, with
-        cols[k] the columns of row i[k], the AND of their cells, read in
-        one pass: each column's cell through its row's map, with its light
-        keys ORed in. An open log is sealed first, so callers on several
-        threads seal it before."""
+        cols[k] the columns of row i[k], all of one length, the AND of their
+        cells, read in one pass: each column's cell through its row's map,
+        and on a sealed grid each light column's keys, found by binary
+        search in its row, ORed in. An open log is sealed first, so callers
+        on several threads seal it before."""
         rows, cols = (i, cols) if isinstance(i, range) else (range(i, i + 1), [cols])
         if self.logging:
             deque(self.seal(), maxlen=0)
         index = np.concatenate([self._map[r][c] for r, c in zip(rows, cols)])
         cells = np.take(self.cells, index, axis=0)
         if self._keys is not None:
-            runs = np.concatenate([self._runs[r][c] for r, c in zip(rows, cols)])
-            light = np.flatnonzero(runs[:, 1])
-            _or_runs(cells.reshape(-1), self._keys, runs[light, 0], runs[light, 1],
+            m, n = len(cols[0]), self._keys.shape[1]
+            light = np.flatnonzero(index == 0)
+            first = np.concatenate(cols)[light].astype(self._key) << self._shift
+            last = first | (self.le_len - 1)
+            cuts = np.searchsorted(light, np.arange(len(rows) + 1) * m).tolist()
+            spans = list(zip(rows, cuts, cuts[1:]))  # light[a:b] are row r's light columns
+            lo = np.concatenate([np.searchsorted(self._keys[r], first[a:b]) for r, a, b in spans])
+            hi = np.concatenate([np.searchsorted(self._keys[r], last[a:b], side="right") for r, a, b in spans])
+            counts = hi - lo
+            lo += (light // m + rows.start) * n  # as indices into every row's keys, row after row
+            _or_runs(cells.reshape(-1), self._keys.reshape(-1), lo, counts,
                      light * (self.le_len // 8), self._shift)
         if len(rows) == 1:
             return cells

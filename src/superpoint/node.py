@@ -248,34 +248,26 @@ class ObservationNode:
         self.pairs_scanned = 0
 
     def scan_window(self, trace: Trace) -> tuple[RECube, LEArray]:
-        """Fold one window's pair stream into the sketches. Each time a
-        batch would double the grid's log, from BATCH_RECORDS pairs on,
-        the grid folds first if the fold rule says so, and the batch is
-        written into it."""
+        """Fold one window's pair stream into the sketches: the grid logs
+        the pairs, or writes them once its log has reached its cap and
+        folded; its form is decided at the window end otherwise."""
         self.rec.update_pairs(trace.a, trace.b, self.params.tau, self.hs)
-        logged = self.lea.log_pairs
-        doubled = ((logged + len(trace)) // BATCH_RECORDS).bit_length() > (logged // BATCH_RECORDS).bit_length()
-        if self.lea.logging and doubled and self._fold_due(logged + len(trace)):
-            deque(self.lea.fold(), maxlen=0)
         self.lea.update_pairs(trace.a, trace.b, self.hs)
         self.pairs_scanned += len(trace)
         return self.rec, self.lea
 
     def end_window(self) -> Iterator[None]:
-        """The window-end step, after the last scan: fold the grid if the
-        fold rule says so, else seal its log, one step per grid row. An
-        empty log skips the rule and the sort; a folded grid takes no step."""
-        if self.lea.log_pairs and self._fold_due(self.lea.log_pairs):
-            yield from self.lea.fold()
-        else:
-            yield from self.lea.seal()
-
-    def _fold_due(self, pairs: int) -> bool:
-        """`learray.fold_due` of a log of `pairs` pairs, with this node's
-        cube's most >= 3-bit cells in a row as its candidates."""
-        cells = max(k.size for k, _, _ in _candidate_cells(self.rec))
+        """The window-end step, after the last scan, in steps of a grid row:
+        fold the grid's log if `learray.fold_due` says so, with this node's
+        cube's most >= 3-bit cells in a row as its candidates, else seal it.
+        An empty log skips the rule and the sort; a folded or sealed grid
+        takes no step."""
         lea = self.lea
-        return fold_due(cells, pairs, lea.u_hat, lea.le_len, lea.key_bytes)
+        cells = max(k.size for k, _, _ in _candidate_cells(self.rec)) if lea.log_pairs else 0
+        if fold_due(cells, lea.log_pairs, lea.u_hat, lea.le_len, lea.key_bytes):
+            yield from lea.fold()
+        else:
+            yield from lea.seal()
 
     def stage1_payload(self) -> tuple[bytes, memoryview]:
         """The header, then a read-only view of the cube's cells: the next scan changes it."""

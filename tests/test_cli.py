@@ -8,6 +8,7 @@ import sys
 import tempfile
 import threading
 import time
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -498,11 +499,10 @@ def test_run_report_golden_digest(tmp_path, capsys, name, digest):
 
 MULTI_WINDOW_RUN_CONF = RUN_CONF.replace("theta = 256", "theta = 64") + "window_seconds = 60\n"
 
-#: GEN_SPEC with ten times the background, run at the default geometry: at
-#: the default batch size every node seals its grid's log (three nodes with
-#: light columns only, one node over the three files with two promoted
-#: columns a row); at 64 records a batch, the fold rule's early checks
-#: fold them
+#: GEN_SPEC with ten times the background, run at the default geometry:
+#: every node seals its grid's log at the window end, whatever the batch
+#: size (three nodes with light columns only, one node over the three files
+#: with two promoted columns a row)
 SPARSE_SPEC = GEN_SPEC.replace("background_hosts = 300", "background_hosts = 3000")
 SPARSE_RUN_CONF = "theta = 256\nnodes = 3\n"
 #: recorded with the dense grid of every earlier version
@@ -903,8 +903,8 @@ def test_a_sparse_window_peaks_far_below_its_grid(tmp_path):
 
 def test_a_candidate_burst_peaks_at_its_written_cells(tmp_path):
     # one node at the default geometry over 1000 sources of 400 random
-    # peers each: at theta = 256 its first batch fills the cube with
-    # candidate cells, so its grid folds; a folded grid hands out a cell
+    # peers each: at theta = 256 they fill the cube with candidate cells,
+    # so its grid folds at the window end; a folded grid hands out a cell
     # per written (row, column), here about 5000 of its 163840, about 10
     # MB, where a fold used to touch the whole 320 MiB grid
     cfg = RunConfig(theta=256)
@@ -913,7 +913,8 @@ def test_a_candidate_burst_peaks_at_its_written_cells(tmp_path):
     a = np.repeat(rng.integers(0, 2**32, 1000, dtype=np.uint32), 400)
     burst = Trace(rng.permutation(a), rng.integers(0, 2**32, a.size, dtype=np.uint32))
     probe_node = node.ObservationNode(0, params, RECubeConfig(r=cfg.r, l=cfg.l, s=cfg.s), cfg.seed)
-    probe_node.scan_window(burst.take(np.arange(node.BATCH_RECORDS)))
+    probe_node.scan_window(burst)
+    deque(probe_node.end_window(), maxlen=0)
     assert probe_node.lea.folded
     del probe_node
     conf = _write(tmp_path / "run.conf", "nodes = 1\ntheta = 256\n")

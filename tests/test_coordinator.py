@@ -1,6 +1,7 @@
 import threading
 import time
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from oracles import (
     stage3_size,
 )
 
-from superpoint import coordinator, parallel, wire
+from superpoint import coordinator, learray, parallel, wire
 from superpoint.coordinator import run_window
 from superpoint.estimators import DetectorParams
 from superpoint.harness import TraceSpec, generate_trace, partition_stream
@@ -207,6 +208,24 @@ def test_stage3_memory_is_a_few_blocks_not_w_sketches(monkeypatch):
     merged = np.bitwise_or.reduce([and_of_rows(n.lea, report.candidates, n.hs) for n in nodes])
     assert report.super_points == estimate_candidates(report.candidates, popcounts(merged), 2**14, 32)
     assert {e.address for e in report.super_points} >= planted
+    # the same window sealed: a thread gathers all u_hat rows of its block
+    # before their AND, and ORs in up to _KEY_CHUNK light keys at a time,
+    # each expanded into a few 8-byte indices; so it holds u_hat + 1
+    # blocks and that expansion
+    sealed, _ = _dense_window(550)
+    for node in sealed:
+        deque(node.lea.seal(), maxlen=0)
+    u_hat = sealed[0].params.u_hat
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda n=cpus: n)
+        report, peak = _traced_run_window(sealed)
+        w = report.candidates_count
+        threads = _stage3_threads(blocks(w), cpus)
+        per_thread = (u_hat + 1) * block + 48 * learray._KEY_CHUNK
+        assert peak < threads * per_thread + block + 128 * w, (cpus, peak / block)
+    assert not any(node.lea.folded for node in sealed)
+    merged = np.bitwise_or.reduce([and_of_rows(n.lea, report.candidates, n.hs) for n in sealed])
+    assert report.super_points == estimate_candidates(report.candidates, popcounts(merged), 2**14, 32)
 
 
 def test_expected_comms_default_geometry():

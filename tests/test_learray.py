@@ -278,13 +278,13 @@ def test_fold_rule_cap_and_promotion_threshold():
     assert key_dtype(2**15, 2**14) == np.uint32
     assert promote_threshold(2**14, 4) == 512
     assert promote_threshold(1024, 2) == 64
-    # the cap's sealed keys and the rows' column tables fit in half the
+    # the cap's sealed keys and the rows' column maps fit in half the
     # grid, and one more pair's keys would not
-    lea_bytes, tables = 5 * 2**15 * 2**11, 5 * 2**15 * 24
+    lea_bytes, maps = 5 * 2**15 * 2**11, 5 * 2**15 * 8
     cap = log_cap(5, 2**15, 2**14)
-    assert cap * 5 * 4 + tables <= lea_bytes // 2 < (cap + 1) * 5 * 4 + tables
-    assert cap == 8_192_000
-    # where the tables alone take half the grid, the first pair folds it
+    assert cap * 5 * 4 + maps <= lea_bytes // 2 < (cap + 1) * 5 * 4 + maps
+    assert cap == 8_323_072
+    # where the maps alone take half the grid, the first pair folds it
     assert log_cap(3, 16, 64) == 0
     assert LEArray(3, 16, 64).cap == 0
     # fold once the candidates' u_hat cells outweigh the logged keys
@@ -310,9 +310,45 @@ def test_a_sealed_column_is_promoted_past_its_threshold():
         assert _extract_one(lea, source) == le_sketch(HS, range(pairs), 1024)
 
 
+def test_a_fold_gives_each_row_one_range_of_cells_in_row_order():
+    # batches that each write new columns: a fold first gives row 0's
+    # logged columns the next cells, in column order, then row 1's, and so
+    # on, and then writes the keys
+    lea = LEArray(3, 1024, 1024)
+    rng = np.random.default_rng(17)
+    batches = [rng.integers(0, 2**32, (2, n), dtype=np.uint32) for n in (300, 200, 100)]
+    for a, b in batches:
+        lea.update_pairs(a, b, HS)
+    deque(lea.fold(), maxlen=0)
+    start = 1
+    for row in lea._map:
+        cells = row[row > 0]
+        assert np.array_equal(cells, np.arange(start, start + cells.size))
+        start += cells.size
+    assert dense_cells(lea).tobytes() == dense_replay(batches, 3, 1024, 1024, HS).tobytes()
+
+
+def test_a_sealed_grid_is_final_and_a_folded_one_takes_pairs_after_its_reads():
+    rng = np.random.default_rng(18)
+    a, b = rng.integers(0, 2**32, (2, 400), dtype=np.uint32)
+    sealed, folded, empty = (LEArray(2, 64, 1024) for _ in range(3))
+    for lea in (sealed, folded):
+        lea.update_pairs(a[:200], b[:200], HS)
+    deque(folded.fold(), maxlen=0)
+    for lea in (sealed, folded, empty):
+        dense_cells(lea)  # a read seals an open log
+    for lea in (sealed, empty):
+        with pytest.raises(ValueError, match="sealed"):
+            lea.update_pairs(a[200:], b[200:], HS)
+    folded.update_pairs(a[200:], b[200:], HS)
+    assert dense_cells(sealed).tobytes() == dense_replay([(a[:200], b[:200])], 2, 64, 1024, HS).tobytes()
+    assert dense_cells(folded).tobytes() == dense_replay([(a, b)], 2, 64, 1024, HS).tobytes()
+    assert not sealed.folded and folded.folded
+
+
 #: geometries (u_hat, v_hat, le_len): ones that seal, whose columns keep up
-#: to 64, 64 and 32 keys and whose logs fold past 1280, 320 and 128 pairs,
-#: and one whose tables take half its grid, so that it folds at its first pair
+#: to 64, 64 and 32 keys and whose logs fold past 1792, 448 and 384 pairs,
+#: and one whose maps take half its grid, so that it folds at its first pair
 GEOMETRIES = [(3, 64, 1024), (2, 16, 1024), (4, 32, 512), (3, 16, 64)]
 
 
@@ -327,13 +363,13 @@ GEOMETRIES = [(3, 64, 1024), (2, 16, 1024), (4, 32, 512), (3, 16, 64)]
     seed=st.integers(0, 2**32 - 1),
 )
 # sealed with light and promoted columns; folded after its first batch;
-# past its cap of 1280 pairs; sealed, then scanned again
+# past its cap of 1792 pairs; past its cap of 384 at its first batch
 @example(geometry=GEOMETRIES[0], sizes=[600, 300], fold_after=5, more=0, cuts=[], chunk=7, seed=1)
 @example(geometry=GEOMETRIES[0], sizes=[300, 300], fold_after=0, more=100, cuts=[10], chunk=7, seed=2)
 @example(geometry=GEOMETRIES[0], sizes=[600, 600, 600], fold_after=5, more=0, cuts=[], chunk=7, seed=3)
 @example(geometry=GEOMETRIES[2], sizes=[600], fold_after=5, more=200, cuts=[5, 20], chunk=7, seed=4)
 # every column of every row written, so every cell handed out: folded
-# mid-scan, at its cap of 320 pairs, folded again once folded, and at its
+# mid-scan, at its cap of 448 pairs, folded again once folded, and at its
 # first pair
 @example(geometry=GEOMETRIES[1], sizes=[200, 200], fold_after=0, more=50, cuts=[], chunk=7, seed=5)
 @example(geometry=GEOMETRIES[1], sizes=[300, 300], fold_after=5, more=50, cuts=[], chunk=7, seed=6)
@@ -341,11 +377,11 @@ GEOMETRIES = [(3, 64, 1024), (2, 16, 1024), (4, 32, 512), (3, 16, 64)]
 @example(geometry=GEOMETRIES[3], sizes=[200, 100], fold_after=1, more=50, cuts=[], chunk=7, seed=8)
 def test_sparse_grid_reads_as_its_dense_replay(geometry, sizes, fold_after, more, cuts, chunk, seed):
     # whether the grid stays a log, seals with light and promoted columns,
-    # folds after any batch or at its cap, or is scanned again after a
-    # read, its cells and the blocks of any candidates, repeats and
-    # unseen ones among them, are the bytes of a grid that took every
-    # pair one write at a time; with 7-key chunks, runs of keys are read
-    # a slice at a time
+    # folds after any batch or at its cap, or, once folded, is scanned
+    # again after a read, its cells and the blocks of any candidates,
+    # repeats and unseen ones among them, are the bytes of a grid that took
+    # every pair one write at a time; with 7-key chunks, runs of keys are
+    # read a slice at a time
     with mock.patch.object(learray, "_KEY_CHUNK", chunk):
         _check_sparse_grid(geometry, sizes, fold_after, more, cuts, seed)
 
@@ -376,6 +412,7 @@ def _check_sparse_grid(geometry, sizes, fold_after, more, cuts, seed):
         blocks = [lea.extract_candidates([col[lo:hi] for col in cols]) for lo, hi in zip(bounds, bounds[1:])]
         assert np.concatenate(blocks).tobytes() == merged.tobytes()
         assert dense_cells(lea).tobytes() == want.tobytes()
-        # scanned again after a read: a sealed grid folds and takes the pairs
+        if not lea.folded:  # a sealed grid takes no more pairs
+            break
         batches.append(batch(more))
         lea.update_pairs(*batches[-1], HS)

@@ -614,24 +614,39 @@ def test_largest_node_id_is_accepted():
 
 @pytest.mark.parametrize("theta", [64, 2**20], ids=["burst", "sparse"])
 def test_window_end_folds_a_candidate_burst_and_seals_the_rest(theta):
-    # 2 KiB cells, 3 rows: one batch of BATCH_RECORDS random pairs at
-    # theta = 64 fills the small cube with >= 3-bit cells, whose gathers
-    # outweigh the batch's keys, so the grid folds before it logs the
-    # batch; at theta = 2^20 no cell qualifies, the batch is logged and
-    # the window end seals it, one step per row. An empty window takes
-    # no step. The sketches are the same either way.
+    # 2 KiB cells, 3 rows: the grid logs one batch of BATCH_RECORDS random
+    # pairs either way. At theta = 64 the batch fills the small cube with
+    # >= 3-bit cells, whose gathers outweigh the batch's keys, so the
+    # window end folds the log; at theta = 2^20 no cell qualifies, and the
+    # window end seals it; one step per row. An empty window takes no
+    # step. The sketches are the same either way.
     params = DetectorParams(theta=theta, le_len=2**14, u_hat=3, v_hat=1024)
     trace = _random_trace(node_module.BATCH_RECORDS, 16)
     node = ObservationNode(0, params, CFG, master_seed=5)
     assert list(node.end_window()) == []
     node.reset_window(0)
     node.scan_window(trace)
-    burst = theta == 64
-    assert (node.lea.folded, node.lea.log_pairs) == ((True, 0) if burst else (False, len(trace)))
-    assert len(list(node.end_window())) == (0 if burst else 3)
-    assert node.lea.folded == burst and not node.lea.logging
+    assert (node.lea.logging, node.lea.log_pairs) == (True, len(trace))
+    assert len(list(node.end_window())) == 3
+    assert (node.lea.folded, node.lea.logging, node.lea.log_pairs) == (theta == 64, False, 0)
     replay = dense_replay([(trace.a, trace.b)], 3, 1024, 2**14, node.hs)
     assert dense_cells(node.lea).tobytes() == replay.tobytes()
+
+
+def test_a_window_of_many_batches_checks_the_fold_rule_once(monkeypatch):
+    # the grid's form is decided at the window end, so a window of four
+    # batches, ended and then asked for stage 3, reads its cube's
+    # candidate cells once, and not at each doubling of its log
+    calls = []
+    candidate_cells = node_module._candidate_cells
+    monkeypatch.setattr(node_module, "_candidate_cells", lambda *cubes: calls.append(1) or candidate_cells(*cubes))
+    params = DetectorParams(theta=2**20, le_len=2**14, u_hat=3, v_hat=4096)
+    node = ObservationNode(0, params, CFG, master_seed=5)
+    for seed in range(4):
+        node.scan_window(_random_trace(node_module.BATCH_RECORDS, seed))
+    deque(node.end_window(), maxlen=0)
+    node.stage3_payload([1, 2])
+    assert len(calls) == 1 and not node.lea.folded
 
 
 def test_reset_window_clears_state():
