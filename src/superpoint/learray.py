@@ -9,25 +9,30 @@ takes. A node gathers the sketches of whichever range of candidates it
 is asked for, ANDing rows in a contiguous matrix. On a folded grid, a
 candidate whose AND is all zero after its first two rows, as the cube's
 phantom candidates mostly are, costs two row gathers, not u_hat: an
-all-zero AND stays zero. Popcounts and the linear-count estimates
-finish the window.
+all-zero AND stays zero. A candidate with an unwritten or a single-key
+column, whose AND is at most one bit, is settled once per candidate
+list, from its map entries and that bit's byte in each of its cells.
+Popcounts and the linear-count estimates finish the window.
 
 The grid is sparse first, as HyperLogLog++'s registers are (Heule,
 Nunkesser and Hall, "HyperLogLog in Practice", EDBT 2013). A window's
 scan only logs each pair's bit position and its u_hat columns, and the
 log changes form once: a batch that would take it past its cap folds
 it, and otherwise the window end folds or seals it. A fold gives each
-row's logged columns the next cells from the front of the grid, row
-after row, and writes the log into them; the cells then take the rest
-of the window's writes in place, a column's first write handing it the
-next cell. A seal sorts each row's keys, column << log2(le_len) | bit,
-once, and promotes a column whose keys would take more bytes than its
-cell to the next cell, while the other, light, columns keep their keys,
-which a read finds by binary search in their row. A sealed grid is
-final: it takes no more pairs. Each row maps its columns to their cells,
-and a column without one reads a zero cell. The grid is reserved whole
-but left untouched, so a folded window holds one cell per written (row,
-column), a sealed one a cell per promoted column.
+row's columns whose logged pairs set two or more distinct bits the next
+cells from the front of the grid, row after row, and writes the log
+into them; a column whose pairs all set one bit keeps that bit in the
+row's map instead, as ~bit, that is -(bit + 1). The cells then take
+the rest of the window's writes in place, a column's first write
+handing it the next cell, with its one bit if it had one. A seal sorts
+each row's keys, column << log2(le_len) | bit, once, and promotes a
+column whose keys would take more bytes than its cell to the next cell,
+while the other, light, columns keep their keys, which a read finds by
+binary search in their row. A sealed grid is final: it takes no more
+pairs. Each row maps its columns to their cells, and a column without
+one reads a zero cell. The grid is reserved whole but left untouched,
+so a folded window holds at most one cell per written (row, column), a
+sealed one a cell per promoted column.
 """
 
 from __future__ import annotations
@@ -167,14 +172,13 @@ class LEArray:
         a = a[order]
         byte_idx = bitpos[order] >> 3
         for i in range(self.u_hat):
-            self._or_bits(i, hs.col_arr(a, i, self.v_hat), byte_idx, groups)
+            self._or_bits(self.cells_of(i, hs.col_arr(a, i, self.v_hat)), byte_idx, groups)
 
-    def _or_bits(self, i: int, cols: np.ndarray, byte_idx: np.ndarray, groups) -> None:
-        """`or_bit_groups` of row i's writes at `cols`, in `bit_groups`
-        order, each at its cell's byte `byte_idx`."""
+    def _or_bits(self, index: np.ndarray, byte_idx: np.ndarray, groups) -> None:
+        """`or_bit_groups` of writes to the cells `index`, in `bit_groups`
+        order, each at its cell's byte `byte_idx`; `index` is overwritten."""
         # in place: one more batch-sized temporary let the allocator trim
         # the heap's top and fault it in again, about 200 faults a call
-        index = self.cells_of(i, cols)
         index *= self.le_len // 8
         index += byte_idx
         or_bit_groups(self.cells.reshape(-1), index, groups)
@@ -182,15 +186,19 @@ class LEArray:
     def cells_of(self, i: int, cols: np.ndarray) -> np.ndarray:
         """The cells of row i's columns `cols` in a folded grid, as indices
         into `cells`: the columns without one take the next cells, in
-        column order."""
+        column order, and a single-key column's cell starts with its bit."""
         row = self._map[i]
         cells = np.take(row, cols)
-        new = cells == 0
+        new = cells <= 0
         if new.any():
             fresh = np.zeros(self.v_hat, bool)
             fresh[cols[new]] = True
             fresh = np.flatnonzero(fresh)
+            keys = row[fresh]
             row[fresh] = self._hand_out(fresh.size)
+            keyed = keys < 0
+            _or_keys(self.cells.reshape(-1), (~keys[keyed]).astype(self._key),
+                     row[fresh[keyed]] * (self.le_len // 8), self._shift)
             cells = np.take(row, cols)
         return cells
 
@@ -201,24 +209,37 @@ class LEArray:
 
     def fold(self) -> Iterator[None]:
         """Write the log into cells, one step per logged batch and row. Each
-        row's logged columns first take the next cells, in column order,
-        row after row, so that a row's cells are one range; each batch is
-        freed once written. The cells then take the window's writes in
-        place. A folded or sealed grid takes no step."""
+        row's columns whose logged pairs set two or more distinct bits
+        first take the next cells, in column order, row after row, so that
+        a row's cells are one range; a column whose pairs all set one bit
+        keeps it in the map, as -(bit + 1), and its writes go to the zero
+        cell, which is zeroed again. Each batch is freed once written. The
+        cells then take the window's writes in place. A folded or sealed
+        grid takes no step."""
         if not self.logging:
             return
+        top = np.iinfo(self._log_type).max
         for i, row in enumerate(self._map):
-            written = np.zeros(self.v_hat, bool)
+            # each column's least and greatest bit: equal for a single key,
+            # and least > greatest for a column no pair wrote
+            least = np.full(self.v_hat, top, self._log_type)
+            most = np.zeros(self.v_hat, self._log_type)
             for entry in self._log:
-                written[entry[i + 1].astype(np.intp)] = True  # twice as fast as a uint16 index
-            cols = np.flatnonzero(written)
+                cols = entry[i + 1].astype(np.intp)  # faster than a uint16 index
+                np.minimum.at(least, cols, entry[0])
+                np.maximum.at(most, cols, entry[0])
+            cols = np.flatnonzero(least < most)
             row[cols] = self._hand_out(cols.size)
+            keyed = np.flatnonzero(least == most)
+            row[keyed] = ~least[keyed].astype(np.intp)
         while self._log:
             entry = self._log.pop(0)
             order, groups = bit_groups(entry[0] & 7)
             byte_idx = entry[0][order] >> 3
-            for i in range(self.u_hat):
-                self._or_bits(i, entry[i + 1][order].astype(np.intp), byte_idx, groups)
+            for i, row in enumerate(self._map):
+                index = row[entry[i + 1][order]]  # fancy indexing: twice as fast as np.take
+                self._or_bits(np.maximum(index, 0, out=index), byte_idx, groups)
+                self.cells[0] = 0
                 yield
         self._log = None
         self.log_pairs = 0
@@ -260,14 +281,15 @@ class LEArray:
         (len(cols), le_len // 8) uint8 matrix; for a range i of rows, with
         cols[k] the columns of row i[k], all of one length, the AND of their
         cells, read in one pass: each column's cell through its row's map,
-        and on a sealed grid each light column's keys, found by binary
-        search in its row, ORed in. An open log is sealed first, so callers
-        on several threads seal it before."""
+        with a folded single-key column's bit, and on a sealed grid each
+        light column's keys, found by binary search in its row, ORed in.
+        An open log is sealed first, so callers on several threads seal it
+        before."""
         rows, cols = (i, cols) if isinstance(i, range) else (range(i, i + 1), [cols])
         if self.logging:
             deque(self.seal(), maxlen=0)
         index = np.concatenate([self._map[r][c] for r, c in zip(rows, cols)])
-        cells = np.take(self.cells, index, axis=0)
+        cells = self._gather(index)
         if self._keys is not None:
             m, n = len(cols[0]), self._keys.shape[1]
             light = np.flatnonzero(index == 0)
@@ -281,38 +303,82 @@ class LEArray:
             lo += (light // m + rows.start) * n  # as indices into every row's keys, row after row
             _or_runs(cells.reshape(-1), self._keys.reshape(-1), lo, counts,
                      light * (self.le_len // 8), self._shift)
+        else:
+            self._or_single_keys(cells, index)
         if len(rows) == 1:
             return cells
         return np.bitwise_and.reduce(cells.reshape(len(rows), -1, self.le_len // 8))
 
-    def candidate_columns(self, cands, hs: HashSuite) -> list[np.ndarray]:
-        """Each candidate's column in each of the u_hat rows."""
-        cands = np.asarray(cands, dtype=np.uint32)
-        return [hs.col_arr(cands, i, self.v_hat) for i in range(self.u_hat)]
+    def _gather(self, index: np.ndarray) -> np.ndarray:
+        """The cells `index` as a new C-contiguous matrix: an entry of 0,
+        or a single key's negative one, reads the zero cell."""
+        return np.take(self.cells, index, axis=0, mode="clip")
 
-    def extract_candidates(self, cols: list[np.ndarray]) -> np.ndarray:
-        """The inner merge (AND) of the row cells at cols[i][j], i < u_hat,
-        as row j of a new C-contiguous (len(cols[0]), le_len // 8) uint8
-        matrix.
+    def _or_single_keys(self, cells: np.ndarray, index: np.ndarray) -> None:
+        """OR into the gathered `cells` the bit of each single-key entry,
+        -(bit + 1), of the `index` they were gathered at."""
+        keyed = np.flatnonzero(index < 0)
+        _or_keys(cells.reshape(-1), (~index[keyed]).astype(self._key), keyed * (self.le_len // 8), self._shift)
+
+    def candidate_reads(self, cands, hs: HashSuite) -> list[np.ndarray]:
+        """What `extract_candidates` reads of each candidate in each of the
+        u_hat rows: its column, or on a folded grid the column's map entry.
+        Decided once per candidate list, they hold until the grid next
+        takes pairs. A folded candidate with an unwritten or a single-key
+        column is settled here, as its AND is at most one bit: every row
+        reads the zero cell, and row 0's entry keeps the single-key entry,
+        -(bit + 1), where its single-key columns agree and each of its
+        cells has the bit."""
+        cands = np.asarray(cands, dtype=np.uint32)
+        reads = [hs.col_arr(cands, i, self.v_hat) for i in range(self.u_hat)]
+        if not self.folded:
+            return reads
+        key = np.zeros(cands.size, np.intp)  # the last single-key entry, 0 for none
+        settled = np.zeros(cands.size, bool)
+        for row, read in zip(self._map, reads):
+            read[:] = np.take(row, read)
+            settled |= read == 0
+            single = read < 0
+            settled |= single & (key < 0) & (key != read)  # two single keys that disagree
+            np.copyto(key, read, where=single)
+        keyed = np.flatnonzero((key < 0) & ~settled)
+        settled |= key < 0
+        bits = ~key[keyed]
+        for read in reads:
+            cells = read[keyed]
+            has = (self.cells[np.maximum(cells, 0), bits >> 3] >> (bits & 7) & 1).astype(bool)
+            has |= cells < 0
+            keyed, bits = keyed[has], bits[has]
+        for read in reads:
+            read[settled] = 0
+        reads[0][keyed] = ~bits
+        return reads
+
+    def extract_candidates(self, reads: list[np.ndarray]) -> np.ndarray:
+        """The inner merge (AND) of the row cells at reads[i][j], i <
+        u_hat, from `candidate_reads`, as row j of a new C-contiguous
+        (len(reads[0]), le_len // 8) uint8 matrix.
 
         Of a folded grid, rows 0 and 1 are read for every candidate, rows
         2.. only for those whose AND of the first two is not all zero: the
-        others' AND is zero already. Each row is read and ANDed in turn:
-        a block holds one row's cells at a time. A sealed grid reads
-        every row in one pass, as its light keys cost per pass more than
-        per key, and its reads are of its few promoted cells and the zero
-        cell."""
+        others' AND is zero already, as is a settled candidate's until its
+        one bit, if any, is ORed in at the end. Each row is read and ANDed
+        in turn: a block holds one row's cells at a time. A sealed grid
+        reads every row in one pass, as its light keys cost per pass more
+        than per key, and its reads are of its few promoted cells and the
+        zero cell."""
         if not self.folded:
-            return self.row_cells(range(self.u_hat), cols)
-        merged = self.row_cells(0, cols[0])
+            return self.row_cells(range(self.u_hat), reads)
+        merged = self._gather(reads[0])
         if self.u_hat > 1:
-            merged &= self.row_cells(1, cols[1])
+            merged &= self._gather(reads[1])
         live = np.flatnonzero(_words(merged).max(axis=1))
         if self.u_hat > 2:
-            rest = self.row_cells(2, cols[2][live])
+            rest = self._gather(reads[2][live])
             for i in range(3, self.u_hat):
-                rest &= self.row_cells(i, cols[i][live])
+                rest &= self._gather(reads[i][live])
             merged[live] &= rest
+        self._or_single_keys(merged, reads[0])
         return merged
 
 

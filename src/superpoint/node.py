@@ -284,12 +284,12 @@ class ObservationNode:
         deque(self.end_window(), maxlen=0)
         candidates = np.asarray(candidates, dtype=np.uint32)
         header = wire.stage3_header(self.node_id, self.window_id, candidates.size, self.params.le_len)
-        cols = self.lea.candidate_columns(candidates, self.hs)  # hashed once per payload
+        reads = self.lea.candidate_reads(candidates, self.hs)  # hashed and settled once per payload
 
         def build(lo: int, hi: int) -> bytearray:
             # the block is made once its sketches are: a block and the
             # gather's temporaries are never alive together
-            sketches = self.lea.extract_candidates([col[lo:hi] for col in cols])
+            sketches = self.lea.extract_candidates([read[lo:hi] for read in reads])
             return wire.encode_stage3_block(candidates[lo:hi], sketches)
 
         return header, build

@@ -92,6 +92,18 @@ def write_cell(lea: LEArray, i: int, col: int, cell: np.ndarray) -> None:
     lea.cells[lea.cells_of(i, np.array([col]))[0]] = cell
 
 
+def write_key(lea: LEArray, i: int, col: int, bit: int) -> None:
+    """Leave row i's column `col` of a folded grid holding the one bit
+    `bit`: as a fold leaves a column whose pairs all set one bit, in the
+    row's map, or where the column has a cell, as that cell."""
+    if lea._map[i, col] > 0:
+        cell = np.zeros(lea.le_len // 8, np.uint8)
+        cell[bit >> 3] = 1 << (bit & 7)
+        write_cell(lea, i, col, cell)
+    else:
+        lea._map[i, col] = ~bit
+
+
 def same_sketch(x: RECube | LEArray, y: RECube | LEArray) -> bool:
     """Two cubes, or two grids, with the same geometry and the same cells."""
 

@@ -905,8 +905,9 @@ def test_a_candidate_burst_peaks_at_its_written_cells(tmp_path):
     # one node at the default geometry over 1000 sources of 400 random
     # peers each: at theta = 256 they fill the cube with candidate cells,
     # so its grid folds at the window end; a folded grid hands out a cell
-    # per written (row, column), here about 5000 of its 163840, about 10
-    # MB, where a fold used to touch the whole 320 MiB grid
+    # per (row, column) its pairs set two or more bits in, here about 5000
+    # of its 163840, about 10 MB, where a fold used to touch the whole 320
+    # MiB grid
     cfg = RunConfig(theta=256)
     params = DetectorParams(theta=cfg.theta, le_len=cfg.le_len, u_hat=cfg.u_hat, v_hat=cfg.v_hat)
     rng = np.random.default_rng(3)

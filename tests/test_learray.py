@@ -25,8 +25,8 @@ HS = HashSuite(0xBEEF)
 
 
 def extract(lea: LEArray, cands, hs: HashSuite) -> np.ndarray:
-    """`lea.extract_candidates` of the candidates' columns."""
-    return lea.extract_candidates(lea.candidate_columns(cands, hs))
+    """`lea.extract_candidates` of the candidates' reads."""
+    return lea.extract_candidates(lea.candidate_reads(cands, hs))
 
 
 def test_geometry_validation():
@@ -346,6 +346,35 @@ def test_a_sealed_grid_is_final_and_a_folded_one_takes_pairs_after_its_reads():
     assert not sealed.folded and folded.folded
 
 
+def test_a_fold_gives_a_cell_only_to_a_column_of_two_or_more_bits():
+    # random sources, a few pairs each, some repeated: a fold gives a cell
+    # to each (row, column) whose pairs set two or more distinct bits, and
+    # to no other; a column of one bit, whether one pair or its copies
+    # set it, keeps it in the map, and the zero cell its writes went to
+    # reads zero again
+    lea = LEArray(3, 1024, 1024)
+    rng = np.random.default_rng(19)
+    a, b = rng.integers(0, 2**32, (2, 1500), dtype=np.uint32)
+    a, b = np.concatenate([a, a[:300]]), np.concatenate([b, b[:300]])
+    lea.update_pairs(a, b, HS)
+    deque(lea.fold(), maxlen=0)
+    bits = HS.le_bit_arr(b, 1024)
+    distinct = [{} for _ in range(3)]
+    for i in range(3):
+        for c, bit in zip(HS.col_arr(a, i, 1024).tolist(), bits.tolist()):
+            distinct[i].setdefault(c, set()).add(bit)
+    for i, row in enumerate(lea._map):
+        many = sorted(c for c, seen in distinct[i].items() if len(seen) > 1)
+        assert np.flatnonzero(row > 0).tolist() == many
+        assert {c: {~int(row[c])} for c in np.flatnonzero(row < 0).tolist()} == {
+            c: seen for c, seen in distinct[i].items() if len(seen) == 1
+        }
+    assert lea._promoted == sum(len(seen) > 1 for row in distinct for seen in row.values())
+    assert 0 < lea._promoted < sum(map(len, distinct))
+    assert not lea.cells[0].any()
+    assert dense_cells(lea).tobytes() == dense_replay([(a, b)], 3, 1024, 1024, HS).tobytes()
+
+
 #: geometries (u_hat, v_hat, le_len): ones that seal, whose columns keep up
 #: to 64, 64 and 32 keys and whose logs fold past 1792, 448 and 384 pairs,
 #: and one whose maps take half its grid, so that it folds at its first pair
@@ -360,40 +389,46 @@ GEOMETRIES = [(3, 64, 1024), (2, 16, 1024), (4, 32, 512), (3, 16, 64)]
     more=st.integers(0, 300),
     cuts=st.lists(st.integers(0, 60), max_size=4),
     chunk=st.sampled_from([7, learray._KEY_CHUNK]),
+    copies=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
 # sealed with light and promoted columns; folded after its first batch;
 # past its cap of 1792 pairs; past its cap of 384 at its first batch
-@example(geometry=GEOMETRIES[0], sizes=[600, 300], fold_after=5, more=0, cuts=[], chunk=7, seed=1)
-@example(geometry=GEOMETRIES[0], sizes=[300, 300], fold_after=0, more=100, cuts=[10], chunk=7, seed=2)
-@example(geometry=GEOMETRIES[0], sizes=[600, 600, 600], fold_after=5, more=0, cuts=[], chunk=7, seed=3)
-@example(geometry=GEOMETRIES[2], sizes=[600], fold_after=5, more=200, cuts=[5, 20], chunk=7, seed=4)
+@example(geometry=GEOMETRIES[0], sizes=[600, 300], fold_after=5, more=0, cuts=[], chunk=7, copies=1, seed=1)
+@example(geometry=GEOMETRIES[0], sizes=[300, 300], fold_after=0, more=100, cuts=[10], chunk=7, copies=1, seed=2)
+@example(geometry=GEOMETRIES[0], sizes=[600, 600, 600], fold_after=5, more=0, cuts=[], chunk=7, copies=1, seed=3)
+@example(geometry=GEOMETRIES[2], sizes=[600], fold_after=5, more=200, cuts=[5, 20], chunk=7, copies=1, seed=4)
 # every column of every row written, so every cell handed out: folded
 # mid-scan, at its cap of 448 pairs, folded again once folded, and at its
 # first pair
-@example(geometry=GEOMETRIES[1], sizes=[200, 200], fold_after=0, more=50, cuts=[], chunk=7, seed=5)
-@example(geometry=GEOMETRIES[1], sizes=[300, 300], fold_after=5, more=50, cuts=[], chunk=7, seed=6)
-@example(geometry=GEOMETRIES[1], sizes=[300, 300, 100], fold_after=2, more=50, cuts=[], chunk=7, seed=7)
-@example(geometry=GEOMETRIES[3], sizes=[200, 100], fold_after=1, more=50, cuts=[], chunk=7, seed=8)
-def test_sparse_grid_reads_as_its_dense_replay(geometry, sizes, fold_after, more, cuts, chunk, seed):
+@example(geometry=GEOMETRIES[1], sizes=[200, 200], fold_after=0, more=50, cuts=[], chunk=7, copies=1, seed=5)
+@example(geometry=GEOMETRIES[1], sizes=[300, 300], fold_after=5, more=50, cuts=[], chunk=7, copies=1, seed=6)
+@example(geometry=GEOMETRIES[1], sizes=[300, 300, 100], fold_after=2, more=50, cuts=[], chunk=7, copies=1, seed=7)
+@example(geometry=GEOMETRIES[3], sizes=[200, 100], fold_after=1, more=50, cuts=[], chunk=7, copies=1, seed=8)
+# single-key columns: written by one pair; by the copies of one pair; and
+# kept by a fold at the cap of 384 pairs, then written again
+@example(geometry=GEOMETRIES[0], sizes=[20], fold_after=0, more=0, cuts=[7], chunk=7, copies=1, seed=9)
+@example(geometry=GEOMETRIES[0], sizes=[20], fold_after=0, more=0, cuts=[7], chunk=7, copies=3, seed=10)
+@example(geometry=GEOMETRIES[2], sizes=[40, 400], fold_after=5, more=300, cuts=[7], chunk=7, copies=1, seed=11)
+def test_sparse_grid_reads_as_its_dense_replay(geometry, sizes, fold_after, more, cuts, chunk, copies, seed):
     # whether the grid stays a log, seals with light and promoted columns,
     # folds after any batch or at its cap, or, once folded, is scanned
     # again after a read, its cells and the blocks of any candidates,
     # repeats and unseen ones among them, are the bytes of a grid that took
     # every pair one write at a time; with 7-key chunks, runs of keys are
-    # read a slice at a time
+    # read a slice at a time; each batch holds its pairs `copies` times
     with mock.patch.object(learray, "_KEY_CHUNK", chunk):
-        _check_sparse_grid(geometry, sizes, fold_after, more, cuts, seed)
+        _check_sparse_grid(geometry, sizes, fold_after, more, cuts, copies, seed)
 
 
-def _check_sparse_grid(geometry, sizes, fold_after, more, cuts, seed):
+def _check_sparse_grid(geometry, sizes, fold_after, more, cuts, copies, seed):
     u_hat, v_hat, le_len = geometry
     rng = np.random.default_rng(seed)
     heavy = rng.integers(0, 2**32, 3, dtype=np.uint32)  # many pairs each: promoted columns
 
     def batch(n):
         a = np.where(rng.random(n) < 0.5, rng.choice(heavy, n), rng.integers(0, 2**32, n, dtype=np.uint32))
-        return a.astype(np.uint32), rng.integers(0, 2**32, n, dtype=np.uint32)
+        return np.tile(a.astype(np.uint32), copies), np.tile(rng.integers(0, 2**32, n, dtype=np.uint32), copies)
 
     lea, batches = LEArray(u_hat, v_hat, le_len), []
     for k, n in enumerate(sizes):
@@ -407,9 +442,9 @@ def _check_sparse_grid(geometry, sizes, fold_after, more, cuts, seed):
         cands = np.concatenate([rng.choice(seen, 30), rng.integers(0, 2**32, 10, dtype=np.uint32)])
         want = dense_replay(batches, u_hat, v_hat, le_len, HS)
         merged = np.bitwise_and.reduce([want[i][HS.col_arr(cands, i, v_hat)] for i in range(u_hat)])
-        cols = lea.candidate_columns(cands, HS)
+        reads = lea.candidate_reads(cands, HS)
         bounds = [0, *sorted(min(cut, cands.size) for cut in cuts), cands.size]
-        blocks = [lea.extract_candidates([col[lo:hi] for col in cols]) for lo, hi in zip(bounds, bounds[1:])]
+        blocks = [lea.extract_candidates([read[lo:hi] for read in reads]) for lo, hi in zip(bounds, bounds[1:])]
         assert np.concatenate(blocks).tobytes() == merged.tobytes()
         assert dense_cells(lea).tobytes() == want.tobytes()
         if not lea.folded:  # a sealed grid takes no more pairs

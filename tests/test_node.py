@@ -18,6 +18,7 @@ from oracles import (
     stage1_size,
     stage3_size,
     write_cell,
+    write_key,
 )
 
 from superpoint import node as node_module, wire
@@ -492,33 +493,50 @@ def test_stage3_payload_is_the_reference_encoding(le_len, w):
 LIVES = 5
 
 
-def _fated_node(u_hat, le_len, fates, seed):
+def _fated_node(u_hat, le_len, fates, keyed, seed):
     """A node whose grid holds, for candidate j, the rows 0..fates[j] - 1
     equal to one random nonzero cell, row fates[j] its complement (zero
     for row 0), and random later rows; columns may collide, and the
-    reference sees the collisions too. Also the (u_hat, v_hat, le_len / 8)
-    cells written, the reference."""
+    reference sees the collisions too. Where keyed[j] is a nonzero mask
+    of rows, the cell is one bit, and the masked rows are single-key
+    columns: of that bit before row fates[j], of another bit at it (two
+    single keys that disagree), of a random bit after it; the rows before
+    fates[j] outside the mask hold the bit and random others. Also the
+    (u_hat, v_hat, le_len / 8) cells written, the reference, and which
+    (row, column) the last write left a single key."""
     params = DetectorParams(theta=64, le_len=le_len, u_hat=u_hat, v_hat=4096)
     node = ObservationNode(6, params, CFG, master_seed=seed)
     deque(node.lea.fold(), maxlen=0)  # cells handed out through the map below
     written = np.zeros((u_hat, 4096, le_len // 8), np.uint8)
+    single = np.zeros((u_hat, 4096), bool)
     rng = np.random.default_rng(seed)
     candidates = rng.choice(2**32, len(fates), replace=False).astype(np.uint32)
     cols = [node.hs.col_arr(candidates, i, 4096) for i in range(u_hat)]
     for j, fate in enumerate(fates):
+        mask = keyed[j] if j < len(keyed) else 0
         # one to three bits, so a live AND may show in one word only
+        bits = rng.integers(0, le_len, 1 if mask else rng.integers(1, 4)).tolist()
         cell = np.zeros(le_len // 8, np.uint8)
-        for bit in rng.integers(0, le_len, rng.integers(1, 4)).tolist():
+        for bit in bits:
             cell[bit >> 3] |= 1 << (bit & 7)
         for i in range(u_hat):
+            c = cols[i][j]
+            if mask >> i & 1:
+                key = bits[0] if i < fate else (bits[0] + 1) % le_len if i == fate else int(rng.integers(le_len))
+                write_key(node.lea, i, c, key)
+                written[i, c] = 0
+                written[i, c, key >> 3] = 1 << (key & 7)
+                single[i, c] = node.lea._map[i, c] < 0
+                continue
             if i < fate:
-                written[i, cols[i][j]] = cell
+                written[i, c] = cell | (rng.integers(0, 256, le_len // 8, dtype=np.uint8) if mask else 0)
             elif i == fate:
-                written[i, cols[i][j]] = ~cell if i else 0
+                written[i, c] = ~cell if i else 0
             else:
-                written[i, cols[i][j]] = rng.integers(0, 256, le_len // 8, dtype=np.uint8)
-            write_cell(node.lea, i, cols[i][j], written[i, cols[i][j]])
-    return node, candidates, written
+                written[i, c] = rng.integers(0, 256, le_len // 8, dtype=np.uint8)
+            write_cell(node.lea, i, c, written[i, c])
+            single[i, c] = False
+    return node, candidates, written, single
 
 
 @settings(max_examples=60, deadline=None)
@@ -526,32 +544,42 @@ def _fated_node(u_hat, le_len, fates, seed):
     u_hat=st.integers(1, 5),
     le_len=st.sampled_from([8, 64, 1024]),
     fates=st.lists(st.integers(0, LIVES), max_size=40),
+    keyed=st.lists(st.integers(0, 2**LIVES - 1), max_size=40),
     cuts=st.lists(st.integers(0, 40), max_size=8),
     seed=st.integers(0, 2**32 - 1),
 )
 # every candidate dies after the second row, or only at the last, or all live
-@example(u_hat=5, le_len=1024, fates=[1] * 10, cuts=[3, 6, 9], seed=1)
-@example(u_hat=5, le_len=64, fates=[4] * 10, cuts=[3, 6, 9], seed=2)
-@example(u_hat=5, le_len=8, fates=[LIVES] * 10, cuts=[3, 6, 9], seed=3)
-@example(u_hat=3, le_len=1024, fates=[], cuts=[], seed=4)
-def test_stage3_payload_is_the_and_of_every_row(u_hat, le_len, fates, cuts, seed):
+@example(u_hat=5, le_len=1024, fates=[1] * 10, keyed=[], cuts=[3, 6, 9], seed=1)
+@example(u_hat=5, le_len=64, fates=[4] * 10, keyed=[], cuts=[3, 6, 9], seed=2)
+@example(u_hat=5, le_len=8, fates=[LIVES] * 10, keyed=[], cuts=[3, 6, 9], seed=3)
+@example(u_hat=3, le_len=1024, fates=[], keyed=[], cuts=[], seed=4)
+# single-key rows: a bit that survives every row; a bit that a cell row
+# lacks (row 3, or row 0); two single keys that disagree (at row 2, or at
+# row 0 against row 4)
+@example(u_hat=5, le_len=1024, fates=[LIVES] * 4, keyed=[0b00101, 0b11111, 0b10000, 0b00001], cuts=[2], seed=5)
+@example(u_hat=5, le_len=64, fates=[3, 3, 0], keyed=[0b00011, 0b10100, 0b00010], cuts=[], seed=6)
+@example(u_hat=5, le_len=1024, fates=[2, 2, 0], keyed=[0b00111, 0b00100, 0b10001], cuts=[1], seed=7)
+def test_stage3_payload_is_the_and_of_every_row(u_hat, le_len, fates, keyed, cuts, seed):
     # the header joined with the blocks of any consecutive ranges (empty
     # ones too) is the reference encoding of the AND of all u_hat
     # gathered rows, while only candidates still alive after two rows
-    # cost a gather of rows 2..u_hat - 1
-    node, candidates, written = _fated_node(u_hat, le_len, fates, seed)
+    # cost a gather of rows 2..u_hat - 1; a candidate with a single-key
+    # column is settled once per payload, so its gathers of rows 0 and 1
+    # read the zero cell and it costs no more
+    node, candidates, written, single = _fated_node(u_hat, le_len, fates, keyed, seed)
     w = len(fates)
     cuts = sorted(min(cut, w) for cut in cuts)
     gathered = []
-    row_cells = node.lea.row_cells
+    gather = node.lea._gather
 
-    def counting_row_cells(i, cols):
-        gathered.append(np.size(cols))
-        return row_cells(i, cols)
+    def counting_gather(index):
+        gathered.append(np.size(index))
+        return gather(index)
 
-    with mock.patch.object(node.lea, "row_cells", counting_row_cells):
+    with mock.patch.object(node.lea, "_gather", counting_gather):
         chunks = _chunks(node, candidates, cuts)
-    rows = [written[i][node.hs.col_arr(candidates, i, 4096)] for i in range(u_hat)]
+    cols = [node.hs.col_arr(candidates, i, 4096) for i in range(u_hat)]
+    rows = [written[i][cols[i]] for i in range(u_hat)]
     want = np.bitwise_and.reduce(rows)
     assert b"".join(chunks) == encode_stage3(6, 0, candidates, want, le_len)
     assert dense_cells(node.lea).tobytes() == written.tobytes()
@@ -560,7 +588,8 @@ def test_stage3_payload_is_the_and_of_every_row(u_hat, le_len, fates, cuts, seed
     if u_hat <= 2:
         assert sum(gathered) == u_hat * w
     else:
-        live = int((rows[0] & rows[1]).any(axis=1).sum())
+        settled = np.any([single[i][cols[i]] for i in range(u_hat)], axis=0)
+        live = int(((rows[0] & rows[1]).any(axis=1) & ~settled).sum())
         assert sum(gathered) == 2 * w + (u_hat - 2) * live
 
 
